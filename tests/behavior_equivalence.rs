@@ -20,6 +20,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use where_things_roam::model::country::Country;
+use where_things_roam::model::hash::mix64;
 use where_things_roam::model::ids::{Imei, Imsi, Plmn, Tac};
 use where_things_roam::model::rat::RatSet;
 use where_things_roam::model::time::SimTime;
@@ -85,6 +86,24 @@ fn vertical_spec(vertical: Vertical, index: u64, days: u32) -> DeviceSpec {
     }
 }
 
+/// The base spec of `vertical` plus the variants that exercise every wake
+/// branch: misprovisioned (sticky attach failure), switch-happy with
+/// transient failures, and a flaky presence window.
+fn vertical_variants(vertical: Vertical, base: u64, days: u32) -> Vec<DeviceSpec> {
+    let mut sticky = vertical_spec(vertical, base + 1, days);
+    sticky.sticky_failure = Some(ProcedureResult::UnknownSubscription);
+    let mut switcher = vertical_spec(vertical, base + 2, days);
+    switcher.switch_propensity = 1.0;
+    switcher.event_failure_prob = 0.1;
+    let mut flaky = vertical_spec(vertical, base + 3, days);
+    flaky.presence = PresenceModel {
+        first_day: 1,
+        last_day: days - 1,
+        daily_active_prob: 0.5,
+    };
+    vec![vertical_spec(vertical, base, days), sticky, switcher, flaky]
+}
+
 /// Runs the same specs through the explicit legacy agent and the explicit
 /// matrix agent (both env-independent) and returns both event streams.
 fn run_both_paths(
@@ -111,26 +130,63 @@ fn run_both_paths(
     (run_path(true), run_path(false))
 }
 
+/// Window of the per-vertical checks, in days.
+const DAYS: u32 = 6;
+
+/// Digest of the serialized event stream [`vertical_variants`] emits
+/// over [`DAYS`] days, per vertical in `Vertical::ALL` order (spec
+/// indices `10 * position ..`).
+const VERTICAL_EVENT_DIGESTS: [(Vertical, u64); 9] = [
+    (Vertical::Smartphone, 0x6591_395f_1316_1ad5),
+    (Vertical::FeaturePhone, 0x72a5_665b_4d1c_5c26),
+    (Vertical::SmartMeter, 0x639f_501e_00da_4930),
+    (Vertical::ConnectedCar, 0x8662_0f5f_56e1_5da4),
+    (Vertical::AssetTracker, 0xd8b6_9e55_8f1f_d5be),
+    (Vertical::Wearable, 0x0f0a_8a29_8095_2314),
+    (Vertical::PaymentTerminal, 0x78b2_56c0_fb66_f3c2),
+    (Vertical::SecurityAlarm, 0x3c77_eb65_f765_9eb5),
+    (Vertical::IndustrialSensor, 0xbe95_baae_07e4_a528),
+];
+
+/// Order-sensitive digest: bytes folded 8 at a time through `mix64`.
+fn digest(bytes: &[u8]) -> u64 {
+    let mut acc = 0x9E37_79B9_7F4A_7C15u64;
+    for chunk in bytes.chunks(8) {
+        let mut b = [0u8; 8];
+        b[..chunk.len()].copy_from_slice(chunk);
+        acc = mix64(acc ^ u64::from_le_bytes(b));
+    }
+    mix64(acc ^ bytes.len() as u64)
+}
+
+#[test]
+fn every_vertical_matches_event_digest_golden() {
+    for (i, &(vertical, golden)) in VERTICAL_EVENT_DIGESTS.iter().enumerate() {
+        assert_eq!(vertical, Vertical::ALL[i], "golden table out of order");
+        let world = RoamingWorld::new(directory(), Box::new(AllowAllPolicy), VecSink::default(), 7);
+        let mut engine = Engine::new(world, SimTime::from_secs(u64::from(DAYS) * 86_400));
+        for spec in vertical_variants(vertical, i as u64 * 10, DAYS) {
+            engine.add_agent(DeviceAgent::new(spec, 7));
+        }
+        let lines: Vec<String> = engine
+            .run()
+            .sink
+            .events
+            .iter()
+            .map(|e| serde_json::to_string(e).unwrap())
+            .collect();
+        assert_eq!(
+            digest(lines.join("\n").as_bytes()),
+            golden,
+            "vertical {vertical:?} event stream diverged"
+        );
+    }
+}
+
 #[test]
 fn every_vertical_matrix_equals_legacy() {
-    const DAYS: u32 = 6;
     for (i, &vertical) in Vertical::ALL.iter().enumerate() {
-        let base = i as u64 * 10;
-        // Base class + the variants that exercise every wake branch:
-        // misprovisioned (sticky attach failure), switch-happy with
-        // transient failures, and a flaky presence window.
-        let mut sticky = vertical_spec(vertical, base + 1, DAYS);
-        sticky.sticky_failure = Some(ProcedureResult::UnknownSubscription);
-        let mut switcher = vertical_spec(vertical, base + 2, DAYS);
-        switcher.switch_propensity = 1.0;
-        switcher.event_failure_prob = 0.1;
-        let mut flaky = vertical_spec(vertical, base + 3, DAYS);
-        flaky.presence = PresenceModel {
-            first_day: 1,
-            last_day: DAYS - 1,
-            daily_active_prob: 0.5,
-        };
-        let specs = vec![vertical_spec(vertical, base, DAYS), sticky, switcher, flaky];
+        let specs = vertical_variants(vertical, i as u64 * 10, DAYS);
         let (legacy, matrix) = run_both_paths(&specs, DAYS);
         assert_eq!(legacy, matrix, "vertical {vertical:?} diverged");
     }

@@ -58,10 +58,13 @@ const OLD_CATALOG_ROWS: usize = 1_470;
 /// the event multiset, insensitive to cross-agent interleaving.
 const OLD_EVENT_MULTISET_DIGEST: u64 = 0x7bce9976374b188a;
 /// Small fixed world: digest of the events in raw emission order under
-/// the old global-seq tie-break (kept for documentation; the new order
-/// need not match it — only the multiset must).
-#[allow(dead_code)]
-const OLD_EVENT_RAW_ORDER_DIGEST: u64 = 0xdb4f2e20b9537b30;
+/// the `(time, agent, per-agent seq)` dispatch order (for this world it
+/// equals the order the old global-seq tie-break produced).
+const EVENT_RAW_ORDER_DIGEST: u64 = 0xdb4f2e20b9537b30;
+/// 400 devices x 5 days, seed 7, nbiot 0.05, loss 0.07: the full
+/// [`fingerprint`] (both catalog formats, ground truth, element load,
+/// record counts).
+const LOSSY_FINGERPRINT_DIGEST: u64 = 0x3fc8306b81d4c42f;
 
 /// Order-sensitive digest: bytes folded 8 at a time through `mix64`.
 fn digest(bytes: &[u8]) -> u64 {
@@ -170,6 +173,15 @@ fn catalog_bytes_match_pre_shard_golden_anchor() {
 }
 
 #[test]
+fn lossy_fingerprint_matches_golden() {
+    // Record loss drops a partition-invariant set of probe records; the
+    // digest pins which ones, on top of everything the loss-free golden
+    // anchor covers.
+    let out = MnoScenario::new(scenario_config(0.07)).run_sharded(1);
+    assert_eq!(digest(&fingerprint(&out)), LOSSY_FINGERPRINT_DIGEST);
+}
+
+#[test]
 fn heap_and_calendar_schedulers_agree_across_shard_matrix() {
     // Stronger than the golden anchor: the *entire fingerprint* (both
     // catalog formats, ground truth, counts, element load) must be
@@ -253,6 +265,11 @@ fn dispatch_reorder_preserved_event_multiset() {
         raw(&calendar),
         raw(&heap),
         "calendar and heap schedulers emitted different event orders"
+    );
+    assert_eq!(
+        raw(&calendar),
+        EVENT_RAW_ORDER_DIGEST,
+        "raw emission order changed"
     );
 }
 
