@@ -1,25 +1,16 @@
-//! Sharded simulation throughput: the PR-4/PR-5/PR-7 acceptance bench.
+//! Sharded simulation throughput.
 //!
 //! Times `MnoScenario::run_sharded` at shards = 1/2/8 on two fixtures
 //! (the 400x5 acceptance scenario and the 2500x22 analysis-scale one),
 //! plus the JSONL ingest hot path. One-shot wall-clock numbers are
-//! printed as JSON for `BENCH_PR*.json` (skippable with
-//! `WTR_BENCH_SUMMARY=0` so CI smoke runs stay cheap); Criterion then
-//! times the same paths properly. The PR-5 summary adds two ablation
-//! axes: the zero-copy scanner on/off (`read_catalog` vs
-//! `read_catalog_serde`) and the tree-reduction merge on/off
-//! (`WTR_SERIAL_MERGE=1` forces the serial shard-order fold). PR 7 adds
-//! the scheduler axis: `sched_ablation` runs the 2500x22 scenario on
-//! the calendar queue vs the reference heap (`WTR_HEAP_SCHED=1`), and
-//! `sched_storm` times a firmware-campaign storm — N agents all waking
-//! in the same second, per Finley & Vesselkov's synchronized
-//! firmware-update signaling storms — where the heap's per-pop
-//! comparison cost is maximal (every sift compares equal times and
-//! falls through to the tie-break fields). PR 8 adds the behavior axis:
-//! `behavior_dispatch` runs both fixtures through the matrix interpreter
-//! (default) vs the hand-coded legacy branches
-//! (`WTR_LEGACY_BEHAVIOR=1`); the refactor's acceptance requires the
-//! matrix arm within noise of legacy.
+//! printed as JSON (skippable with `WTR_BENCH_SUMMARY=0` so smoke runs
+//! stay cheap); Criterion then times the same paths properly. The
+//! one-shot summary also times the zero-copy scanner against the serde
+//! reader (`read_catalog` vs `read_catalog_serde`). `sched_storm` times
+//! a firmware-campaign storm — N agents all waking in the same second,
+//! per Finley & Vesselkov's synchronized firmware-update signaling
+//! storms — where every pop ties on time and resolves on the tie-break
+//! fields of the dispatch key.
 //!
 //! Acceptance: on the 1-CPU bench host, `run_sharded(1)` — one engine,
 //! inline on the calling thread — must stay within 5% of the pre-PR
@@ -32,7 +23,7 @@ use std::time::Instant;
 use wtr_model::time::{SimDuration, SimTime};
 use wtr_probes::io as probe_io;
 use wtr_scenarios::{MnoScenario, MnoScenarioConfig};
-use wtr_sim::engine::{Agent, AgentId, Engine, Scheduler, SchedulerKind, WakeTag};
+use wtr_sim::engine::{Agent, AgentId, Engine, Scheduler, WakeTag};
 
 fn config(devices: usize, days: u32, seed: u64) -> MnoScenarioConfig {
     MnoScenarioConfig {
@@ -78,10 +69,10 @@ impl Agent<u64> for StormAgent {
     }
 }
 
-/// Runs the storm on the given scheduler and returns the world checksum
-/// (kept live so the dispatch loop can't be optimized away).
-fn run_storm(kind: SchedulerKind, agents: u32) -> u64 {
-    let mut engine = Engine::with_scheduler(0u64, SimTime::from_secs(7_200), kind);
+/// Runs the storm and returns the world checksum (kept live so the
+/// dispatch loop can't be optimized away).
+fn run_storm(agents: u32) -> u64 {
+    let mut engine = Engine::new(0u64, SimTime::from_secs(7_200));
     for _ in 0..agents {
         engine.add_agent(StormAgent {
             bursts: vec![60, 1_800, 7_199],
@@ -98,7 +89,7 @@ fn bench(c: &mut Criterion) {
     // penalized for cold-start work the others skip.
     black_box(MnoScenario::new(small.clone()).run_sharded(1));
 
-    // --- One-shot JSON summary (BENCH_PR4/5/7.json) -----------------
+    // --- One-shot JSON summary ----------------------------------------
     // Skippable (WTR_BENCH_SUMMARY=0) so CI smoke runs pay only for the
     // Criterion groups they actually filter down to.
     if std::env::var("WTR_BENCH_SUMMARY").as_deref() != Ok("0") {
@@ -108,49 +99,16 @@ fn bench(c: &mut Criterion) {
             let ms = time_ms(10, || scenario.run_sharded(shards));
             parts.push(format!("\"sim_400x5_shards{shards}_ms\":{ms:.1}"));
         }
-        // Scheduler ablation on the analysis-scale fixture: calendar
-        // queue (default) vs the reference binary heap
-        // (WTR_HEAP_SCHED=1), at 1 shard (pure dispatch cost) and 8.
+        // Analysis-scale fixture at 1 shard (pure dispatch cost) and 8.
         for shards in [1usize, 8] {
             let scenario = MnoScenario::new(big.clone());
             let ms = time_ms(2, || scenario.run_sharded(shards));
             parts.push(format!("\"sim_2500x22_shards{shards}_ms\":{ms:.1}"));
-            std::env::set_var("WTR_HEAP_SCHED", "1");
-            let scenario = MnoScenario::new(big.clone());
-            let heap_ms = time_ms(2, || scenario.run_sharded(shards));
-            std::env::remove_var("WTR_HEAP_SCHED");
-            parts.push(format!(
-                "\"sim_2500x22_shards{shards}_heap_sched_ms\":{heap_ms:.1}"
-            ));
-        }
-        // Merge-tail ablation: tree reduction (default) vs the serial
-        // shard-order fold (WTR_SERIAL_MERGE=1).
-        std::env::set_var("WTR_SERIAL_MERGE", "1");
-        let scenario = MnoScenario::new(big.clone());
-        let serial_merge_ms = time_ms(2, || scenario.run_sharded(8));
-        std::env::remove_var("WTR_SERIAL_MERGE");
-        parts.push(format!(
-            "\"sim_2500x22_shards8_serial_merge_ms\":{serial_merge_ms:.1}"
-        ));
-        // Behavior ablation: matrix interpreter (default) vs the legacy
-        // hand-coded wake branches (WTR_LEGACY_BEHAVIOR=1), both
-        // fixtures, 1 shard (pure per-wake dispatch cost).
-        for (name, cfg, iters) in [("400x5", &small, 10u32), ("2500x22", &big, 2)] {
-            let scenario = MnoScenario::new(cfg.clone());
-            let matrix_ms = time_ms(iters, || scenario.run_sharded(1));
-            parts.push(format!("\"behavior_{name}_matrix_ms\":{matrix_ms:.1}"));
-            std::env::set_var("WTR_LEGACY_BEHAVIOR", "1");
-            let scenario = MnoScenario::new(cfg.clone());
-            let legacy_ms = time_ms(iters, || scenario.run_sharded(1));
-            std::env::remove_var("WTR_LEGACY_BEHAVIOR");
-            parts.push(format!("\"behavior_{name}_legacy_ms\":{legacy_ms:.1}"));
         }
         // Firmware-storm worst case: 20k agents, all wake-ups landing on
         // three exact instants with same-instant re-schedules.
-        let storm_cal_ms = time_ms(3, || run_storm(SchedulerKind::Calendar, 20_000));
-        parts.push(format!("\"sched_storm_20k_calendar_ms\":{storm_cal_ms:.1}"));
-        let storm_heap_ms = time_ms(3, || run_storm(SchedulerKind::Heap, 20_000));
-        parts.push(format!("\"sched_storm_20k_heap_ms\":{storm_heap_ms:.1}"));
+        let storm_ms = time_ms(3, || run_storm(20_000));
+        parts.push(format!("\"sched_storm_20k_calendar_ms\":{storm_ms:.1}"));
         // JSONL ingest, scanner on vs off (BENCH_PR4 recorded 1108.5 ms
         // for the serde-per-line reader on the same 2500x22 fixture).
         let output = MnoScenario::new(big.clone()).run();
@@ -186,54 +144,15 @@ fn bench(c: &mut Criterion) {
     }
     g.finish();
 
-    // Scheduler ablation pair: the same 2500x22 scenario dispatched by
-    // the calendar queue (default) vs the reference binary heap. The
-    // heap arm flips `WTR_HEAP_SCHED` only around its own iterations so
-    // the two arms stay directly comparable.
-    let mut g = c.benchmark_group("sched_ablation");
-    g.sample_size(10);
-    let scenario = MnoScenario::new(big.clone());
-    g.bench_function("2500x22_shards1_calendar", |b| {
-        b.iter(|| black_box(&scenario).run_sharded(1))
-    });
-    g.bench_function("2500x22_shards1_heap", |b| {
-        std::env::set_var("WTR_HEAP_SCHED", "1");
-        b.iter(|| black_box(&scenario).run_sharded(1));
-        std::env::remove_var("WTR_HEAP_SCHED");
-    });
-    g.finish();
-
-    // Behavior ablation pair: the same scenarios stepped by the matrix
-    // interpreter (default) vs the legacy hand-coded branches. Agents
-    // read WTR_LEGACY_BEHAVIOR at construction — inside run_sharded — so
-    // flipping it around the iterations selects the path per arm.
-    let mut g = c.benchmark_group("behavior_dispatch");
-    g.sample_size(10);
-    for (name, cfg) in [("400x5", &small), ("2500x22", &big)] {
-        let scenario = MnoScenario::new(cfg.clone());
-        g.bench_function(&format!("{name}_matrix"), |b| {
-            b.iter(|| black_box(&scenario).run_sharded(1))
-        });
-        g.bench_function(&format!("{name}_legacy"), |b| {
-            std::env::set_var("WTR_LEGACY_BEHAVIOR", "1");
-            b.iter(|| black_box(&scenario).run_sharded(1));
-            std::env::remove_var("WTR_LEGACY_BEHAVIOR");
-        });
-    }
-    g.finish();
-
     // Firmware-storm microbench: every wake-up in the run lands on one
     // of three exact seconds (synchronized firmware-update campaigns per
     // Finley & Vesselkov), so dispatch order is decided entirely by the
-    // tie-break tail of the key. Worst case for heap sift chains; the
-    // calendar sorts each burst once at width 1 s.
+    // tie-break tail of the key. The calendar queue sorts each burst once
+    // at width 1 s.
     let mut g = c.benchmark_group("sched_storm");
     g.sample_size(10);
     g.bench_function("20k_agents_calendar", |b| {
-        b.iter(|| run_storm(SchedulerKind::Calendar, black_box(20_000)))
-    });
-    g.bench_function("20k_agents_heap", |b| {
-        b.iter(|| run_storm(SchedulerKind::Heap, black_box(20_000)))
+        b.iter(|| run_storm(black_box(20_000)))
     });
     g.finish();
 

@@ -7,7 +7,7 @@ use wtr_core::analysis::platform;
 use wtr_core::baseline;
 use wtr_core::classify::{Classification, Classifier, DeviceClass};
 use wtr_core::report;
-use wtr_core::stream::{materialize_catalog, stream_catalog, StreamedCatalog};
+use wtr_core::stream::{stream_catalog, StreamedCatalog};
 use wtr_core::summary::DeviceSummary;
 use wtr_model::intern::ApnTable;
 use wtr_model::tacdb::TacDatabase;
@@ -78,21 +78,13 @@ fn load_catalog(args: &Args) -> Result<DevicesCatalog, String> {
     probe_io::read_catalog_auto(open_in(path)?).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Loads everything the analysis commands need from `--catalog`.
-///
-/// With `--stream`, the file is folded chunk by chunk into summaries and
-/// label shares without ever materializing a [`DevicesCatalog`] — peak
-/// memory is O(devices + chunk window) instead of O(rows). Without it,
-/// the whole catalog loads and reduces to the identical
-/// [`StreamedCatalog`] (byte-for-byte: both paths share chunk
-/// boundaries), so every downstream number matches regardless of path.
+/// Loads everything the analysis commands need from `--catalog`: the
+/// file (JSONL or WTRCAT) is folded chunk by chunk into summaries and
+/// label shares without ever materializing a [`DevicesCatalog`], so peak
+/// memory is O(devices + chunk window) instead of O(rows).
 fn load_data(args: &Args) -> Result<StreamedCatalog, String> {
-    if args.flag("stream") {
-        let path = args.require("catalog")?;
-        stream_catalog(open_in(path)?).map_err(|e| format!("{path}: {e}"))
-    } else {
-        Ok(materialize_catalog(&load_catalog(args)?))
-    }
+    let path = args.require("catalog")?;
+    stream_catalog(open_in(path)?).map_err(|e| format!("{path}: {e}"))
 }
 
 /// `wtr simulate-mno`: run the §4–§7 scenario and export the catalog.
@@ -111,13 +103,13 @@ pub fn simulate_mno(argv: &[String]) -> Result<(), String> {
             "shards",
             "behavior",
         ],
-        &["sunset-2g", "transparency", "stream"],
+        &["sunset-2g", "transparency"],
     )?;
     if args.flag("help") {
         println!(
             "wtr simulate-mno --out catalog.jsonl [--out-bin catalog.wtrcat] [--truth truth.jsonl] \
              [--devices N] [--days D] [--seed S] [--nbiot-meters F] [--sunset-2g] [--transparency] \
-             [--record-loss F] [--stream] [--shards K] [--behavior behaviors.json]"
+             [--record-loss F] [--shards K] [--behavior behaviors.json]"
         );
         return Ok(());
     }
@@ -135,8 +127,6 @@ pub fn simulate_mno(argv: &[String]) -> Result<(), String> {
         "simulating {} devices over {} days (seed {})…",
         config.devices, config.days, config.seed
     );
-    // `--stream` drives the probe through the batched event stream —
-    // byte-identical catalog (test-enforced), bounded ingest buffers.
     // `--shards K` forces the shard count; without it the count comes
     // from WTR_THREADS, or failing that available parallelism (the
     // explicit flag always wins over the environment). Output is
@@ -165,11 +155,9 @@ pub fn simulate_mno(argv: &[String]) -> Result<(), String> {
         Some(path) => MnoScenario::new(config).with_behavior_overrides(load_behaviors(path)?),
         None => MnoScenario::new(config),
     };
-    let output = match (args.flag("stream"), shards) {
-        (false, None) => scenario.run(),
-        (true, None) => scenario.run_streaming(),
-        (false, Some(k)) => scenario.run_sharded(k),
-        (true, Some(k)) => scenario.run_streaming_sharded(k),
+    let output = match shards {
+        Some(k) => scenario.run_sharded(k),
+        None => scenario.run(),
     };
     let stats = output.engine_stats();
     // "peak queue depth" is the deepest single event loop actually got
@@ -215,10 +203,10 @@ pub fn simulate_mno(argv: &[String]) -> Result<(), String> {
 /// the measurement the paper's authors could not make (§4.3 relied on
 /// manual verification).
 pub fn validate_cmd(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["catalog", "truth", "pipeline"], &["stream"])?;
+    let args = Args::parse(argv, &["catalog", "truth", "pipeline"], &[])?;
     if args.flag("help") {
         println!(
-            "wtr validate --catalog catalog.jsonl --truth truth.jsonl [--pipeline full|apn|vendor|range] [--stream]"
+            "wtr validate --catalog catalog.jsonl --truth truth.jsonl [--pipeline full|apn|vendor|range]"
         );
         return Ok(());
     }
@@ -333,11 +321,9 @@ fn classify_with(
 
 /// `wtr classify`: classification summary over a catalog.
 pub fn classify(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["catalog", "pipeline"], &["stream"])?;
+    let args = Args::parse(argv, &["catalog", "pipeline"], &[])?;
     if args.flag("help") {
-        println!(
-            "wtr classify --catalog catalog.jsonl [--pipeline full|apn|vendor|range] [--stream]"
-        );
+        println!("wtr classify --catalog catalog.jsonl [--pipeline full|apn|vendor|range]");
         return Ok(());
     }
     let data = load_data(&args)?;
@@ -356,14 +342,14 @@ pub fn classify(argv: &[String]) -> Result<(), String> {
 /// `wtr analyze`: named analyses over a catalog.
 ///
 /// All tables come from one broadcast fold over the summaries
-/// ([`wtr_core::stream::analyze`]); with `--stream` the catalog file
-/// itself is folded chunk by chunk too, so the whole command runs in
-/// bounded memory and exactly two passes (file → summaries → tables).
+/// ([`wtr_core::stream::analyze`]), and the catalog file itself is folded
+/// chunk by chunk too, so the whole command runs in bounded memory and
+/// exactly two passes (file → summaries → tables).
 pub fn analyze(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["catalog"], &["stream"])?;
+    let args = Args::parse(argv, &["catalog"], &[])?;
     if args.flag("help") {
         println!(
-            "wtr analyze --catalog catalog.jsonl [--stream] [labels home classes rat traffic smip verticals diurnal revenue]"
+            "wtr analyze --catalog catalog.jsonl [labels home classes rat traffic smip verticals diurnal revenue]"
         );
         return Ok(());
     }

@@ -7,7 +7,7 @@
 //! [`render_analysis`]/[`render_classify`] entry points are the single
 //! source of report bytes: the CLI prints their output verbatim and the
 //! server caches it verbatim, so `GET /report/{tenant}/{table}` and
-//! `wtr analyze --stream {table}` are diffable byte for byte.
+//! `wtr analyze {table}` are diffable byte for byte.
 
 use crate::classify::Classification;
 use crate::metrics::{CrossTab, Ecdf};

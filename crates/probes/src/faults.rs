@@ -22,11 +22,10 @@ use wtr_sim::world::EventSink;
 /// own order (the engine dispatches each agent's wake-ups in per-agent
 /// sequence), so the per-device counter assigns the same coin to the
 /// same event no matter how events from *different* devices interleave:
-/// the dropped-record *set* is identical across shard counts, thread
-/// counts, and the `run` / `run_streaming` scenario paths. An earlier
-/// revision keyed the coin on a global `seen` counter, which baked the
-/// cross-device interleaving into every coin and could never be
-/// shard-stable.
+/// the dropped-record *set* is identical across shard and thread
+/// counts. An earlier revision keyed the coin on a global `seen`
+/// counter, which baked the cross-device interleaving into every coin
+/// and could never be shard-stable.
 #[derive(Debug, Clone)]
 pub struct LossySink<S> {
     inner: S,

@@ -25,7 +25,6 @@ use wtr_model::roaming::{Presence, RoamingLabel};
 use wtr_model::time::Day;
 use wtr_radio::network::RadioNetwork;
 use wtr_sim::events::{SimEvent, VoiceKind};
-use wtr_sim::stream::{drive_slice, ChunkFold};
 use wtr_sim::world::EventSink;
 
 /// Per-day load on the monitored core-network elements (Fig. 4): the
@@ -62,8 +61,8 @@ impl ElementLoad {
 ///
 /// # Memory contract
 ///
-/// The probe is a bounded-memory [`ChunkFold`] sink over the event
-/// stream: its steady state is **O(devices × active days)** — the
+/// The probe is a bounded-memory [`EventSink`] over the event stream:
+/// its steady state is **O(devices × active days)** — the
 /// devices-catalog rows plus one [`ElementLoad`] per window day — and
 /// never O(events). Events fold into catalog rows on arrival and are
 /// dropped. The only opt-out is [`MnoProbe::retain_raw`], which keeps
@@ -201,8 +200,7 @@ impl MnoProbe {
     }
 
     /// A probe with the same configuration but no accumulated state —
-    /// the chunk-local accumulator of the parallel ingest path, and the
-    /// shard-local probe of the sharded scenario runners (each shard
+    /// the shard-local probe of the sharded scenario runners (each shard
     /// taps its own event loop with a fork of the configured probe).
     pub fn fork_empty(&self) -> MnoProbe {
         let window_days = self.catalog.window_days();
@@ -225,12 +223,12 @@ impl MnoProbe {
         }
     }
 
-    /// Folds a chunk-local probe (built from a *later* slice of the event
+    /// Folds another probe (built from a *later* slice of the event
     /// stream) into this one. Catalog rows merge with first-touch identity
     /// preserved, raw records append in stream order, element loads and
     /// counters add.
     ///
-    /// This is also the shard-merge of the sharded scenario runners:
+    /// This is the shard-merge of the sharded scenario runners:
     /// shard probes tap disjoint device populations, so every keyed merge
     /// (catalog rows) is conflict-free and every additive merge (element
     /// load, radio/CDR/xDR counters) is order-insensitive. The one
@@ -268,51 +266,6 @@ impl MnoProbe {
         for x in &mut self.raw_xdrs {
             x.apn = remap[x.apn.index()];
         }
-    }
-
-    /// Ingests a batch of events, sharding the work over worker threads
-    /// (`wtr_sim::par`). Output is byte-identical at any thread count
-    /// (chunk boundaries depend only on `events.len()`).
-    ///
-    /// Events must be in stream order (the order a serial run would see
-    /// them); consecutive chunks are folded into chunk-local probes and
-    /// merged left-to-right, so first-touch row identity — the label a
-    /// (device, day) row keeps — is decided by the earliest event exactly
-    /// as in the serial path, and every integer counter, set and APN
-    /// symbol matches a serial [`EventSink::on_event`] replay. The one
-    /// caveat: per-row *mobility* accumulators are f64 sums, and chunked
-    /// merging regroups those additions, so their low bits may differ
-    /// from the serial replay (still deterministic for a given batch).
-    /// Paths that must be bit-identical to the serial push model — the
-    /// scenario runners via [`wtr_sim::stream::EventBatcher`] — fold
-    /// batches serially instead.
-    pub fn ingest_batch(&mut self, events: &[SimEvent]) {
-        drive_slice(self, events);
-    }
-}
-
-/// The probe as a streaming sink: chunk-local probes fold event chunks
-/// independently and merge left-to-right — `zero` is an empty probe
-/// with the same configuration, `absorb` is the catalog/counter merge
-/// (first-touch row identity preserved, APN symbols remapped). This is
-/// what [`wtr_sim::stream::EventBatcher`] wraps to turn the engine's
-/// push-model event loop into a bounded-memory batched ingest (the
-/// batcher folds each batch serially, keeping mobility f64 sums
-/// bit-identical to the push model; see [`MnoProbe::ingest_batch`] for
-/// the chunk-parallel variant and its f64 caveat).
-impl ChunkFold<SimEvent> for MnoProbe {
-    fn zero(&self) -> Self {
-        self.fork_empty()
-    }
-
-    fn fold_chunk(&mut self, chunk: &[SimEvent]) {
-        for e in chunk {
-            self.on_event(e);
-        }
-    }
-
-    fn absorb(&mut self, later: Self) {
-        MnoProbe::absorb(self, later);
     }
 }
 

@@ -53,9 +53,8 @@ use wtr_sim::mobility::MobilityModel;
 use wtr_sim::par;
 use wtr_sim::rng::SubstreamRng;
 use wtr_sim::shard;
-use wtr_sim::stream::EventBatcher;
 use wtr_sim::traffic::TrafficProfile;
-use wtr_sim::world::{EventSink, RoamingWorld};
+use wtr_sim::world::RoamingWorld;
 
 /// The studied MNO's dedicated SMIP IMSI block (§4.4).
 pub const SMIP_MSIN_BASE: u64 = 7_000_000_000;
@@ -192,20 +191,6 @@ impl MnoScenario {
         self.run_sharded(shard::shard_count(None))
     }
 
-    /// Streaming variant of [`run`](MnoScenario::run): each shard's probe
-    /// sits behind a [`wtr_sim::stream::EventBatcher`], so the engine's
-    /// event loop feeds it whole chunks through the [`wtr_sim::ChunkFold`]
-    /// interface instead of one `on_event` call per record.
-    ///
-    /// The batcher folds each batch *serially*, reproducing the push
-    /// model's exact arithmetic sequence — the resulting catalog is
-    /// byte-identical to [`run`](MnoScenario::run)'s at any thread count
-    /// (the equivalence suite asserts it), while peak memory stays
-    /// O(batch + probe state).
-    pub fn run_streaming(&self) -> MnoScenarioOutput {
-        self.run_streaming_sharded(shard::shard_count(None))
-    }
-
     /// [`run`](MnoScenario::run) with an explicit shard count: the device
     /// population splits into `shards` contiguous shards
     /// ([`wtr_sim::par::split_ranges`]), each runs its own engine with a
@@ -219,26 +204,6 @@ impl MnoScenario {
     /// load — is byte-identical at every shard count; the shard-count
     /// determinism matrix in `tests/shard_determinism.rs` enforces it.
     pub fn run_sharded(&self, shards: usize) -> MnoScenarioOutput {
-        self.run_with(shards, |probe| probe, |probe| probe)
-    }
-
-    /// [`run_streaming`](MnoScenario::run_streaming) with an explicit
-    /// shard count: shard-local `EventBatcher`s, same merge as
-    /// [`run_sharded`](MnoScenario::run_sharded).
-    pub fn run_streaming_sharded(&self, shards: usize) -> MnoScenarioOutput {
-        self.run_with(shards, EventBatcher::new, EventBatcher::finish)
-    }
-
-    /// Shared body of the four runners: `wrap` adapts a shard-local probe
-    /// into the engine's event sink, `unwrap` recovers it (flushing any
-    /// buffered records) after that shard's simulation completes. Both
-    /// are called once per shard.
-    fn run_with<S: EventSink + Send>(
-        &self,
-        shards: usize,
-        wrap: impl Fn(MnoProbe) -> S + Sync,
-        unwrap: impl Fn(S) -> MnoProbe,
-    ) -> MnoScenarioOutput {
         let cfg = &self.config;
         let faults = CoverageFaults {
             hole_fraction_g2: 0.0,
@@ -309,19 +274,15 @@ impl MnoScenario {
         // roaming policy, plus a fresh empty probe forked from the
         // prototype. Probe records can be lossy (fault injection): each
         // shard wraps its probe in a shard-local LossySink so a configured
-        // fraction never reaches aggregation. The loss layer sits
-        // *outside* the batcher and its drop coin is keyed on
+        // fraction never reaches aggregation. The drop coin is keyed on
         // (salt, device, per-device seq), so the dropped-record set is
-        // identical across shard counts and on both run paths.
+        // identical across shard counts.
         let directory = universe.directory;
         let policy = universe.policy;
         let probe_proto = probe;
         let results = shard::run_sharded(horizon, shards, agents, |_shard| {
-            let lossy = LossySink::new(
-                wrap(probe_proto.fork_empty()),
-                cfg.record_loss_fraction,
-                cfg.seed,
-            );
+            let lossy =
+                LossySink::new(probe_proto.fork_empty(), cfg.record_loss_fraction, cfg.seed);
             RoamingWorld::new(directory.clone(), Box::new(policy.clone()), lossy, cfg.seed)
         });
         // Merge the shard probes in shard order, then canonicalize APN
@@ -331,7 +292,7 @@ impl MnoScenario {
         let mut shard_probes = Vec::with_capacity(shard_stats.capacity());
         for (world, stats) in results {
             shard_stats.push(stats);
-            shard_probes.push(unwrap(world.sink.into_inner()));
+            shard_probes.push(world.sink.into_inner());
         }
         let mut probe = merge_shard_probes(shard_probes);
         probe.canonicalize();
@@ -365,23 +326,9 @@ impl MnoScenario {
 /// regrouping), record vectors concatenate in shard order under any
 /// ordered tree, counters are additive, and the APN intern order any
 /// ordered tree produces is erased by the canonicalization pass that
-/// follows. `tests/shard_determinism.rs` pins both the golden digest
-/// and serial-vs-tree equality.
-///
-/// Setting `WTR_SERIAL_MERGE=1` forces the serial left fold — the
-/// reference path for equivalence tests and merge-ablation benches.
+/// follows. `tests/shard_determinism.rs` pins the golden digests and
+/// compares the tree merge at every shard count with the single shard.
 pub fn merge_shard_probes(probes: Vec<MnoProbe>) -> MnoProbe {
-    let serial = std::env::var("WTR_SERIAL_MERGE").is_ok_and(|v| v == "1");
-    if serial {
-        let mut merged: Option<MnoProbe> = None;
-        for probe in probes {
-            match &mut merged {
-                None => merged = Some(probe),
-                Some(m) => m.absorb(probe),
-            }
-        }
-        return merged.expect("at least one shard");
-    }
     par::tree_reduce(probes, |mut left, right| {
         left.absorb(right);
         left

@@ -32,7 +32,7 @@
 //! `write_catalog` (content-canonical bytes) and replayed through the
 //! identical `stream_catalog` → `analyze` → `render_analysis` path the
 //! batch CLI uses — so server reports are byte-identical to
-//! `wtr analyze --stream` over the same record set, at any tap count or
+//! `wtr analyze` over the same record set, at any tap count or
 //! arrival order within the watermark. Readers never block ingest: the
 //! tenant books lock is held only long enough to clone an `Arc` of the
 //! archive and the (small) open days; the heavy replay runs outside it.

@@ -22,7 +22,7 @@
 //! *content*, never intern order — then replayed through the identical
 //! [`wtr_core::stream::stream_catalog`] → `analyze` → `render_analysis`
 //! path the batch CLI walks. Same bytes in, same code, same bytes out:
-//! server reports are byte-identical to `wtr analyze --stream` over the
+//! server reports are byte-identical to `wtr analyze` over the
 //! same record set by construction, for any tap count or arrival order
 //! that keeps each catalog row within one upload (the row-partitioned
 //! tap contract; rows *split* across uploads still absorb, but f64

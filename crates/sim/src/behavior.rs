@@ -2,32 +2,29 @@
 //!
 //! A [`BehaviorMatrix`] is a dense table of per-state rows — `(transitions,
 //! event_rate, emission)` — interpreted by one homogeneous [`step`]
-//! function. The hand-coded plan/attach/emit branches that used to live in
-//! `DeviceAgent::wake` compile into matrix form via
-//! [`legacy_matrix`], so a new device class is *config* (a JSON file loaded
-//! with `wtr simulate-mno --behavior classes.json`), not code.
+//! function. Every device steps a matrix: [`spec_matrix`] compiles a
+//! device spec into the canonical four-row layout ([`states`]), and a new
+//! device class is *config* (a JSON file loaded with
+//! `wtr simulate-mno --behavior classes.json`), not code.
 //!
-//! ## Draw-order-preserving compilation
+//! ## Draw order
 //!
 //! The golden digests pin the exact byte output of the simulation, which in
 //! turn pins the exact per-device [`SubstreamRng`] draw sequence. The
-//! interpreter therefore draws in precisely the order the legacy branches
-//! did:
+//! interpreter therefore draws in a fixed order:
 //!
 //! * a plan row draws the per-target Poisson counts **first** (one per
-//!   target, in target order — the old `sample_day_counts` triple), then
-//!   the event seconds per *scheduled* target, then the daily switch coin;
-//!   targets of disabled planes still draw their count (the legacy code
-//!   always sampled all three Poissons) but skip the seconds;
+//!   target, in target order), then the event seconds per *scheduled*
+//!   target, then the daily switch coin; targets of disabled planes still
+//!   draw their count but skip the seconds;
 //! * a signaling row draws switch coin → attach walk → failure coin →
 //!   re-auth coin;
 //! * data/voice rows draw nothing at all when the plane is disabled or the
-//!   attach walk fails — mirroring the legacy early returns;
+//!   attach walk fails;
 //! * successor selection consumes **zero** draws for single-transition
 //!   rows (`chance` semantics for two-way rows, `weighted_index` semantics
-//!   beyond), so the self-loop rows produced by [`legacy_matrix`] are
-//!   draw-free and the compiled matrix replays the legacy stream
-//!   bit-for-bit.
+//!   beyond), so the self-loop rows produced by [`spec_matrix`] are
+//!   draw-free.
 //!
 //! [`step`]: BehaviorMatrix::step
 
@@ -185,9 +182,8 @@ pub struct DeviceParams {
     pub sticky_failure: Option<ProcedureResult>,
 }
 
-/// Attach-walk knobs extracted for one wake (shared between the legacy
-/// path — sourced from `DeviceSpec` fields — and the matrix path —
-/// sourced from [`DeviceParams`]; identical values by compilation).
+/// Attach-walk knobs extracted for one wake, sourced from the matrix's
+/// [`DeviceParams`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttachParams {
     /// Per-attempt transient-failure probability.
@@ -487,9 +483,8 @@ impl BehaviorMatrix {
         }
     }
 
-    /// Construction-time draw 1: the per-device rate multiplier. Same
-    /// semantics as `TrafficProfile::draw_device_multiplier` — zero sigma
-    /// consumes no draw.
+    /// Construction-time draw 1: the per-device rate multiplier,
+    /// LogNormal(1, `per_device_sigma`). Zero sigma consumes no draw.
     pub fn draw_multiplier(&self, rng: &mut SubstreamRng) -> f64 {
         if self.params.per_device_sigma <= 0.0 {
             1.0
@@ -579,14 +574,13 @@ impl BehaviorMatrix {
         ctx: StepCtx,
         host: &mut H,
     ) -> (StateId, Emission) {
-        // `present &&` short-circuits before the activity coin, exactly
-        // like the legacy `present_on(day) && rng.chance(p)`.
+        // `present &&` short-circuits before the activity coin: an absent
+        // day draws nothing.
         if !(ctx.present && host.rng().chance(plan.daily_active_prob)) {
             return (at, Emission::Idle);
         }
-        // All per-target counts first (the legacy sample_day_counts
-        // triple), then seconds per scheduled target, then the switch
-        // coin.
+        // All per-target counts first, then seconds per scheduled
+        // target, then the switch coin.
         let mut counts = [0u64; MAX_PLAN_TARGETS];
         for (i, target) in plan.targets.iter().enumerate() {
             let rate = self.rows[target.state.idx()].event_rate;
@@ -693,8 +687,8 @@ impl BehaviorMatrix {
     }
 }
 
-/// The canonical legacy state layout: four rows whose `StateId`s coincide
-/// with the wake tags the hand-coded agent used.
+/// The canonical four-row layout [`profile_matrix`] compiles to: a plan
+/// row scheduling self-looping signaling, data and voice rows.
 pub mod states {
     use super::StateId;
 
@@ -809,11 +803,11 @@ pub fn profile_matrix(profile: &TrafficProfile, opts: &BehaviorOptions) -> Behav
     BehaviorMatrix::new(params, rows, states::PLAN).expect("profile compilation is always valid")
 }
 
-/// Compiles a [`DeviceSpec`](crate::device::DeviceSpec) into matrix form —
-/// the bridge proving the refactor equivalent: the compiled matrix holds
-/// exactly the numeric values the legacy branches read, so the interpreter
-/// replays the same draw sequence and the golden digests are preserved.
-pub fn legacy_matrix(spec: &crate::device::DeviceSpec) -> BehaviorMatrix {
+/// Compiles a [`DeviceSpec`](crate::device::DeviceSpec) into matrix form:
+/// its traffic profile plus its presence, switching, failure, plane and
+/// APN settings. This is the behavior of every device built without an
+/// explicit matrix (`DeviceAgent::new`).
+pub fn spec_matrix(spec: &crate::device::DeviceSpec) -> BehaviorMatrix {
     profile_matrix(
         &spec.traffic,
         &BehaviorOptions {
@@ -879,7 +873,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_layout_states_match_wake_tags() {
+    fn profile_matrix_uses_canonical_layout() {
         let m = meter_matrix();
         assert_eq!(m.len(), 4);
         assert_eq!(m.entry, states::PLAN);
@@ -896,7 +890,7 @@ mod tests {
             multiplier: 1.0,
         };
         let (next, emission) = m.step(states::PLAN, ctx, &mut host);
-        assert_eq!(next, states::PLAN, "legacy plan rows self-loop");
+        assert_eq!(next, states::PLAN, "compiled plan rows self-loop");
         match emission {
             Emission::Planned { events, .. } => {
                 assert_eq!(events, host.scheduled.len() as u64)
@@ -910,6 +904,40 @@ mod tests {
                 states::SIGNALING | states::DATA | states::VOICE
             ));
         }
+    }
+
+    #[test]
+    fn plan_counts_scale_with_multiplier() {
+        let m = meter_matrix();
+        let signaling_events = |multiplier: f64| {
+            let mut host = ProbeHost::new(true);
+            let ctx = StepCtx {
+                present: true,
+                multiplier,
+            };
+            for _ in 0..2_000 {
+                m.step(states::PLAN, ctx, &mut host);
+            }
+            host.scheduled
+                .iter()
+                .filter(|(state, _)| *state == states::SIGNALING)
+                .count()
+        };
+        let ratio = signaling_events(10.0) as f64 / signaling_events(1.0).max(1) as f64;
+        assert!((8.0..12.0).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    fn device_multiplier_creates_heterogeneity() {
+        let m = profile_matrix(
+            &TrafficProfile::for_vertical(Vertical::Smartphone),
+            &BehaviorOptions::default(),
+        );
+        let mut r = SubstreamRng::derive(11, 11);
+        let ms: Vec<f64> = (0..1_000).map(|_| m.draw_multiplier(&mut r)).collect();
+        let min = ms.iter().cloned().fold(f64::INFINITY, f64::min);
+        let max = ms.iter().cloned().fold(0.0, f64::max);
+        assert!(max / min > 10.0, "not enough spread: {min}..{max}");
     }
 
     #[test]

@@ -184,34 +184,13 @@ impl DeviceSpec {
     }
 }
 
-/// Wake tags used by the device agent.
-mod tags {
-    /// Plan the day's events.
-    pub const DAY: u32 = 0;
-    /// A signaling (mobility management) event.
-    pub const SIGNALING: u32 = 1;
-    /// A data session.
-    pub const DATA: u32 = 2;
-    /// A voice/SMS event.
-    pub const VOICE: u32 = 3;
-}
-
-/// True when the `WTR_LEGACY_BEHAVIOR=1` ablation knob selects the
-/// hand-coded wake branches instead of the matrix interpreter (mirrors
-/// the `WTR_HEAP_SCHED` scheduler knob).
-fn legacy_behavior_env() -> bool {
-    std::env::var("WTR_LEGACY_BEHAVIOR").is_ok_and(|v| v == "1")
-}
-
 /// The executable agent for one device.
 #[derive(Debug, Clone)]
 pub struct DeviceAgent {
     spec: DeviceSpec,
-    /// The compiled behavior matrix driving the agent. `None` selects the
-    /// hand-coded legacy branches (`WTR_LEGACY_BEHAVIOR=1`), kept as the
-    /// proven-equal ablation path. Shared: every device of a class steps
-    /// the same matrix.
-    behavior: Option<Arc<BehaviorMatrix>>,
+    /// The compiled behavior matrix driving the agent. Shared: every
+    /// device of a class steps the same matrix.
+    behavior: Arc<BehaviorMatrix>,
     rng: SubstreamRng,
     multiplier: f64,
     /// How many candidate networks a sticky-failing device attempts per
@@ -226,8 +205,8 @@ pub struct DeviceAgent {
 impl DeviceAgent {
     /// Builds the agent; RNG substream and per-device rate multiplier are
     /// derived deterministically from `master_seed` and the spec index.
-    /// The spec's behavior compiles into a [`BehaviorMatrix`] unless
-    /// `WTR_LEGACY_BEHAVIOR=1` selects the hand-coded branches.
+    /// The spec's behavior compiles into a [`BehaviorMatrix`]
+    /// ([`behavior::spec_matrix`]).
     ///
     /// # Panics
     ///
@@ -240,55 +219,29 @@ impl DeviceAgent {
     /// Fallible [`new`](DeviceAgent::new): validates the spec first.
     pub fn try_new(spec: DeviceSpec, master_seed: u64) -> Result<Self, SpecError> {
         spec.validate()?;
-        let behavior = if legacy_behavior_env() {
-            None
-        } else {
-            Some(Arc::new(behavior::legacy_matrix(&spec)))
-        };
+        let behavior = Arc::new(behavior::spec_matrix(&spec));
         Ok(Self::assemble(spec, behavior, master_seed))
     }
 
     /// Builds the agent on an explicit behavior matrix (e.g. loaded from a
-    /// `--behavior` file), regardless of `WTR_LEGACY_BEHAVIOR`. The spec
-    /// still supplies identity, radio capabilities, APNs, presence window
-    /// and itinerary; the matrix supplies all behavior.
+    /// `--behavior` file). The spec still supplies identity, radio
+    /// capabilities, APNs, presence window and itinerary; the matrix
+    /// supplies all behavior.
     pub fn with_behavior(
         spec: DeviceSpec,
         matrix: Arc<BehaviorMatrix>,
         master_seed: u64,
     ) -> Result<Self, SpecError> {
         spec.validate()?;
-        Ok(Self::assemble(spec, Some(matrix), master_seed))
+        Ok(Self::assemble(spec, matrix, master_seed))
     }
 
-    /// Builds the agent on the hand-coded legacy branches, regardless of
-    /// `WTR_LEGACY_BEHAVIOR` — the explicit ablation constructor used by
-    /// equivalence tests and benches.
-    pub fn legacy(spec: DeviceSpec, master_seed: u64) -> Result<Self, SpecError> {
-        spec.validate()?;
-        Ok(Self::assemble(spec, None, master_seed))
-    }
-
-    /// Shared tail of all constructors: the construction-time draws
-    /// (multiplier, sticky breadth) consume identical substream values on
-    /// both paths — the matrix stores the very numbers the spec holds.
-    fn assemble(spec: DeviceSpec, behavior: Option<Arc<BehaviorMatrix>>, master_seed: u64) -> Self {
+    /// Shared tail of both constructors: the construction-time draws
+    /// (multiplier, then sticky breadth) from the device's substream.
+    fn assemble(spec: DeviceSpec, behavior: Arc<BehaviorMatrix>, master_seed: u64) -> Self {
         let mut rng = SubstreamRng::derive(master_seed, spec.index);
-        let (multiplier, sticky_breadth) = match &behavior {
-            Some(matrix) => (
-                matrix.draw_multiplier(&mut rng),
-                matrix.draw_sticky_breadth(&mut rng),
-            ),
-            None => {
-                let multiplier = spec.traffic.draw_device_multiplier(&mut rng);
-                let sticky_breadth = match rng.weighted_index(&behavior::STICKY_BREADTH_WEIGHTS) {
-                    0 => 1,
-                    1 => 2,
-                    _ => usize::MAX,
-                };
-                (multiplier, sticky_breadth)
-            }
-        };
+        let multiplier = behavior.draw_multiplier(&mut rng);
+        let sticky_breadth = behavior.draw_sticky_breadth(&mut rng);
         DeviceAgent {
             spec,
             behavior,
@@ -306,24 +259,14 @@ impl DeviceAgent {
         &self.spec
     }
 
-    /// The compiled behavior matrix, when matrix-driven.
-    pub fn behavior(&self) -> Option<&Arc<BehaviorMatrix>> {
-        self.behavior.as_ref()
+    /// The compiled behavior matrix.
+    pub fn behavior(&self) -> &Arc<BehaviorMatrix> {
+        &self.behavior
     }
 
     /// The device's per-device rate multiplier.
     pub fn multiplier(&self) -> f64 {
         self.multiplier
-    }
-
-    /// The attach-walk knobs of the legacy path (spec-sourced; the matrix
-    /// path reads the same values out of its [`BehaviorMatrix`]).
-    fn legacy_attach_params(&self) -> AttachParams {
-        AttachParams {
-            event_failure_prob: self.spec.event_failure_prob,
-            sticky_failure: self.spec.sticky_failure,
-            rotate_prob: behavior::RESELECT_ROTATE_PROB,
-        }
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the record's fields
@@ -512,33 +455,6 @@ impl DeviceAgent {
         self.camped_country = None;
         None
     }
-
-    fn plan_day(&mut self, id: AgentId, day: Day, sched: &mut Scheduler) {
-        let (sig, data, voice) = self
-            .spec
-            .traffic
-            .sample_day_counts(&mut self.rng, self.multiplier);
-        let shape = self.spec.traffic.diurnal;
-        for _ in 0..sig {
-            let at = day.start()
-                + wtr_model::time::SimDuration::from_secs(shape.sample_second(&mut self.rng));
-            sched.wake_at(id, WakeTag(tags::SIGNALING), at);
-        }
-        if self.spec.data_enabled {
-            for _ in 0..data {
-                let at = day.start()
-                    + wtr_model::time::SimDuration::from_secs(shape.sample_second(&mut self.rng));
-                sched.wake_at(id, WakeTag(tags::DATA), at);
-            }
-        }
-        if self.spec.voice_enabled {
-            for _ in 0..voice {
-                let at = day.start()
-                    + wtr_model::time::SimDuration::from_secs(shape.sample_second(&mut self.rng));
-                sched.wake_at(id, WakeTag(tags::VOICE), at);
-            }
-        }
-    }
 }
 
 /// Per-wake adapter implementing [`StepHost`] for the matrix interpreter:
@@ -582,11 +498,9 @@ impl<S: EventSink> StepHost for AgentHost<'_, S> {
 }
 
 impl DeviceAgent {
-    /// Matrix-driven wake: one homogeneous interpreter step, then turn
-    /// the returned [`Emission`] into events on the serving network the
-    /// step's attach recorded. Draw-for-draw identical to
-    /// [`wake_legacy`](Self::wake_legacy) when stepping a
-    /// [`behavior::legacy_matrix`] compilation.
+    /// One homogeneous interpreter step, then turn the returned
+    /// [`Emission`] into events on the serving network the step's attach
+    /// recorded.
     fn wake_matrix<S: EventSink>(
         &mut self,
         matrix: &BehaviorMatrix,
@@ -718,8 +632,8 @@ impl DeviceAgent {
             }
         }
         // Plan rows re-arm the next day's planning wake (at the chain's
-        // successor) while the device remains present — mirroring the
-        // legacy DAY re-scheduling, inactive days included.
+        // successor) while the device remains present, inactive days
+        // included.
         if matrix.is_plan(state) {
             let next_day = Day(day.0 + 1);
             if next_day.0 < self.spec.presence.last_day {
@@ -727,169 +641,12 @@ impl DeviceAgent {
             }
         }
     }
-
-    /// The hand-coded wake branches, kept verbatim as the
-    /// `WTR_LEGACY_BEHAVIOR=1` ablation path the matrix interpreter is
-    /// proven equal to.
-    fn wake_legacy<S: EventSink>(
-        &mut self,
-        id: AgentId,
-        tag: WakeTag,
-        world: &mut RoamingWorld<S>,
-        sched: &mut Scheduler,
-    ) {
-        let now = sched.now();
-        let day = now.day();
-        match tag.0 {
-            tags::DAY => {
-                if self.spec.presence.present_on(day)
-                    && self.rng.chance(self.spec.presence.daily_active_prob)
-                {
-                    self.plan_day(id, day, sched);
-                    // Some devices re-evaluate their serving network daily.
-                    if self.rng.chance(self.spec.switch_propensity) {
-                        self.force_reselect = true;
-                    }
-                }
-                // Schedule the next day's planning while still present.
-                let next = Day(day.0 + 1);
-                if next.0 < self.spec.presence.last_day {
-                    sched.wake_at(id, WakeTag(tags::DAY), next.start());
-                }
-            }
-            tags::SIGNALING => {
-                let leg = self.spec.leg_at(day).clone();
-                let pos = leg.mobility.position(now);
-                if self.rng.chance(self.spec.switch_propensity) {
-                    self.force_reselect = true;
-                }
-                if let Some((plmn, rat, sec)) = self.ensure_attached(
-                    world,
-                    now,
-                    pos,
-                    &leg.country_iso,
-                    self.legacy_attach_params(),
-                ) {
-                    let result = if self.rng.chance(self.spec.event_failure_prob) {
-                        ProcedureResult::NetworkFailure
-                    } else {
-                        ProcedureResult::Ok
-                    };
-                    if self.rng.chance(self.spec.traffic.reauth_fraction) {
-                        // Full re-registration: visible at the home HSS
-                        // (and therefore to the M2M platform probes).
-                        self.signal(
-                            world,
-                            now,
-                            plmn,
-                            Some(sec),
-                            rat,
-                            ProcedureType::Authentication,
-                            result,
-                        );
-                        self.signal(
-                            world,
-                            now,
-                            plmn,
-                            Some(sec),
-                            rat,
-                            ProcedureType::UpdateLocation,
-                            result,
-                        );
-                    } else {
-                        // Local periodic registration on the camped network.
-                        self.signal(
-                            world,
-                            now,
-                            plmn,
-                            Some(sec),
-                            rat,
-                            ProcedureType::RoutingAreaUpdate,
-                            result,
-                        );
-                    }
-                }
-            }
-            tags::DATA => {
-                if !self.spec.data_enabled || self.spec.apns.is_empty() {
-                    return;
-                }
-                let leg = self.spec.leg_at(day).clone();
-                let pos = leg.mobility.position(now);
-                if let Some((plmn, rat, sec)) = self.ensure_attached(
-                    world,
-                    now,
-                    pos,
-                    &leg.country_iso,
-                    self.legacy_attach_params(),
-                ) {
-                    let (up, down) = self.spec.traffic.volume.sample(&mut self.rng);
-                    let apn_idx = self.rng.index(self.spec.apns.len());
-                    let duration = self.rng.exponential(300.0).clamp(1.0, 7_200.0) as u32;
-                    let apn = self.spec.apns[apn_idx].clone();
-                    world.emit(SimEvent::Data(DataSession {
-                        time: now,
-                        device: self.spec.index,
-                        imsi: self.spec.imsi,
-                        imei: self.spec.imei,
-                        visited: plmn,
-                        sector: sec,
-                        rat,
-                        apn,
-                        duration_secs: duration,
-                        bytes_up: up,
-                        bytes_down: down,
-                    }));
-                }
-            }
-            tags::VOICE => {
-                if !self.spec.voice_enabled {
-                    return;
-                }
-                let leg = self.spec.leg_at(day).clone();
-                let pos = leg.mobility.position(now);
-                if let Some((plmn, rat, sec)) = self.ensure_attached(
-                    world,
-                    now,
-                    pos,
-                    &leg.country_iso,
-                    self.legacy_attach_params(),
-                ) {
-                    let (kind, duration) = if self.spec.traffic.voice_is_call {
-                        let d = self
-                            .rng
-                            .exponential(self.spec.traffic.call_duration_mean_secs.max(1.0))
-                            .clamp(1.0, 7_200.0) as u32;
-                        (VoiceKind::Call, d)
-                    } else {
-                        (VoiceKind::SmsLike, 0)
-                    };
-                    world.emit(SimEvent::Voice(VoiceCall {
-                        time: now,
-                        device: self.spec.index,
-                        imsi: self.spec.imsi,
-                        imei: self.spec.imei,
-                        visited: plmn,
-                        sector: sec,
-                        rat,
-                        kind,
-                        duration_secs: duration,
-                    }));
-                }
-            }
-            other => debug_assert!(false, "unknown wake tag {other}"),
-        }
-    }
 }
 
 impl<S: EventSink> Agent<RoamingWorld<S>> for DeviceAgent {
     fn init(&mut self, id: AgentId, _world: &mut RoamingWorld<S>, sched: &mut Scheduler) {
-        let entry = match &self.behavior {
-            Some(matrix) => WakeTag(matrix.entry.0),
-            None => WakeTag(tags::DAY),
-        };
         let first = self.spec.presence.first_day;
-        sched.wake_at(id, entry, Day(first).start());
+        sched.wake_at(id, WakeTag(self.behavior.entry.0), Day(first).start());
     }
 
     fn wake(
@@ -899,10 +656,8 @@ impl<S: EventSink> Agent<RoamingWorld<S>> for DeviceAgent {
         world: &mut RoamingWorld<S>,
         sched: &mut Scheduler,
     ) {
-        match self.behavior.clone() {
-            Some(matrix) => self.wake_matrix(&matrix, id, tag, world, sched),
-            None => self.wake_legacy(id, tag, world, sched),
-        }
+        let matrix = Arc::clone(&self.behavior);
+        self.wake_matrix(&matrix, id, tag, world, sched);
     }
 }
 
@@ -978,50 +733,6 @@ mod tests {
             engine.add_agent(DeviceAgent::new(spec, 99));
         }
         engine.run().sink.events
-    }
-
-    /// Runs the same specs on the explicit legacy path and the explicit
-    /// matrix path (env-independent) and returns both event streams.
-    fn run_both_paths(specs: Vec<DeviceSpec>, days: u32) -> (Vec<SimEvent>, Vec<SimEvent>) {
-        let run_path = |specs: &[DeviceSpec], legacy: bool| {
-            let world = RoamingWorld::new(
-                directory(),
-                Box::new(AllowAllPolicy),
-                VecSink::default(),
-                99,
-            );
-            let mut engine = Engine::new(world, SimTime::from_secs(days as u64 * 86_400));
-            for spec in specs {
-                let agent = if legacy {
-                    DeviceAgent::legacy(spec.clone(), 99).unwrap()
-                } else {
-                    let matrix = Arc::new(crate::behavior::legacy_matrix(spec));
-                    DeviceAgent::with_behavior(spec.clone(), matrix, 99).unwrap()
-                };
-                engine.add_agent(agent);
-            }
-            engine.run().sink.events
-        };
-        (run_path(&specs, true), run_path(&specs, false))
-    }
-
-    #[test]
-    fn matrix_and_legacy_paths_emit_identical_events() {
-        // Plain meter, a sticky-failing device, a constant switcher and a
-        // flaky presence window together cover every wake branch.
-        let mut sticky = meter_spec(2);
-        sticky.sticky_failure = Some(ProcedureResult::UnknownSubscription);
-        let mut switcher = meter_spec(3);
-        switcher.switch_propensity = 1.0;
-        switcher.event_failure_prob = 0.1;
-        let mut flaky = meter_spec(4);
-        flaky.presence = PresenceModel {
-            first_day: 1,
-            last_day: 6,
-            daily_active_prob: 0.5,
-        };
-        let (legacy, matrix) = run_both_paths(vec![meter_spec(1), sticky, switcher, flaky], 7);
-        assert_eq!(legacy, matrix);
     }
 
     #[test]

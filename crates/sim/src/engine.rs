@@ -24,8 +24,6 @@
 //! the interleaving between different agents changes.
 
 use crate::calendar::{CalendarQueue, Key};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use wtr_model::time::SimTime;
 
 /// Index of an agent within an [`Engine`].
@@ -36,65 +34,6 @@ pub struct AgentId(pub u32);
 /// distinguish e.g. "periodic report" from "departure" wake-ups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WakeTag(pub u32);
-
-/// Which event-queue implementation a [`Scheduler`] runs on. Both
-/// dispatch the identical `(time, agent, per-agent seq, tag)` total
-/// order — the choice is purely a performance/ablation knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// The calendar queue (`crate::calendar`): O(1) amortized push/pop
-    /// via time buckets with a lazy per-window sort. The default.
-    Calendar,
-    /// The original `BinaryHeap`: O(log n) per operation. Kept as the
-    /// reference implementation behind the `WTR_HEAP_SCHED=1` knob
-    /// (mirroring `WTR_SERIAL_MERGE`) for equivalence tests and the
-    /// scheduler-ablation benches.
-    Heap,
-}
-
-impl SchedulerKind {
-    /// Resolves the kind from the environment: `WTR_HEAP_SCHED=1` forces
-    /// the heap, anything else selects the calendar queue.
-    pub fn from_env() -> Self {
-        if std::env::var("WTR_HEAP_SCHED").is_ok_and(|v| v == "1") {
-            SchedulerKind::Heap
-        } else {
-            SchedulerKind::Calendar
-        }
-    }
-}
-
-/// The two queue backends. Pop order is identical; see [`SchedulerKind`].
-#[derive(Debug)]
-enum QueueImpl {
-    Heap(BinaryHeap<Reverse<Key>>),
-    Calendar(CalendarQueue),
-}
-
-impl QueueImpl {
-    #[inline]
-    fn push(&mut self, key: Key) {
-        match self {
-            QueueImpl::Heap(h) => h.push(Reverse(key)),
-            QueueImpl::Calendar(c) => c.push(key),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Key> {
-        match self {
-            QueueImpl::Heap(h) => h.pop().map(|Reverse(k)| k),
-            QueueImpl::Calendar(c) => c.pop(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            QueueImpl::Heap(h) => h.len(),
-            QueueImpl::Calendar(c) => c.len(),
-        }
-    }
-}
 
 /// The scheduling interface handed to agents.
 ///
@@ -107,7 +46,6 @@ impl QueueImpl {
 pub struct Scheduler {
     now: SimTime,
     horizon: SimTime,
-    kind: SchedulerKind,
     /// Per-agent wake-up counters: `seqs[agent]` is the number of
     /// wake-ups agent `agent` has scheduled so far. Pre-sized from the
     /// agent population by [`Scheduler::prepare`]; the grow-on-demand
@@ -115,7 +53,7 @@ pub struct Scheduler {
     /// robustness only.
     seqs: Vec<u64>,
     /// Pending wake-ups, keyed `(time, agent, per-agent seq, tag)`.
-    queue: QueueImpl,
+    queue: CalendarQueue,
     /// Total wake-ups accepted (past/post-horizon ones excluded).
     scheduled: u64,
     /// High-water mark of the queue depth.
@@ -123,26 +61,19 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    fn new(horizon: SimTime, kind: SchedulerKind) -> Self {
-        let queue = match kind {
-            SchedulerKind::Heap => QueueImpl::Heap(BinaryHeap::new()),
-            SchedulerKind::Calendar => {
-                QueueImpl::Calendar(CalendarQueue::with_capacity(0, horizon))
-            }
-        };
+    fn new(horizon: SimTime) -> Self {
         Scheduler {
             now: SimTime::ZERO,
             horizon,
-            kind,
             seqs: Vec::new(),
-            queue,
+            queue: CalendarQueue::with_capacity(0, horizon),
             scheduled: 0,
             peak_queue: 0,
         }
     }
 
-    /// Pre-sizes the per-agent sequence table and the queue (heap
-    /// capacity / calendar ring) for `agents` agents. Steady state for
+    /// Pre-sizes the per-agent sequence table and the calendar ring for
+    /// `agents` agents. Steady state for
     /// device-style populations is about one pending wake-up per agent,
     /// so sizing from the population avoids both the doubling
     /// reallocations and the early calendar-ring resizes during the init
@@ -151,12 +82,8 @@ impl Scheduler {
         debug_assert_eq!(self.scheduled, 0, "prepare after wake-ups were scheduled");
         self.seqs.clear();
         self.seqs.resize(agents, 0);
-        match &mut self.queue {
-            QueueImpl::Heap(h) => h.reserve(agents),
-            QueueImpl::Calendar(c) if c.len() == 0 => {
-                *c = CalendarQueue::with_capacity(agents, self.horizon);
-            }
-            QueueImpl::Calendar(_) => {}
+        if self.queue.len() == 0 {
+            self.queue = CalendarQueue::with_capacity(agents, self.horizon);
         }
     }
 
@@ -203,11 +130,6 @@ impl Scheduler {
             self.now = at;
         }
         key
-    }
-
-    /// Which queue implementation this scheduler runs on.
-    pub fn kind(&self) -> SchedulerKind {
-        self.kind
     }
 
     /// Number of pending wake-ups.
@@ -285,21 +207,12 @@ pub struct Engine<W, A> {
 }
 
 impl<W, A: Agent<W>> Engine<W, A> {
-    /// Creates an engine over `world` running until `horizon`, on the
-    /// environment-selected scheduler ([`SchedulerKind::from_env`]:
-    /// calendar queue unless `WTR_HEAP_SCHED=1`).
+    /// Creates an engine over `world` running until `horizon`.
     pub fn new(world: W, horizon: SimTime) -> Self {
-        Self::with_scheduler(world, horizon, SchedulerKind::from_env())
-    }
-
-    /// [`Engine::new`] with an explicit queue implementation — the
-    /// env-free knob the heap-vs-calendar equivalence tests and the
-    /// scheduler-ablation benches drive.
-    pub fn with_scheduler(world: W, horizon: SimTime, kind: SchedulerKind) -> Self {
         Engine {
             agents: Vec::new(),
             world,
-            sched: Scheduler::new(horizon, kind),
+            sched: Scheduler::new(horizon),
             dispatched: 0,
         }
     }
@@ -528,63 +441,5 @@ mod tests {
         // the depth a single loop actually reached.
         assert_eq!(total.peak_queue, 10);
         assert_eq!(total.peak_queue_max, 7);
-    }
-
-    #[test]
-    fn heap_and_calendar_dispatch_identically() {
-        let run = |kind: SchedulerKind| {
-            let mut engine = Engine::with_scheduler(Log::new(), SimTime::from_secs(2_000), kind);
-            engine.add_agent(Ticker { period: 7 });
-            engine.add_agent(Ticker { period: 13 });
-            engine.add_agent(Ticker { period: 7 });
-            engine.add_agent(Ticker { period: 1 });
-            engine.run_stats()
-        };
-        let (cal_log, cal_stats) = run(SchedulerKind::Calendar);
-        let (heap_log, heap_stats) = run(SchedulerKind::Heap);
-        assert_eq!(cal_log, heap_log, "dispatch order diverged");
-        assert_eq!(cal_stats, heap_stats);
-    }
-
-    #[test]
-    fn same_instant_reschedule_matches_heap() {
-        // An agent scheduling more wake-ups *at the instant being
-        // dispatched* exercises the calendar queue's in-window splice;
-        // the heap is the reference.
-        struct Chain {
-            budget: u32,
-        }
-        impl Agent<Log> for Chain {
-            fn init(&mut self, id: AgentId, _w: &mut Log, s: &mut Scheduler) {
-                s.wake_at(id, WakeTag(0), SimTime::from_secs(10 + u64::from(id.0)));
-            }
-            fn wake(&mut self, id: AgentId, tag: WakeTag, w: &mut Log, s: &mut Scheduler) {
-                w.push((s.now(), id.0, tag.0));
-                if tag.0 < self.budget {
-                    // Two same-instant re-schedules plus a later one.
-                    s.wake_at(id, WakeTag(tag.0 + 1), s.now());
-                    s.wake_at(id, WakeTag(tag.0 + 1), s.now() + SimDuration::from_secs(3));
-                }
-            }
-        }
-        let run = |kind: SchedulerKind| {
-            let mut engine = Engine::with_scheduler(Log::new(), SimTime::from_secs(60), kind);
-            for _ in 0..6 {
-                engine.add_agent(Chain { budget: 4 });
-            }
-            engine.run()
-        };
-        let cal = run(SchedulerKind::Calendar);
-        assert_eq!(cal, run(SchedulerKind::Heap));
-        assert!(!cal.is_empty());
-    }
-
-    #[test]
-    fn scheduler_kind_from_env_defaults_to_calendar() {
-        // Not run under WTR_HEAP_SCHED in this suite; the CI determinism
-        // job owns the env-var path end to end.
-        if std::env::var("WTR_HEAP_SCHED").is_err() {
-            assert_eq!(SchedulerKind::from_env(), SchedulerKind::Calendar);
-        }
     }
 }

@@ -18,11 +18,11 @@
 //! ## Architecture
 //!
 //! * [`engine`] — a minimal event-queue core: agents schedule wake-ups,
-//!   the engine dispatches them in time order (calendar-queue storage by
-//!   default, the reference `BinaryHeap` behind `WTR_HEAP_SCHED=1`).
+//!   the engine dispatches them in time order from a calendar queue.
 //! * [`behavior`] — declarative device behavior: validated CTMC
-//!   transition matrices interpreted by one homogeneous `step` function
-//!   (the hand-coded branches stay behind `WTR_LEGACY_BEHAVIOR=1`).
+//!   transition matrices interpreted by one homogeneous `step` function;
+//!   every device steps one, compiled from its spec or loaded from a
+//!   `--behavior` file.
 //! * [`events`] — the simulation's observable output: signaling
 //!   transactions, data sessions, voice calls.
 //! * [`mobility`] — position-over-time models (stationary meter, commuter,
@@ -55,17 +55,17 @@ pub mod traffic;
 pub mod world;
 
 pub use behavior::{
-    legacy_matrix, profile_matrix, BehaviorError, BehaviorMatrix, BehaviorOptions, BehaviorRow,
+    profile_matrix, spec_matrix, BehaviorError, BehaviorMatrix, BehaviorOptions, BehaviorRow,
     EmissionSpec, StateId,
 };
 pub use device::{DeviceAgent, DeviceSpec, PresenceModel, SpecError};
-pub use engine::{Agent, AgentId, Engine, EngineStats, Scheduler, SchedulerKind, WakeTag};
+pub use engine::{Agent, AgentId, Engine, EngineStats, Scheduler, WakeTag};
 pub use events::{
     DataSession, ProcedureResult, ProcedureType, SignalingEvent, SimEvent, VoiceCall,
 };
 pub use mobility::MobilityModel;
 pub use par::{par_map, par_map_reduce};
 pub use rng::SubstreamRng;
-pub use stream::{ChunkFold, EventBatcher, RecordStream};
+pub use stream::{ChunkFold, RecordStream};
 pub use traffic::TrafficProfile;
 pub use world::{AccessDecision, AccessPolicy, AllowAllPolicy, NetworkDirectory, RoamingWorld};

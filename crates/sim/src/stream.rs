@@ -7,14 +7,13 @@
 //! on instead:
 //!
 //! * [`RecordStream`] — a deterministic, *chunked* producer of records:
-//!   the sim engine's event loop (via [`EventBatcher`]), the JSONL
-//!   catalog reader, and the chunk-at-a-time `WTRCAT` reader all present
-//!   their output as a sequence of owned chunks, never as one giant
-//!   `Vec`.
+//!   the JSONL catalog reader and the chunk-at-a-time `WTRCAT` reader
+//!   both present their output as a sequence of owned chunks, never as
+//!   one giant `Vec`.
 //! * [`ChunkFold`] — a sink that folds chunks into bounded state and can
 //!   merge ("absorb") a sink built from a *later* part of the same
-//!   stream, mirroring the intern table's `absorb` discipline. The
-//!   catalog builder, device-summary accumulation, the classifier's
+//!   stream, mirroring the intern table's `absorb` discipline.
+//!   Device-summary accumulation, label shares, the classifier's
 //!   observed-APN pass and every analysis table implement it.
 //!
 //! The drivers ([`drive`], [`drive_slice`], [`drive_iter`]) connect the
@@ -43,17 +42,11 @@
 //! partials are computed, never the fold boundaries or the absorb
 //! order.
 
-use crate::events::SimEvent;
 use crate::par;
-use crate::world::EventSink;
 
 /// Records per chunk for iterator-backed streaming ([`drive_iter`])
 /// when the caller does not pin a chunk size.
 pub const STREAM_CHUNK: usize = 4096;
-
-/// Default number of buffered simulation events per [`EventBatcher`]
-/// flush.
-pub const EVENT_BATCH: usize = 8192;
 
 /// A sink that folds chunks of `T` records into bounded accumulator
 /// state and can merge with a sink covering a later part of the stream.
@@ -297,85 +290,6 @@ where
         }
     }
     Ok(seen)
-}
-
-/// An [`EventSink`] adapter that buffers simulation events and flushes
-/// them into a [`ChunkFold`] sink one batch at a time — the bridge
-/// between the engine's push-model event loop and the streaming
-/// pipeline.
-///
-/// Each flush folds the whole batch with a single
-/// [`ChunkFold::fold_chunk`] call, preserving the *exact* serial fold
-/// sequence: event-level folds are order-sensitive where they
-/// accumulate floating-point state (e.g. per-device-day position
-/// sums), so regrouping them would perturb low bits. Pinning the
-/// serial sequence makes a batched scenario run bit-identical to the
-/// plain push-model run; chunk-parallelism enters downstream, at the
-/// catalog-row and summary stages, where fold boundaries are pinned by
-/// [`par::chunk_size`]. Peak memory is O(`batch` + sink state); the
-/// event log itself is never materialized.
-#[derive(Debug)]
-pub struct EventBatcher<F: ChunkFold<SimEvent>> {
-    sink: F,
-    buf: Vec<SimEvent>,
-    batch: usize,
-    seen: u64,
-}
-
-impl<F: ChunkFold<SimEvent>> EventBatcher<F> {
-    /// Wraps `sink` with the default [`EVENT_BATCH`] buffer.
-    pub fn new(sink: F) -> Self {
-        EventBatcher::with_batch(sink, EVENT_BATCH)
-    }
-
-    /// Wraps `sink`, flushing every `batch` events (clamped to ≥ 1).
-    pub fn with_batch(sink: F, batch: usize) -> Self {
-        let batch = batch.max(1);
-        EventBatcher {
-            sink,
-            buf: Vec::with_capacity(batch),
-            batch,
-            seen: 0,
-        }
-    }
-
-    /// Events accepted so far (flushed or still buffered).
-    pub fn events_seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Read access to the wrapped sink. Note that up to one batch of
-    /// events may still be buffered; call [`EventBatcher::finish`] for
-    /// the complete fold.
-    pub fn sink(&self) -> &F {
-        &self.sink
-    }
-
-    fn flush(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        // One serial fold_chunk per batch: see the struct docs — the
-        // event fold must reproduce the exact push-model sequence.
-        self.sink.fold_chunk(&self.buf);
-        self.buf.clear();
-    }
-
-    /// Flushes any buffered events and returns the folded sink.
-    pub fn finish(mut self) -> F {
-        self.flush();
-        self.sink
-    }
-}
-
-impl<F: ChunkFold<SimEvent>> EventSink for EventBatcher<F> {
-    fn on_event(&mut self, event: &SimEvent) {
-        self.buf.push(event.clone());
-        self.seen += 1;
-        if self.buf.len() >= self.batch {
-            self.flush();
-        }
-    }
 }
 
 #[cfg(test)]

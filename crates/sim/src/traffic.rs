@@ -329,25 +329,6 @@ impl TrafficProfile {
         self.data_sessions_per_day *= factor;
         self
     }
-
-    /// Draws the per-device rate multiplier (call once per device).
-    pub fn draw_device_multiplier(&self, rng: &mut SubstreamRng) -> f64 {
-        if self.per_device_sigma <= 0.0 {
-            1.0
-        } else {
-            rng.lognormal(1.0, self.per_device_sigma)
-        }
-    }
-
-    /// Samples the number of (signaling, data, voice) events for one
-    /// active day given the device's multiplier.
-    pub fn sample_day_counts(&self, rng: &mut SubstreamRng, multiplier: f64) -> (u64, u64, u64) {
-        (
-            rng.poisson(self.signaling_per_day * multiplier),
-            rng.poisson(self.data_sessions_per_day * multiplier),
-            rng.poisson(self.voice_per_day * multiplier),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -398,19 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_day_counts_scale_with_multiplier() {
-        let meter = TrafficProfile::for_vertical(Vertical::SmartMeter);
-        let mut r = rng();
-        let n = 2_000;
-        let total_1: u64 = (0..n).map(|_| meter.sample_day_counts(&mut r, 1.0).0).sum();
-        let total_10: u64 = (0..n)
-            .map(|_| meter.sample_day_counts(&mut r, 10.0).0)
-            .sum();
-        let ratio = total_10 as f64 / total_1.max(1) as f64;
-        assert!((8.0..12.0).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
     fn scaled_multiplies_rates() {
         let p = TrafficProfile::for_vertical(Vertical::SmartMeter).scaled(10.0);
         let base = TrafficProfile::for_vertical(Vertical::SmartMeter);
@@ -441,18 +409,6 @@ mod tests {
         for (h, c) in hist.iter().enumerate() {
             assert!((600..1_500).contains(c), "hour {h}: {c}");
         }
-    }
-
-    #[test]
-    fn device_multiplier_creates_heterogeneity() {
-        let phone = TrafficProfile::for_vertical(Vertical::Smartphone);
-        let mut r = rng();
-        let ms: Vec<f64> = (0..1_000)
-            .map(|_| phone.draw_device_multiplier(&mut r))
-            .collect();
-        let min = ms.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = ms.iter().cloned().fold(0.0, f64::max);
-        assert!(max / min > 10.0, "not enough spread: {min}..{max}");
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Property tests for the discrete-event engine and traffic samplers,
-//! including the heap-vs-calendar scheduler equivalence matrix.
+//! including the calendar queue's dispatch order against a `BinaryHeap`
+//! oracle.
 
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use wtr_model::time::{SimDuration, SimTime};
-use wtr_sim::engine::{Agent, AgentId, Engine, Scheduler, SchedulerKind, WakeTag};
+use wtr_sim::engine::{Agent, AgentId, Engine, EngineStats, Scheduler, WakeTag};
 use wtr_sim::rng::SubstreamRng;
 
 /// Agent that fires once per preset time, logging into the shared world.
@@ -117,9 +120,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Heap-vs-calendar dispatch-order equivalence.
+// Calendar queue vs a `BinaryHeap` oracle.
 //
-// The calendar queue must reproduce the `BinaryHeap` dispatch sequence
+// The engine's calendar queue must reproduce the dispatch sequence of a
+// plain min-heap over the same `(time, agent, per-agent seq, tag)` keys
 // *bit for bit* under every wake-up time distribution, including the
 // ones its bucket geometry handles worst: pathological same-instant
 // bursts (firmware-campaign storms per Finley & Vesselkov) and tight
@@ -185,14 +189,13 @@ impl Agent<EqLog> for Replayer {
     }
 }
 
-fn run_with_kind(
-    kind: SchedulerKind,
+fn run_engine(
     shape: TimeShape,
     schedules: &[Vec<u32>],
     budget: u32,
     gap: u64,
-) -> (EqLog, wtr_sim::engine::EngineStats) {
-    let mut engine = Engine::with_scheduler(EqLog::new(), SimTime::from_secs(EQ_HORIZON), kind);
+) -> (EqLog, EngineStats) {
+    let mut engine = Engine::new(EqLog::new(), SimTime::from_secs(EQ_HORIZON));
     for raws in schedules {
         engine.add_agent(Replayer {
             times: raws.iter().map(|&r| shape_time(shape, r)).collect(),
@@ -203,12 +206,62 @@ fn run_with_kind(
     engine.run_stats()
 }
 
+type OracleKey = Reverse<(u64, u32, u64, u32)>;
+
+/// Replays [`Replayer`] without the engine: preset wakes in agent order,
+/// per-agent sequence numbers, budgeted re-schedules at `now + gap`, and
+/// the horizon drop, all on a `BinaryHeap` min-queue over the engine's
+/// `(time, agent, per-agent seq, tag)` key. Returns the expected log and
+/// scheduler counters.
+fn heap_oracle(
+    shape: TimeShape,
+    schedules: &[Vec<u32>],
+    budget: u32,
+    gap: u64,
+) -> (EqLog, EngineStats) {
+    let mut stats = EngineStats {
+        agents: schedules.len() as u64,
+        ..EngineStats::default()
+    };
+    let mut seqs = vec![0u64; schedules.len()];
+    let mut push = |heap: &mut BinaryHeap<OracleKey>,
+                    stats: &mut EngineStats,
+                    (at, agent, tag): (u64, u32, u32)| {
+        if at < EQ_HORIZON {
+            seqs[agent as usize] += 1;
+            stats.scheduled += 1;
+            heap.push(Reverse((at, agent, seqs[agent as usize], tag)));
+            stats.peak_queue = stats.peak_queue.max(heap.len() as u64);
+        }
+    };
+    let mut heap = BinaryHeap::new();
+    for (agent, raws) in schedules.iter().enumerate() {
+        for &raw in raws {
+            push(
+                &mut heap,
+                &mut stats,
+                (shape_time(shape, raw), agent as u32, 0),
+            );
+        }
+    }
+    let mut log = EqLog::new();
+    while let Some(Reverse((now, agent, _, tag))) = heap.pop() {
+        stats.dispatched += 1;
+        log.push((now, agent, tag));
+        if tag < budget {
+            push(&mut heap, &mut stats, (now + gap, agent, tag + 1));
+        }
+    }
+    stats.peak_queue_max = stats.peak_queue;
+    (log, stats)
+}
+
 proptest! {
-    /// Calendar and heap produce the identical dispatch sequence (and
-    /// scheduler counters) over random schedules drawn from clustered,
-    /// uniform, and same-instant-burst time distributions, with
-    /// re-scheduling agents exercising mid-run pushes — including
-    /// same-instant ones.
+    /// The engine and the heap oracle produce the identical dispatch
+    /// sequence (and scheduler counters) over random schedules drawn
+    /// from clustered, uniform, and same-instant-burst time
+    /// distributions, with re-scheduling agents exercising mid-run
+    /// pushes — including same-instant ones.
     #[test]
     fn calendar_matches_heap_dispatch_order(
         shape in prop_oneof![
@@ -223,8 +276,8 @@ proptest! {
         budget in 0u32..4,
         gap in prop_oneof![Just(0u64), Just(1), Just(977)],
     ) {
-        let cal = run_with_kind(SchedulerKind::Calendar, shape, &schedules, budget, gap);
-        let heap = run_with_kind(SchedulerKind::Heap, shape, &schedules, budget, gap);
+        let cal = run_engine(shape, &schedules, budget, gap);
+        let heap = heap_oracle(shape, &schedules, budget, gap);
         prop_assert_eq!(&cal.0, &heap.0);
         prop_assert_eq!(cal.1, heap.1);
     }
@@ -233,12 +286,11 @@ proptest! {
 #[test]
 fn calendar_matches_heap_on_dense_storm() {
     // A firmware-campaign storm at scale: 3_000 agents all waking at the
-    // same instants, repeatedly — the heap's worst case (every sift
-    // compares equal times) and the calendar's narrowest geometry (width
-    // clamps at 1 s; the whole burst sorts as one chunk).
+    // same instants, repeatedly — the calendar's narrowest geometry
+    // (width clamps at 1 s; the whole burst sorts as one chunk).
     let schedules: Vec<Vec<u32>> = (0..3_000u32).map(|i| vec![i, i + 1, i + 2]).collect();
-    let cal = run_with_kind(SchedulerKind::Calendar, TimeShape::Burst, &schedules, 2, 0);
-    let heap = run_with_kind(SchedulerKind::Heap, TimeShape::Burst, &schedules, 2, 0);
+    let cal = run_engine(TimeShape::Burst, &schedules, 2, 0);
+    let heap = heap_oracle(TimeShape::Burst, &schedules, 2, 0);
     assert_eq!(cal.0.len(), heap.0.len());
     assert_eq!(cal.0, heap.0);
     assert_eq!(cal.1, heap.1);

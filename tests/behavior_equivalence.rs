@@ -1,38 +1,31 @@
-//! Matrix behavior == legacy behavior (the PR-8 contract).
+//! Declarative behaviors, pinned by golden digests.
 //!
-//! The `wtr_sim::behavior` interpreter replaces the hand-coded wake
-//! branches of `DeviceAgent`; `legacy_matrix` compiles each device spec
-//! into matrix form with a draw-order-preserving layout. This suite pins
-//! the equivalence at every level:
+//! Every device steps a `wtr_sim::behavior` matrix; `spec_matrix`
+//! compiles each device spec into one. This suite pins:
 //!
-//! 1. **Per vertical**: for every [`Vertical`], the explicit legacy agent
-//!    and the matrix agent built from `legacy_matrix` emit *identical*
-//!    event streams — including sticky-failure, switch-happy and
-//!    flaky-presence variants of each class.
-//! 2. **Scenario scale**: the full visited-MNO scenario produces
-//!    fingerprint-equal output (catalog JSONL + WTRCAT, ground truth,
-//!    record counts) on both paths across shards 1/2/8 × streaming
-//!    on/off × record loss 0/0.07.
-//! 3. **Validation** (proptest): `BehaviorMatrix::new`/`validate` rejects
+//! 1. **Per vertical**: for every [`Vertical`], the event stream of the
+//!    base class and of its sticky-failure, switch-happy and
+//!    flaky-presence variants matches a golden digest.
+//! 2. **Validation** (proptest): `BehaviorMatrix::new`/`validate` rejects
 //!    every corruption of a well-formed matrix, and accepts + roundtrips
 //!    (serde, byte-stable) every well-formed parameterization.
+//!
+//! Scenario-scale output is pinned by the golden digests in
+//! `tests/shard_determinism.rs`.
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use where_things_roam::model::country::Country;
 use where_things_roam::model::hash::mix64;
 use where_things_roam::model::ids::{Imei, Imsi, Plmn, Tac};
 use where_things_roam::model::rat::RatSet;
 use where_things_roam::model::time::SimTime;
 use where_things_roam::model::vertical::Vertical;
-use where_things_roam::probes::io;
 use where_things_roam::radio::geo::CountryGeometry;
 use where_things_roam::radio::network::{CoverageFaults, RadioNetwork};
 use where_things_roam::radio::sector::GridSpacing;
-use where_things_roam::scenarios::{MnoScenario, MnoScenarioConfig, MnoScenarioOutput};
 use where_things_roam::sim::behavior::{
-    legacy_matrix, profile_matrix, states, BehaviorMatrix, BehaviorOptions, BehaviorRow,
-    EmissionSpec, PlanTarget, StateId, MAX_PLAN_TARGETS,
+    profile_matrix, states, BehaviorMatrix, BehaviorOptions, BehaviorRow, EmissionSpec, PlanTarget,
+    StateId, MAX_PLAN_TARGETS,
 };
 use where_things_roam::sim::device::{DeviceAgent, DeviceSpec, ItineraryLeg, PresenceModel};
 use where_things_roam::sim::engine::Engine;
@@ -104,32 +97,6 @@ fn vertical_variants(vertical: Vertical, base: u64, days: u32) -> Vec<DeviceSpec
     vec![vertical_spec(vertical, base, days), sticky, switcher, flaky]
 }
 
-/// Runs the same specs through the explicit legacy agent and the explicit
-/// matrix agent (both env-independent) and returns both event streams.
-fn run_both_paths(
-    specs: &[DeviceSpec],
-    days: u32,
-) -> (
-    Vec<where_things_roam::sim::events::SimEvent>,
-    Vec<where_things_roam::sim::events::SimEvent>,
-) {
-    let run_path = |legacy: bool| {
-        let world = RoamingWorld::new(directory(), Box::new(AllowAllPolicy), VecSink::default(), 7);
-        let mut engine = Engine::new(world, SimTime::from_secs(days as u64 * 86_400));
-        for spec in specs {
-            let agent = if legacy {
-                DeviceAgent::legacy(spec.clone(), 7).unwrap()
-            } else {
-                let matrix = Arc::new(legacy_matrix(spec));
-                DeviceAgent::with_behavior(spec.clone(), matrix, 7).unwrap()
-            };
-            engine.add_agent(agent);
-        }
-        engine.run().sink.events
-    };
-    (run_path(true), run_path(false))
-}
-
 /// Window of the per-vertical checks, in days.
 const DAYS: u32 = 6;
 
@@ -180,87 +147,6 @@ fn every_vertical_matches_event_digest_golden() {
             golden,
             "vertical {vertical:?} event stream diverged"
         );
-    }
-}
-
-#[test]
-fn every_vertical_matrix_equals_legacy() {
-    for (i, &vertical) in Vertical::ALL.iter().enumerate() {
-        let specs = vertical_variants(vertical, i as u64 * 10, DAYS);
-        let (legacy, matrix) = run_both_paths(&specs, DAYS);
-        assert_eq!(legacy, matrix, "vertical {vertical:?} diverged");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Scenario scale.
-// ---------------------------------------------------------------------
-
-/// Everything the equivalence compares, flattened to bytes.
-fn fingerprint(out: &MnoScenarioOutput) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    io::write_catalog(&mut bytes, &out.catalog).unwrap();
-    io::write_catalog_bin(&mut bytes, &out.catalog).unwrap();
-    bytes.extend(
-        serde_json::to_string(&out.ground_truth)
-            .unwrap()
-            .into_bytes(),
-    );
-    bytes.extend(format!("{:?}", out.record_counts).into_bytes());
-    bytes
-}
-
-fn scenario_fingerprint(config: &MnoScenarioConfig, shards: usize, streaming: bool) -> Vec<u8> {
-    let scenario = MnoScenario::new(config.clone());
-    let out = if streaming {
-        scenario.run_streaming_sharded(shards)
-    } else {
-        scenario.run_sharded(shards)
-    };
-    fingerprint(&out)
-}
-
-/// The whole-scenario equivalence across the shard × streaming × loss
-/// matrix. The scenario population mixes every vertical, so a fingerprint
-/// match here is a per-vertical catalog match at scenario scale.
-///
-/// This is the only test in this binary that touches
-/// `WTR_LEGACY_BEHAVIOR` — the env var is process-global and tests run
-/// concurrently, so every other test uses the env-independent explicit
-/// constructors instead.
-#[test]
-fn scenario_matrix_path_reproduces_legacy_across_shard_matrix() {
-    for loss in [0.0, 0.07] {
-        let config = MnoScenarioConfig {
-            devices: 400,
-            days: 4,
-            seed: 11,
-            nbiot_meter_fraction: 0.05,
-            sunset_2g_uk: false,
-            gsma_transparency: false,
-            record_loss_fraction: loss,
-        };
-        // Agents read the env var at construction time, inside the run_*
-        // calls — so the flip brackets each legacy run exactly.
-        std::env::set_var("WTR_LEGACY_BEHAVIOR", "1");
-        let reference = scenario_fingerprint(&config, 1, false);
-        std::env::remove_var("WTR_LEGACY_BEHAVIOR");
-        for shards in [1usize, 2, 8] {
-            for streaming in [false, true] {
-                std::env::set_var("WTR_LEGACY_BEHAVIOR", "1");
-                let legacy = scenario_fingerprint(&config, shards, streaming);
-                std::env::remove_var("WTR_LEGACY_BEHAVIOR");
-                let matrix = scenario_fingerprint(&config, shards, streaming);
-                assert_eq!(
-                    legacy, reference,
-                    "legacy path not shard-invariant (loss {loss}, {shards} shards, streaming {streaming})"
-                );
-                assert_eq!(
-                    matrix, reference,
-                    "matrix path diverged (loss {loss}, {shards} shards, streaming {streaming})"
-                );
-            }
-        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! The `wtr_serve` determinism contract (PR-10): HTTP reports over
 //! incrementally ingested, arbitrarily partitioned record streams are
-//! byte-identical to batch `wtr analyze --stream` over the same rows.
+//! byte-identical to batch `wtr analyze` over the same rows.
 //!
 //! * N concurrent taps, in-order or shuffled-within-watermark, any
 //!   arrival interleaving → every report table matches the batch
@@ -47,7 +47,7 @@ fn catalog_bytes(catalog: &DevicesCatalog) -> Vec<u8> {
     bytes
 }
 
-/// The batch-side reference: what `wtr analyze --stream <table>` (and
+/// The batch-side reference: what `wtr analyze <table>` (and
 /// `wtr classify`) print over the fixture file, keyed like [`TABLES`].
 fn batch_reference(catalog: &DevicesCatalog) -> BTreeMap<&'static str, String> {
     let data = stream_catalog(&catalog_bytes(catalog)[..]).unwrap();

@@ -6,15 +6,15 @@
 //!
 //! 1. **Shard matrix**: catalog bytes (JSONL *and* WTRCAT), ground
 //!    truth, record counts and element load are identical at shards =
-//!    1/2/8, on both the push (`run_sharded`) and streaming
-//!    (`run_streaming_sharded`) paths, with and without record loss.
+//!    1/2/3/8, with and without record loss.
 //! 2. **Golden anchors**: the dispatch-order re-anchor — from the old
 //!    `(time, global insertion seq)` tie-break to the shard-stable
 //!    `(time, agent, per-agent seq)` total order — changed *only* the
 //!    cross-agent interleaving. Digests captured from the pre-change
 //!    engine pin that: the event **multiset** of a small fixed world is
 //!    unchanged, and the loss-free catalog (which depends only on
-//!    per-device streams) is byte-identical.
+//!    per-device streams) is byte-identical. Further digests pin the
+//!    small world's raw emission order and the whole lossy fingerprint.
 //! 3. **Merge algebra** (proptest): `MnoProbe::absorb` over arbitrary
 //!    device partitions reproduces the serial fold exactly, and the
 //!    `LossySink` drop set is invariant to how devices are partitioned
@@ -58,8 +58,7 @@ const OLD_CATALOG_ROWS: usize = 1_470;
 /// the event multiset, insensitive to cross-agent interleaving.
 const OLD_EVENT_MULTISET_DIGEST: u64 = 0x7bce9976374b188a;
 /// Small fixed world: digest of the events in raw emission order under
-/// the `(time, agent, per-agent seq)` dispatch order (for this world it
-/// equals the order the old global-seq tie-break produced).
+/// the `(time, agent, per-agent seq)` dispatch order.
 const EVENT_RAW_ORDER_DIGEST: u64 = 0xdb4f2e20b9537b30;
 /// 400 devices x 5 days, seed 7, nbiot 0.05, loss 0.07: the full
 /// [`fingerprint`] (both catalog formats, ground truth, element load,
@@ -114,27 +113,17 @@ fn sharded_output_is_shard_count_invariant() {
         let config = scenario_config(loss);
         let mut reference: Option<(Vec<u8>, u64)> = None;
         for &k in &SHARDS {
-            for streaming in [false, true] {
-                let scenario = MnoScenario::new(config.clone());
-                let out = if streaming {
-                    scenario.run_streaming_sharded(k)
-                } else {
-                    scenario.run_sharded(k)
-                };
-                // Per-shard stats cover the whole population, one entry
-                // per event loop.
-                assert_eq!(out.shard_stats.len(), k, "loss {loss} shards {k}");
-                let total = out.engine_stats();
-                assert_eq!(total.agents as usize, out.ground_truth.len());
-                assert_eq!(total.scheduled, total.dispatched);
-                let fp = (fingerprint(&out), total.dispatched);
-                match &reference {
-                    None => reference = Some(fp),
-                    Some(r) => assert_eq!(
-                        r, &fp,
-                        "shards {k} streaming {streaming} loss {loss} diverged from serial"
-                    ),
-                }
+            let out = MnoScenario::new(config.clone()).run_sharded(k);
+            // Per-shard stats cover the whole population, one entry per
+            // event loop.
+            assert_eq!(out.shard_stats.len(), k, "loss {loss} shards {k}");
+            let total = out.engine_stats();
+            assert_eq!(total.agents as usize, out.ground_truth.len());
+            assert_eq!(total.scheduled, total.dispatched);
+            let fp = (fingerprint(&out), total.dispatched);
+            match &reference {
+                None => reference = Some(fp),
+                Some(r) => assert_eq!(r, &fp, "shards {k} loss {loss} diverged from serial"),
             }
         }
     }
@@ -146,30 +135,13 @@ fn catalog_bytes_match_pre_shard_golden_anchor() {
     // interleaving; each device's own event stream — and therefore the
     // loss-free catalog, whose rows are pure per-device folds — is
     // untouched. The digest below was captured from the pre-change
-    // engine. The matrix runs under both `WTR_HEAP_SCHED` settings:
-    // the calendar queue (default) and the reference heap must both hit
-    // the golden digest. Other tests in this binary may run while the
-    // variable is set — that is fine, because calendar/heap equality is
-    // exactly the property under test (same argument as the
-    // `WTR_SERIAL_MERGE` knob below).
-    for heap_sched in [false, true] {
-        if heap_sched {
-            std::env::set_var("WTR_HEAP_SCHED", "1");
-        }
-        let out = MnoScenario::new(scenario_config(0.0)).run_sharded(1);
-        if heap_sched {
-            std::env::remove_var("WTR_HEAP_SCHED");
-        }
-        let mut jsonl = Vec::new();
-        io::write_catalog(&mut jsonl, &out.catalog).unwrap();
-        assert_eq!(
-            digest(&jsonl),
-            OLD_CATALOG_JSONL_DIGEST,
-            "heap_sched {heap_sched}"
-        );
-        assert_eq!(out.record_counts, OLD_RECORD_COUNTS);
-        assert_eq!(out.catalog.len(), OLD_CATALOG_ROWS);
-    }
+    // engine.
+    let out = MnoScenario::new(scenario_config(0.0)).run_sharded(1);
+    let mut jsonl = Vec::new();
+    io::write_catalog(&mut jsonl, &out.catalog).unwrap();
+    assert_eq!(digest(&jsonl), OLD_CATALOG_JSONL_DIGEST);
+    assert_eq!(out.record_counts, OLD_RECORD_COUNTS);
+    assert_eq!(out.catalog.len(), OLD_CATALOG_ROWS);
 }
 
 #[test]
@@ -182,94 +154,28 @@ fn lossy_fingerprint_matches_golden() {
 }
 
 #[test]
-fn heap_and_calendar_schedulers_agree_across_shard_matrix() {
-    // Stronger than the golden anchor: the *entire fingerprint* (both
-    // catalog formats, ground truth, counts, element load) must be
-    // byte-identical between the calendar queue and the reference heap
-    // at several shard counts, with loss on — the in-process twin of the
-    // CI `sim-determinism` ablation diff.
-    let config = scenario_config(0.05);
-    for &k in &[1usize, 3, 8] {
-        let calendar = MnoScenario::new(config.clone()).run_sharded(k);
-        std::env::set_var("WTR_HEAP_SCHED", "1");
-        let heap = MnoScenario::new(config.clone()).run_sharded(k);
-        std::env::remove_var("WTR_HEAP_SCHED");
-        assert_eq!(
-            fingerprint(&calendar),
-            fingerprint(&heap),
-            "calendar vs heap diverged at shards {k}"
-        );
-        assert_eq!(calendar.engine_stats(), heap.engine_stats());
-    }
-}
-
-#[test]
-fn tree_merge_matches_serial_left_fold() {
-    // The tree-reduction merge tail must be byte-identical to the
-    // serial shard-order left fold it replaced: shard probes tap
-    // disjoint device populations, so `absorb` never regroups floats
-    // across shards and the reduction shape cannot show through. The
-    // `WTR_SERIAL_MERGE=1` knob forces the old fold; both runs below
-    // use an odd shard count so the tree has an unpaired tail. Other
-    // tests in this binary may run while the variable is set — that is
-    // fine, because equality of the two paths is exactly the property
-    // under test.
-    let config = scenario_config(0.03);
-    std::env::set_var("WTR_SERIAL_MERGE", "1");
-    let serial = MnoScenario::new(config.clone()).run_sharded(3);
-    std::env::remove_var("WTR_SERIAL_MERGE");
-    let tree = MnoScenario::new(config).run_sharded(3);
-    assert_eq!(
-        fingerprint(&serial),
-        fingerprint(&tree),
-        "tree-reduction merge diverged from the serial shard fold"
-    );
-}
-
-#[test]
 fn dispatch_reorder_preserved_event_multiset() {
     // One-time migration check for the (time, agent, per-agent seq)
     // tie-break: replay a small fixed world and compare the *sorted*
     // serialized events against the digest captured from the old
     // engine. Equality proves the re-anchor changed interleaving only —
-    // no event was created, lost, or altered. Runs under both
-    // `WTR_HEAP_SCHED` settings, and additionally pins the *raw
-    // emission order* of the two schedulers against each other: the
-    // calendar queue must not merely preserve the multiset, it must
-    // dispatch bit-identically to the heap.
-    let calendar = small_world::run();
-    std::env::set_var("WTR_HEAP_SCHED", "1");
-    let heap = small_world::run();
-    std::env::remove_var("WTR_HEAP_SCHED");
-    for events in [&calendar, &heap] {
-        let mut lines: Vec<String> = events
-            .iter()
-            .map(|e| serde_json::to_string(e).unwrap())
-            .collect();
-        lines.sort();
-        assert_eq!(lines.len(), 498);
-        assert_eq!(
-            digest(lines.join("\n").as_bytes()),
-            OLD_EVENT_MULTISET_DIGEST,
-            "event multiset changed across the dispatch-order migration"
-        );
-    }
-    let raw = |events: &[SimEvent]| {
-        let lines: Vec<String> = events
-            .iter()
-            .map(|e| serde_json::to_string(e).unwrap())
-            .collect();
-        digest(lines.join("\n").as_bytes())
-    };
+    // no event was created, lost, or altered. The unsorted lines then pin
+    // the raw emission order itself.
+    let mut lines: Vec<String> = small_world::run()
+        .iter()
+        .map(|e| serde_json::to_string(e).unwrap())
+        .collect();
+    assert_eq!(lines.len(), 498);
     assert_eq!(
-        raw(&calendar),
-        raw(&heap),
-        "calendar and heap schedulers emitted different event orders"
-    );
-    assert_eq!(
-        raw(&calendar),
+        digest(lines.join("\n").as_bytes()),
         EVENT_RAW_ORDER_DIGEST,
         "raw emission order changed"
+    );
+    lines.sort();
+    assert_eq!(
+        digest(lines.join("\n").as_bytes()),
+        OLD_EVENT_MULTISET_DIGEST,
+        "event multiset changed across the dispatch-order migration"
     );
 }
 

@@ -2,10 +2,9 @@
 //!
 //! Three equivalences, each across the 1/2/8 thread matrix:
 //!
-//! 1. **Simulation**: `MnoScenario::run_streaming()` (probe behind a
-//!    batched event stream) produces the exact catalog `run()` does —
-//!    including under record loss, whose per-event coin sequence sits
-//!    outside the batcher.
+//! 1. **Simulation**: `MnoScenario::run()` produces the exact same
+//!    catalog and ground truth at every thread count, including under
+//!    record loss.
 //! 2. **File ingest**: `stream_catalog` (chunk-at-a-time JSONL/WTRCAT
 //!    reader feeding a broadcast of folds, no `DevicesCatalog` ever
 //!    built) produces the exact summaries + label shares the
@@ -97,23 +96,16 @@ fn streaming_simulation_matches_materialized() {
     for loss in [0.0, 0.07] {
         let mut config = scenario_config();
         config.record_loss_fraction = loss;
-        let mut reference: Option<Vec<u8>> = None;
+        let mut reference = None;
         for &t in &MATRIX {
             par::set_threads(Some(t));
-            let direct = MnoScenario::new(config.clone()).run();
-            let streamed = MnoScenario::new(config.clone()).run_streaming();
-            let mut direct_bytes = Vec::new();
-            io::write_catalog(&mut direct_bytes, &direct.catalog).unwrap();
-            let mut streamed_bytes = Vec::new();
-            io::write_catalog(&mut streamed_bytes, &streamed.catalog).unwrap();
-            assert_eq!(
-                direct_bytes, streamed_bytes,
-                "run vs run_streaming at {t} threads, loss {loss}"
-            );
-            assert_eq!(direct.ground_truth, streamed.ground_truth);
+            let out = MnoScenario::new(config.clone()).run();
+            let mut bytes = Vec::new();
+            io::write_catalog(&mut bytes, &out.catalog).unwrap();
+            let fp = (bytes, out.ground_truth);
             match &reference {
-                None => reference = Some(streamed_bytes),
-                Some(r) => assert_eq!(r, &streamed_bytes, "{t} threads vs 1, loss {loss}"),
+                None => reference = Some(fp),
+                Some(r) => assert_eq!(r, &fp, "{t} threads vs 1, loss {loss}"),
             }
         }
     }
