@@ -11,6 +11,10 @@
 //!    materialized `read → summarize → label_shares` path does.
 //! 3. **Analysis**: the one-broadcast-pass [`analyze`] suite equals the
 //!    per-table re-scan reference [`analyze_rescan`] on every table.
+//! 4. **Resident snapshot**: `materialize_catalog` over an in-memory
+//!    catalog equals a `stream_catalog` replay of its JSONL export, down
+//!    to the mobility bits and every rendered table, and a `Tenant` fed
+//!    the same rows serves exactly those tables.
 //!
 //! Plus `ChunkFold::absorb` associativity checks (proptest): for any
 //! 3-way split of the input, folding the parts and absorbing equals
@@ -18,20 +22,24 @@
 //! on.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use where_things_roam::core::analysis::diurnal::DiurnalFold;
 use where_things_roam::core::analysis::population::LabelSharesFold;
 use where_things_roam::core::analysis::revenue::{RateCard, RevenueFold};
 use where_things_roam::core::classify::{Classification, DeviceClass, ObservedApnsFold};
+use where_things_roam::core::report::{render_analysis, render_classify, ANALYSES};
 use where_things_roam::core::stream::{
     analyze, analyze_rescan, materialize_catalog, stream_catalog, AnalysisSuite, StreamedCatalog,
 };
 use where_things_roam::core::summary::{summarize, SummaryFold};
 use where_things_roam::model::ids::{Plmn, Tac};
 use where_things_roam::model::roaming::RoamingLabel;
+use where_things_roam::model::tacdb::TacDatabase;
 use where_things_roam::model::time::Day;
 use where_things_roam::probes::catalog::DevicesCatalog;
 use where_things_roam::probes::io;
 use where_things_roam::scenarios::{MnoScenario, MnoScenarioConfig};
+use where_things_roam::serve::{Tenant, TABLES};
 use where_things_roam::sim::par;
 use where_things_roam::sim::stream::ChunkFold;
 
@@ -190,6 +198,114 @@ fn broadcast_analysis_matches_rescans() {
         }
     }
     par::set_threads(None);
+}
+
+/// The 13 tables the server renders, keyed like [`TABLES`]: each
+/// analysis as `wtr analyze <table>` prints it, then `classify` and the
+/// tenant summary.
+fn rendered_tables(
+    data: &StreamedCatalog,
+    suite: &AnalysisSuite,
+) -> BTreeMap<&'static str, String> {
+    let mut tables: BTreeMap<&'static str, String> = ANALYSES
+        .iter()
+        .map(|name| (*name, render_analysis(name, data, suite).unwrap() + "\n"))
+        .collect();
+    tables.insert(
+        "classify",
+        render_classify("full", data.summaries.len(), &suite.classification),
+    );
+    tables.insert(
+        "summary",
+        format!(
+            "rows: {}\ndevices: {}\nwindow_days: {}\n",
+            data.rows,
+            data.summaries.len(),
+            data.window_days
+        ),
+    );
+    tables
+}
+
+/// Row-partitions `catalog` into `parts` tap upload bodies, alternating
+/// JSONL and WTRCAT.
+fn tap_bodies(catalog: &DevicesCatalog, parts: usize) -> Vec<Vec<u8>> {
+    (0..parts)
+        .map(|part| {
+            let mut tap = DevicesCatalog::new(catalog.window_days());
+            for row in catalog.iter().skip(part).step_by(parts) {
+                tap.adopt_entry(row.clone(), catalog.apn_table());
+            }
+            let mut body = Vec::new();
+            if part % 2 == 0 {
+                io::write_catalog(&mut body, &tap).unwrap();
+            } else {
+                io::write_catalog_bin(&mut body, &tap).unwrap();
+            }
+            body
+        })
+        .collect()
+}
+
+#[test]
+fn materialized_snapshot_matches_text_replay() {
+    // The resident route (`materialize_catalog`) and the text route
+    // (`write_catalog` then `stream_catalog`) must agree bit for bit:
+    // floats that survived a trip through JSON text are the one thing
+    // that could differ.
+    let tacdb = TacDatabase::standard();
+    for loss in [0.0, 0.07] {
+        let mut config = scenario_config();
+        config.record_loss_fraction = loss;
+        let catalog = MnoScenario::new(config).run().catalog;
+        let mut jsonl = Vec::new();
+        io::write_catalog(&mut jsonl, &catalog).unwrap();
+        let replayed = stream_catalog(jsonl.as_slice()).unwrap();
+        let resident = materialize_catalog(&catalog);
+        let suite =
+            |data: &StreamedCatalog| analyze(&data.summaries, &data.apns, data.window_days, &tacdb);
+        let (replayed_suite, resident_suite) = (suite(&replayed), suite(&resident));
+        assert_eq!(
+            suite_bytes(&resident_suite),
+            suite_bytes(&replayed_suite),
+            "suite, loss {loss}"
+        );
+        assert_eq!(
+            serde_json::to_string(&resident.label_shares).unwrap(),
+            serde_json::to_string(&replayed.label_shares).unwrap(),
+            "label shares, loss {loss}"
+        );
+        let mobility_bits = |data: &StreamedCatalog| -> Vec<[u64; 5]> {
+            data.summaries
+                .iter()
+                .map(|s| s.mobility.to_parts().map(f64::to_bits))
+                .collect()
+        };
+        assert_eq!(
+            mobility_bits(&resident),
+            mobility_bits(&replayed),
+            "mobility bits, loss {loss}"
+        );
+        let tables = rendered_tables(&resident, &resident_suite);
+        assert_eq!(tables.len(), TABLES.len());
+        assert_eq!(
+            tables,
+            rendered_tables(&replayed, &replayed_suite),
+            "tables, loss {loss}"
+        );
+
+        let tenant = Tenant::new("pin", 1000);
+        for body in tap_bodies(&catalog, 3) {
+            tenant.ingest(&body).unwrap();
+        }
+        let served = tenant.reports().unwrap();
+        for table in TABLES {
+            assert_eq!(
+                served.tables[table], tables[table],
+                "served {table}, loss {loss}"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
