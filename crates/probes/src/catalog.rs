@@ -360,11 +360,7 @@ impl DevicesCatalog {
     /// catalogs built from consecutive chunks of an event stream, merged
     /// in chunk order, reproduce the serial fold (and its symbol ids)
     /// exactly. This is the reduce step of parallel ingestion.
-    ///
-    /// Returns the symbol remap (`remap[other_sym.index()]` = symbol in
-    /// `self`), so callers holding records keyed by `other`'s symbols —
-    /// e.g. retained raw xDRs — can translate them too.
-    pub fn merge(&mut self, other: DevicesCatalog) -> Vec<ApnSym> {
+    pub fn merge(&mut self, other: DevicesCatalog) {
         self.window_days = self.window_days.max(other.window_days);
         let remap = self.apns.absorb(&other.apns);
         for (key, mut entry) in other.rows {
@@ -380,7 +376,6 @@ impl DevicesCatalog {
                 }
             }
         }
-        remap
     }
 
     /// Rewrites the catalog into canonical APN-symbol form: the intern
@@ -394,11 +389,7 @@ impl DevicesCatalog {
     /// differs from the serial interleaving. Serialized forms (JSONL,
     /// WTRCAT) already canonicalize on write; this makes the in-memory
     /// value canonical too.
-    ///
-    /// Returns the symbol remap (`remap[old.index()]` = new symbol) so
-    /// callers holding symbols outside the rows — e.g. retained raw
-    /// xDRs — can translate them.
-    pub fn canonicalize(&mut self) -> Vec<ApnSym> {
+    pub fn canonicalize(&mut self) {
         let (table, remap) = self.apns.canonicalized();
         self.apns = table;
         // The remap is pure per row, so the row rewrite fans out over
@@ -413,7 +404,6 @@ impl DevicesCatalog {
         par::par_each_mut(&mut entries, |entry| {
             entry.apns = entry.apns.iter().map(|s| remap[s.index()]).collect();
         });
-        remap
     }
 
     /// Number of distinct devices seen across the window.
@@ -600,15 +590,15 @@ mod tests {
         let mut a = build(&["zeta.gprs", "alpha.gprs"]);
         let mut b = build(&["alpha.gprs", "zeta.gprs"]);
         assert_ne!(a.apn_table(), b.apn_table());
-        let remap_a = a.canonicalize();
+        a.canonicalize();
         b.canonicalize();
         assert!(a.apn_table().is_canonical());
         assert_eq!(a.apn_table(), b.apn_table());
         let (ra, rb) = (a.get(1, Day(0)).unwrap(), b.get(1, Day(0)).unwrap());
         assert_eq!(ra, rb);
-        // The remap translates old symbols to canonical ones.
-        assert_eq!(a.apn_str(remap_a[0]), "zeta.gprs");
-        assert_eq!(a.apn_str(remap_a[1]), "alpha.gprs");
+        // Row symbols were remapped along with the table.
+        let strings: Vec<&str> = ra.apns.iter().map(|&sym| a.apn_str(sym)).collect();
+        assert_eq!(strings, ["alpha.gprs", "zeta.gprs"]);
     }
 
     #[test]

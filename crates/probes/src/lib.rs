@@ -45,4 +45,4 @@ pub use catalog::{CatalogEntry, DevicesCatalog};
 pub use faults::LossySink;
 pub use m2m::M2mProbe;
 pub use mno::MnoProbe;
-pub use records::{Cdr, M2mMessageType, M2mTransaction, RadioEventRecord, Xdr};
+pub use records::{M2mMessageType, M2mTransaction};

@@ -13,10 +13,9 @@
 //! * foreign SIM attached to a foreign network → invisible.
 //!
 //! Every visible event is folded into the daily devices-catalog on the
-//! fly; raw records can optionally be retained for tests and small runs.
+//! fly and then dropped; the probe keeps only per-record counters.
 
 use crate::catalog::DevicesCatalog;
-use crate::records::{Cdr, CdrKind, RadioEventRecord, Xdr};
 use serde::{Deserialize, Serialize};
 use wtr_model::hash::{anonymize_u64, AnonKey};
 use wtr_model::ids::{ImsiRange, Plmn};
@@ -65,12 +64,9 @@ impl ElementLoad {
 /// its steady state is **O(devices × active days)** — the
 /// devices-catalog rows plus one [`ElementLoad`] per window day — and
 /// never O(events). Events fold into catalog rows on arrival and are
-/// dropped. The only opt-out is [`MnoProbe::retain_raw`], which keeps
-/// the per-event `raw_radio` / `raw_cdrs` / `raw_xdrs` vectors growing
-/// without bound; it exists for tests and small exploratory runs only
-/// and **must stay off on every production / scenario path** (the
-/// default constructor leaves it off, and nothing in `wtr-scenarios`
-/// or the CLI enables it).
+/// dropped; what survives of each record is its count
+/// ([`MnoProbe::radio_event_count`], [`MnoProbe::cdr_count`],
+/// [`MnoProbe::xdr_count`]) and its element load.
 #[derive(Debug, Clone)]
 pub struct MnoProbe {
     studied: Plmn,
@@ -80,16 +76,6 @@ pub struct MnoProbe {
     key: AnonKey,
     /// The daily devices-catalog built so far.
     pub catalog: DevicesCatalog,
-    /// Raw radio records. **Empty unless [`MnoProbe::retain_raw`] was
-    /// called** — the default path drops raw records after folding them
-    /// into the catalog, keeping the probe's memory independent of the
-    /// event count (see the struct-level memory contract).
-    pub raw_radio: Vec<RadioEventRecord>,
-    /// Raw CDRs (see `raw_radio`; empty unless raw retention is on).
-    pub raw_cdrs: Vec<Cdr>,
-    /// Raw xDRs (see `raw_radio`; empty unless raw retention is on).
-    pub raw_xdrs: Vec<Xdr>,
-    retain_raw: bool,
     designated_ranges: Vec<ImsiRange>,
     published_m2m_ranges: Vec<ImsiRange>,
     element_load: Vec<ElementLoad>,
@@ -114,10 +100,6 @@ impl MnoProbe {
             home_network,
             key,
             catalog: DevicesCatalog::new(window_days),
-            raw_radio: Vec::new(),
-            raw_cdrs: Vec::new(),
-            raw_xdrs: Vec::new(),
-            retain_raw: false,
             designated_ranges: Vec::new(),
             published_m2m_ranges: Vec::new(),
             element_load: vec![ElementLoad::default(); window_days as usize],
@@ -125,23 +107,6 @@ impl MnoProbe {
             cdr_count: 0,
             xdr_count: 0,
         }
-    }
-
-    /// Keeps raw record vectors in memory (tests / small runs only).
-    ///
-    /// This opts out of the probe's bounded-memory contract: with raw
-    /// retention on, memory grows **O(events)** instead of
-    /// O(devices × days). Never enable it on a scenario- or
-    /// production-scale path.
-    pub fn retain_raw(mut self) -> Self {
-        self.retain_raw = true;
-        self
-    }
-
-    /// Whether raw record retention is enabled (see
-    /// [`MnoProbe::retain_raw`]).
-    pub fn retains_raw(&self) -> bool {
-        self.retain_raw
     }
 
     /// Registers an operator-designated IMSI range (e.g. the SMIP smart-
@@ -210,10 +175,6 @@ impl MnoProbe {
             home_network: self.home_network.clone(),
             key: self.key,
             catalog: DevicesCatalog::new(window_days),
-            raw_radio: Vec::new(),
-            raw_cdrs: Vec::new(),
-            raw_xdrs: Vec::new(),
-            retain_raw: self.retain_raw,
             designated_ranges: self.designated_ranges.clone(),
             published_m2m_ranges: self.published_m2m_ranges.clone(),
             element_load: vec![ElementLoad::default(); self.element_load.len()],
@@ -225,8 +186,7 @@ impl MnoProbe {
 
     /// Folds another probe (built from a *later* slice of the event
     /// stream) into this one. Catalog rows merge with first-touch identity
-    /// preserved, raw records append in stream order, element loads and
-    /// counters add.
+    /// preserved, element loads and counters add.
     ///
     /// This is the shard-merge of the sharded scenario runners:
     /// shard probes tap disjoint device populations, so every keyed merge
@@ -238,14 +198,7 @@ impl MnoProbe {
     /// absorbing arbitrarily partitioned shard probes reproduces the
     /// single-probe serial fold exactly.
     pub fn absorb(&mut self, other: MnoProbe) {
-        let apn_remap = self.catalog.merge(other.catalog);
-        self.raw_radio.extend(other.raw_radio);
-        self.raw_cdrs.extend(other.raw_cdrs);
-        self.raw_xdrs
-            .extend(other.raw_xdrs.into_iter().map(|mut x| {
-                x.apn = apn_remap[x.apn.index()];
-                x
-            }));
+        self.catalog.merge(other.catalog);
         for (mine, theirs) in self.element_load.iter_mut().zip(other.element_load) {
             mine.merge(theirs);
         }
@@ -255,17 +208,13 @@ impl MnoProbe {
     }
 
     /// Rewrites the catalog into canonical APN-symbol form (sorted
-    /// table, see [`DevicesCatalog::canonicalize`]) and remaps any
-    /// retained raw xDRs through the same symbol remap. Sharded and
+    /// table, see [`DevicesCatalog::canonicalize`]). Sharded and
     /// serial runs intern APNs in different first-occurrence orders
     /// (the interleaving of devices differs); canonical form is the
     /// common fixpoint both converge to, making probe state comparable
     /// — and byte-identical once serialized — across shard counts.
     pub fn canonicalize(&mut self) {
-        let remap = self.catalog.canonicalize();
-        for x in &mut self.raw_xdrs {
-            x.apn = remap[x.apn.index()];
-        }
+        self.catalog.canonicalize();
     }
 }
 
@@ -311,20 +260,6 @@ impl EventSink for MnoProbe {
                     let pos = self.home_network.sector_position(sector);
                     row.mobility.add(pos, 1.0);
                 }
-                if self.retain_raw {
-                    if let Some(sector) = sig.sector {
-                        self.raw_radio.push(RadioEventRecord {
-                            user,
-                            sim_plmn: sig.imsi.plmn(),
-                            tac,
-                            sector,
-                            rat: sig.rat,
-                            time: sig.time,
-                            event: sig.procedure,
-                            result: sig.result,
-                        });
-                    }
-                }
             }
             SimEvent::Voice(v) => {
                 let Some(label) = self.label_for(v.imsi.plmn(), v.visited) else {
@@ -356,21 +291,6 @@ impl EventSink for MnoProbe {
                     row.sector_set.insert(v.sector.raw());
                     row.mobility
                         .add(self.home_network.sector_position(v.sector), 1.0);
-                }
-                if self.retain_raw {
-                    self.raw_cdrs.push(Cdr {
-                        user,
-                        sim_plmn: v.imsi.plmn(),
-                        visited_plmn: v.visited,
-                        tac,
-                        rat: v.rat,
-                        time: v.time,
-                        kind: match v.kind {
-                            VoiceKind::Call => CdrKind::Call,
-                            VoiceKind::SmsLike => CdrKind::Sms,
-                        },
-                        duration_secs: v.duration_secs,
-                    });
                 }
             }
             SimEvent::Data(d) => {
@@ -405,20 +325,6 @@ impl EventSink for MnoProbe {
                     row.sector_set.insert(d.sector.raw());
                     row.mobility
                         .add(self.home_network.sector_position(d.sector), 1.0);
-                }
-                if self.retain_raw {
-                    self.raw_xdrs.push(Xdr {
-                        user,
-                        sim_plmn: d.imsi.plmn(),
-                        visited_plmn: d.visited,
-                        tac,
-                        rat: d.rat,
-                        time: d.time,
-                        duration_secs: d.duration_secs,
-                        bytes_up: d.bytes_up,
-                        bytes_down: d.bytes_down,
-                        apn: apn_sym,
-                    });
                 }
             }
         }
@@ -461,7 +367,6 @@ mod tests {
             AnonKey::FIXED,
             22,
         )
-        .retain_raw()
     }
 
     fn sector() -> wtr_radio::sector::SectorId {
@@ -585,7 +490,7 @@ mod tests {
         assert_eq!(row.call_secs, 90);
         assert!(row.radio_flags.voice.contains(Rat::G2));
         assert!(row.used_voice() && !row.used_data());
-        assert_eq!(p.raw_cdrs.len(), 1);
+        assert_eq!(p.cdr_count(), 1);
     }
 
     #[test]
@@ -595,22 +500,6 @@ mod tests {
         p.on_event(&sig_event(imsi, MNO, true));
         let row = p.catalog.iter().next().unwrap();
         assert_eq!(row.label, RoamingLabel::VH);
-    }
-
-    #[test]
-    fn raw_retention_off_by_default() {
-        let mut p = MnoProbe::new(
-            MNO,
-            OperatorRegistry::standard(2),
-            home_network(),
-            AnonKey::FIXED,
-            22,
-        );
-        let imsi = Imsi::new(NL, 12).unwrap();
-        p.on_event(&sig_event(imsi, MNO, true));
-        p.on_event(&data_event(imsi, MNO));
-        assert!(p.raw_radio.is_empty() && p.raw_xdrs.is_empty());
-        assert_eq!(p.catalog.len(), 1, "catalog still built");
     }
 
     #[test]

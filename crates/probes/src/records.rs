@@ -1,17 +1,15 @@
-//! Record schemas — the exact fields the paper's datasets carry.
+//! Record schema of the M2M platform dataset — the exact fields §3.1
+//! lists.
 //!
 //! Nothing in a record identifies a subscriber (IDs are one-way hashes) and
-//! nothing reveals simulation ground truth. Records are what operators
-//! exchange, store and analyze; the whole `wtr-core` pipeline consumes only
-//! these types.
+//! nothing reveals simulation ground truth. The visited-MNO side keeps no
+//! per-event records at all: its probe folds radio events, CDRs and xDRs
+//! into the daily devices-catalog on arrival (§4.1, [`crate::catalog`]).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use wtr_model::ids::{Plmn, Tac};
-use wtr_model::intern::ApnSym;
-use wtr_model::rat::Rat;
+use wtr_model::ids::Plmn;
 use wtr_model::time::SimTime;
-use wtr_radio::sector::SectorId;
 use wtr_sim::events::{ProcedureResult, ProcedureType};
 
 /// Message types of the M2M platform dataset: "message type (either
@@ -78,96 +76,6 @@ pub struct M2mTransaction {
     pub result: ProcedureResult,
 }
 
-/// One radio-interface event of the MNO dataset (§4.1): "the anonymized
-/// user ID, SIM MCC and MNC, Type Allocation Code, the sector ID handling
-/// the communication, timestamp, event type, event result code".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RadioEventRecord {
-    /// Anonymized user ID.
-    pub user: u64,
-    /// SIM home PLMN.
-    pub sim_plmn: Plmn,
-    /// Device TAC (first 8 IMEI digits).
-    pub tac: Tac,
-    /// Serving sector.
-    pub sector: SectorId,
-    /// RAT of the serving sector.
-    pub rat: Rat,
-    /// Timestamp.
-    pub time: SimTime,
-    /// Event type.
-    pub event: ProcedureType,
-    /// Event result code.
-    pub result: ProcedureResult,
-}
-
-/// Kind of service in a CDR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CdrKind {
-    /// Voice call.
-    Call,
-    /// SMS-like short transaction.
-    Sms,
-}
-
-/// One Call Detail Record — aggregate voice usage (§4.1). Unlike radio
-/// events, CDRs exist for outbound roamers too (they drive roaming revenue
-/// clearing, §2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Cdr {
-    /// Anonymized user ID.
-    pub user: u64,
-    /// SIM home PLMN.
-    pub sim_plmn: Plmn,
-    /// Visited network PLMN.
-    pub visited_plmn: Plmn,
-    /// Device TAC.
-    pub tac: Tac,
-    /// RAT used.
-    pub rat: Rat,
-    /// Timestamp.
-    pub time: SimTime,
-    /// Service kind.
-    pub kind: CdrKind,
-    /// Call duration in seconds (0 for SMS-like).
-    pub duration_secs: u32,
-}
-
-/// One eXtended Detail Record — aggregate data usage (§4.1). "Data records
-/// also report APN strings."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Xdr {
-    /// Anonymized user ID.
-    pub user: u64,
-    /// SIM home PLMN.
-    pub sim_plmn: Plmn,
-    /// Visited network PLMN.
-    pub visited_plmn: Plmn,
-    /// Device TAC.
-    pub tac: Tac,
-    /// RAT used.
-    pub rat: Rat,
-    /// Timestamp.
-    pub time: SimTime,
-    /// Session duration in seconds.
-    pub duration_secs: u32,
-    /// Uplink bytes.
-    pub bytes_up: u64,
-    /// Downlink bytes.
-    pub bytes_down: u64,
-    /// Interned APN of the session, resolved through the producing
-    /// probe's catalog [`wtr_model::intern::ApnTable`]. The record is
-    /// fully `Copy`: APN strings live once in the table, not per xDR.
-    pub apn: ApnSym,
-}
-
-impl Xdr {
-    /// Total bytes both directions.
-    pub fn bytes_total(&self) -> u64 {
-        self.bytes_up + self.bytes_down
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,23 +102,6 @@ mod tests {
         // Local procedures never reach the home network.
         assert_eq!(M2mMessageType::from_procedure(P::RoutingAreaUpdate), None);
         assert_eq!(M2mMessageType::from_procedure(P::Detach), None);
-    }
-
-    #[test]
-    fn xdr_total() {
-        let x = Xdr {
-            user: 1,
-            sim_plmn: Plmn::of(204, 4),
-            visited_plmn: Plmn::of(234, 30),
-            tac: Tac::new(35_000_000).unwrap(),
-            rat: Rat::G2,
-            time: SimTime::ZERO,
-            duration_secs: 30,
-            bytes_up: 1_700,
-            bytes_down: 300,
-            apn: ApnSym::from_raw(0),
-        };
-        assert_eq!(x.bytes_total(), 2_000);
     }
 
     #[test]
