@@ -126,11 +126,10 @@ fn bench(c: &mut Criterion) {
         })
     });
     g.bench_function("catalog_jsonl_read", |b| {
-        b.iter(|| probe_io::read_catalog(black_box(&jsonl[..])).unwrap())
+        b.iter(|| probe_io::read_catalog_auto(black_box(&jsonl[..])).unwrap())
     });
-    // Ablation: same reader with the zero-copy scanner disabled — every
-    // line goes through the serde fallback path. The delta is the serde
-    // tax the scanner removes.
+    // The same reader with serde parsing every line instead of the
+    // zero-copy scanner. The delta is the serde tax the scanner removes.
     g.bench_function("catalog_jsonl_read_serde", |b| {
         b.iter(|| probe_io::read_catalog_serde(black_box(&jsonl[..])).unwrap())
     });
@@ -138,7 +137,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| wire::encode_catalog(black_box(catalog)))
     });
     g.bench_function("catalog_wtrcat_decode", |b| {
-        b.iter(|| wire::decode_catalog(black_box(&wtrcat)).unwrap())
+        b.iter(|| probe_io::read_catalog_auto(black_box(&wtrcat[..])).unwrap())
     });
     g.bench_function("wtrm2m_encode", |b| {
         b.iter(|| wire::encode_log(black_box(txs)))

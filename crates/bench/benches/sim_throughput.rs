@@ -6,7 +6,7 @@
 //! printed as JSON (skippable with `WTR_BENCH_SUMMARY=0` so smoke runs
 //! stay cheap); Criterion then times the same paths properly. The
 //! one-shot summary also times the zero-copy scanner against the serde
-//! reader (`read_catalog` vs `read_catalog_serde`). `sched_storm` times
+//! reader (`read_catalog_auto` vs `read_catalog_serde`). `sched_storm` times
 //! a firmware-campaign storm — N agents all waking in the same second,
 //! per Finley & Vesselkov's synchronized firmware-update signaling
 //! storms — where every pop ties on time and resolves on the tie-break
@@ -114,7 +114,7 @@ fn bench(c: &mut Criterion) {
         let output = MnoScenario::new(big.clone()).run();
         let mut jsonl = Vec::new();
         probe_io::write_catalog(&mut jsonl, &output.catalog).unwrap();
-        let ingest_ms = time_ms(3, || probe_io::read_catalog(jsonl.as_slice()).unwrap());
+        let ingest_ms = time_ms(3, || probe_io::read_catalog_auto(jsonl.as_slice()).unwrap());
         parts.push(format!("\"jsonl_read_catalog_ms\":{ingest_ms:.1}"));
         let serde_ms = time_ms(3, || {
             probe_io::read_catalog_serde(jsonl.as_slice()).unwrap()
@@ -162,7 +162,7 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("jsonl_ingest");
     g.sample_size(10);
     g.bench_function("read_catalog_borrowed_lines", |b| {
-        b.iter(|| probe_io::read_catalog(black_box(jsonl.as_slice())).unwrap())
+        b.iter(|| probe_io::read_catalog_auto(black_box(jsonl.as_slice())).unwrap())
     });
     g.finish();
 }

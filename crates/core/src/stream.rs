@@ -78,16 +78,20 @@ pub const METRICS: [TrafficMetric; 3] = [
     TrafficMetric::BytesPerDay,
 ];
 
-/// Everything the analysis pipeline needs from a catalog, produced
-/// without ever materializing the catalog itself.
+/// Everything the analysis pipeline needs from a catalog, whichever
+/// route produced it ([`stream_catalog`] from a file,
+/// [`materialize_catalog`] from memory).
 ///
-/// `Clone` + serde so a sealed snapshot can be cached (or shipped)
-/// without re-folding the catalog — the `wtr_serve` snapshot surface.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+/// APN symbols are always in canonical form (sorted table, symbol =
+/// sorted rank), so nothing downstream can see how a reader happened to
+/// number them: a fold that takes a device's first matching APN picks
+/// the same one from a JSONL file, a `WTRCAT` file or a resident
+/// catalog.
+#[derive(Debug, Clone)]
 pub struct StreamedCatalog {
     /// Per-device summaries (canonical user order).
     pub summaries: Vec<DeviceSummary>,
-    /// The interned APN table the summaries' symbols resolve through.
+    /// The canonical APN table the summaries' symbols resolve through.
     pub apns: ApnTable,
     /// Window length in days.
     pub window_days: u32,
@@ -101,9 +105,8 @@ pub struct StreamedCatalog {
 /// memory: one chunked pass feeds summary accumulation and the label
 /// shares simultaneously; rows are dropped chunk by chunk.
 ///
-/// Byte-identical to `read_catalog_auto` followed by
-/// [`crate::summary::summarize`] and
-/// [`crate::analysis::population::label_shares`]: the stream re-chunks
+/// Byte-identical to [`materialize_catalog`] over the catalog
+/// `read_catalog_auto` returns for the same file: the stream re-chunks
 /// at [`wtr_sim::par::chunk_size`] of the declared row count, the same
 /// boundaries the materialized path folds with.
 pub fn stream_catalog<R: BufRead>(input: R) -> Result<StreamedCatalog, IoError> {
@@ -113,8 +116,9 @@ pub fn stream_catalog<R: BufRead>(input: R) -> Result<StreamedCatalog, IoError> 
     let rows = drive(&mut stream, &mut sinks)?;
     let apns = stream.finish()?;
     let (summary_fold, label_fold) = sinks;
+    let (summaries, apns) = canonical_symbols(summary_fold.finish(), &apns);
     Ok(StreamedCatalog {
-        summaries: summary_fold.finish(),
+        summaries,
         apns,
         window_days,
         rows,
@@ -122,27 +126,37 @@ pub fn stream_catalog<R: BufRead>(input: R) -> Result<StreamedCatalog, IoError> 
     })
 }
 
-/// [`StreamedCatalog`] built from an in-memory catalog — the
-/// materialized entry point to the same downstream [`analyze`] call.
+/// [`StreamedCatalog`] built from an in-memory catalog — the resident
+/// entry point to the same downstream [`analyze`] call (`wtr_serve`
+/// reports, and the batch reference of the equivalence tests).
 pub fn materialize_catalog(catalog: &DevicesCatalog) -> StreamedCatalog {
+    let (summaries, apns) =
+        canonical_symbols(crate::summary::summarize(catalog), catalog.apn_table());
     StreamedCatalog {
-        summaries: crate::summary::summarize(catalog),
-        apns: catalog.apn_table().clone(),
+        summaries,
+        apns,
         window_days: catalog.window_days(),
         rows: catalog.len() as u64,
         label_shares: crate::analysis::population::label_shares(catalog),
     }
 }
 
+/// Renumbers the summaries' APN symbols into canonical form: returns
+/// them with the sorted table their remapped symbols resolve through.
+fn canonical_symbols(
+    mut summaries: Vec<DeviceSummary>,
+    apns: &ApnTable,
+) -> (Vec<DeviceSummary>, ApnTable) {
+    let (table, remap) = apns.canonicalized();
+    for summary in summaries.iter_mut().filter(|s| !s.apns.is_empty()) {
+        summary.apns = summary.apns.iter().map(|sym| remap[sym.index()]).collect();
+    }
+    (summaries, table)
+}
+
 /// Every per-summary analysis table of the reporting pipeline, computed
 /// by [`analyze`] in one broadcast pass.
-///
-/// `Clone` + canonical serde across the whole suite (every member table
-/// already serializes canonically — `BTreeMap` keys, stable vector
-/// orders), so one computed suite can be cached per absorb generation
-/// and served repeatedly without re-folding: the `wtr_serve` response
-/// cache stores exactly this.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnalysisSuite {
     /// The §4.3 classification.
     pub classification: Classification,
@@ -315,36 +329,27 @@ mod tests {
     }
 
     #[test]
-    fn stream_catalog_matches_materialized_jsonl() {
+    fn stream_catalog_matches_materialized() {
         let cat = catalog();
-        let mut buf = Vec::new();
-        write_catalog(&mut buf, &cat).unwrap();
-        let streamed = stream_catalog(buf.as_slice()).unwrap();
         let materialized = materialize_catalog(&cat);
-        assert_eq!(streamed.rows, materialized.rows);
-        assert_eq!(streamed.window_days, materialized.window_days);
-        assert_eq!(
-            serde_json::to_string(&streamed.summaries).unwrap(),
-            serde_json::to_string(&materialized.summaries).unwrap()
-        );
-        assert_eq!(
-            serde_json::to_string(&streamed.label_shares).unwrap(),
-            serde_json::to_string(&materialized.label_shares).unwrap()
-        );
-    }
-
-    #[test]
-    fn stream_catalog_matches_materialized_wtrcat() {
-        let cat = catalog();
-        let mut buf = Vec::new();
-        write_catalog_bin(&mut buf, &cat).unwrap();
-        let streamed = stream_catalog(buf.as_slice()).unwrap();
-        let materialized = materialize_catalog(&cat);
-        assert_eq!(
-            serde_json::to_string(&streamed.summaries).unwrap(),
-            serde_json::to_string(&materialized.summaries).unwrap()
-        );
-        assert_eq!(streamed.apns.strings(), materialized.apns.strings());
+        let mut jsonl = Vec::new();
+        write_catalog(&mut jsonl, &cat).unwrap();
+        let mut wtrcat = Vec::new();
+        write_catalog_bin(&mut wtrcat, &cat).unwrap();
+        for file in [jsonl, wtrcat] {
+            let streamed = stream_catalog(file.as_slice()).unwrap();
+            assert_eq!(streamed.rows, materialized.rows);
+            assert_eq!(streamed.window_days, materialized.window_days);
+            assert_eq!(streamed.apns, materialized.apns);
+            assert_eq!(
+                serde_json::to_string(&streamed.summaries).unwrap(),
+                serde_json::to_string(&materialized.summaries).unwrap()
+            );
+            assert_eq!(
+                serde_json::to_string(&streamed.label_shares).unwrap(),
+                serde_json::to_string(&materialized.label_shares).unwrap()
+            );
+        }
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! * **transactions** — one [`M2mTransaction`] per line (the §3.1 schema);
 //! * **catalog** — one [`CatalogEntry`] per line, preceded by a single
 //!   header line carrying the window length.
+//!
+//! Catalogs also have a columnar binary form, `WTRCAT` ([`crate::wire`]).
+//! Both catalog formats have exactly one decoder, [`CatalogStream`]:
+//! [`read_catalog_auto`] drains it into a [`DevicesCatalog`], and every
+//! other catalog reader in the workspace pulls chunks from it.
 
 use crate::catalog::{CatalogEntry, DevicesCatalog, MobilityAccum};
 use crate::records::M2mTransaction;
@@ -106,9 +111,10 @@ fn numbered_line_slices(text: &str, first_line: usize) -> Vec<(usize, &str)> {
         .collect()
 }
 
-/// Parses numbered JSONL lines in parallel (`wtr_sim::par`), preserving
-/// line order; on failure, the error reports the *earliest* bad line,
-/// exactly as a serial reader would.
+/// Parses numbered JSONL lines in parallel (`wtr_sim::par`) into one
+/// result per line, in line order — so a caller that stops at the first
+/// error reports the *earliest* bad line, exactly as a serial reader
+/// would.
 ///
 /// Each line first goes through the schema-specialized scanner
 /// ([`crate::scan`]); lines that deviate from the canonical shape fall
@@ -117,7 +123,7 @@ fn numbered_line_slices(text: &str, first_line: usize) -> Vec<(usize, &str)> {
 /// [`parse_lines_serde`] on every input.
 fn parse_lines<T: serde::Deserialize + scan::FastParse + Send>(
     lines: &[(usize, &str)],
-) -> Result<Vec<T>, IoError> {
+) -> Vec<Result<T, IoError>> {
     par::par_map(lines, |(num, line)| {
         if let Some(v) = T::fast_parse(line) {
             return Ok(v);
@@ -127,24 +133,20 @@ fn parse_lines<T: serde::Deserialize + scan::FastParse + Send>(
             message: e.to_string(),
         })
     })
-    .into_iter()
-    .collect()
 }
 
 /// Serde-only twin of [`parse_lines`]: the reference implementation the
 /// scanner's fallback contract is checked against (equivalence tests and
-/// the `io_throughput` ablation benches).
+/// the `io_throughput` benches).
 fn parse_lines_serde<T: serde::Deserialize + Send>(
     lines: &[(usize, &str)],
-) -> Result<Vec<T>, IoError> {
+) -> Vec<Result<T, IoError>> {
     par::par_map(lines, |(num, line)| {
         serde_json::from_str::<T>(line).map_err(|e| IoError::Parse {
             line: *num,
             message: e.to_string(),
         })
     })
-    .into_iter()
-    .collect()
 }
 
 /// Reads a transaction log written by [`write_transactions`] (or produced
@@ -155,6 +157,8 @@ pub fn read_transactions<R: BufRead>(mut input: R) -> Result<Vec<M2mTransaction>
     let mut text = String::new();
     input.read_to_string(&mut text)?;
     parse_lines(&numbered_line_slices(&text, 1))
+        .into_iter()
+        .collect()
 }
 
 /// [`read_transactions`] without the scanner fast path: the serde-only
@@ -163,6 +167,8 @@ pub fn read_transactions_serde<R: BufRead>(mut input: R) -> Result<Vec<M2mTransa
     let mut text = String::new();
     input.read_to_string(&mut text)?;
     parse_lines_serde(&numbered_line_slices(&text, 1))
+        .into_iter()
+        .collect()
 }
 
 /// The JSONL wire form of one catalog row: identical field names and
@@ -305,8 +311,7 @@ impl CatalogRowWire {
 
     /// Builds the in-memory entry, interning this wire row's APN strings
     /// through `intern` (in sorted-string order — the order the wire
-    /// `BTreeSet` iterates). Shared by the materialized install path and
-    /// the streaming reader, so both intern in exactly the same order.
+    /// `BTreeSet` iterates).
     fn into_entry(self, mut intern: impl FnMut(&str) -> ApnSym) -> CatalogEntry {
         let apns: BTreeSet<ApnSym> = self.apns.iter().map(|a| intern(a)).collect();
         CatalogEntry {
@@ -332,15 +337,6 @@ impl CatalogRowWire {
             in_published_m2m_range: self.in_published_m2m_range,
             mobility: self.mobility,
         }
-    }
-
-    /// Interns this wire row's APN strings into `catalog` and installs
-    /// the row.
-    fn install(self, catalog: &mut DevicesCatalog) {
-        let (user, day, sim_plmn, tac, label) =
-            (self.user, self.day, self.sim_plmn, self.tac, self.label);
-        let entry = self.into_entry(|a| catalog.intern_apn(a));
-        *catalog.row_mut(user, day, sim_plmn, tac, label) = entry;
     }
 }
 
@@ -371,63 +367,6 @@ pub fn write_catalog<W: Write>(mut out: W, catalog: &DevicesCatalog) -> Result<(
     Ok(())
 }
 
-/// Reads a devices-catalog written by [`write_catalog`]. APN strings are
-/// interned in row order (rows are parsed in parallel but installed in
-/// input order), so the rebuilt catalog — table included — is identical
-/// at any thread count.
-pub fn read_catalog<R: BufRead>(input: R) -> Result<DevicesCatalog, IoError> {
-    read_catalog_impl(input, parse_lines::<CatalogRowWire>)
-}
-
-/// [`read_catalog`] without the scanner fast path: the serde-only
-/// reference reader (equivalence tests and ablation benches).
-pub fn read_catalog_serde<R: BufRead>(input: R) -> Result<DevicesCatalog, IoError> {
-    read_catalog_impl(input, parse_lines_serde::<CatalogRowWire>)
-}
-
-/// Line-batch parser signature shared by the scanner-backed and
-/// serde-only catalog readers.
-type RowParser = fn(&[(usize, &str)]) -> Result<Vec<CatalogRowWire>, IoError>;
-
-fn read_catalog_impl<R: BufRead>(
-    mut input: R,
-    parse: RowParser,
-) -> Result<DevicesCatalog, IoError> {
-    let mut text = String::new();
-    input.read_to_string(&mut text)?;
-    let mut lines = text.lines();
-    let header_line = lines
-        .next()
-        .ok_or_else(|| IoError::BadHeader("empty input".into()))?;
-    let header: CatalogHeader =
-        serde_json::from_str(header_line).map_err(|e| IoError::BadHeader(e.to_string()))?;
-    if header.format != CATALOG_FORMAT {
-        return Err(IoError::BadHeader(format!(
-            "unknown format {:?}",
-            header.format
-        )));
-    }
-    // Row lines start on physical line 2; slices borrow from `text`.
-    let body = match text.find('\n') {
-        Some(i) => &text[i + 1..],
-        None => "",
-    };
-    let numbered = numbered_line_slices(body, 2);
-    let wires: Vec<CatalogRowWire> = parse(&numbered)?;
-    let count = wires.len();
-    let mut catalog = DevicesCatalog::new(header.window_days);
-    for wire in wires {
-        wire.install(&mut catalog);
-    }
-    if count != header.rows {
-        return Err(IoError::BadHeader(format!(
-            "header promised {} rows, found {count}",
-            header.rows
-        )));
-    }
-    Ok(catalog)
-}
-
 /// Writes a devices-catalog in the columnar binary `WTRCAT` format
 /// ([`crate::wire::encode_catalog`]) — typically 5–10× smaller than the
 /// JSONL export and decoded in parallel row-group chunks.
@@ -437,23 +376,37 @@ pub fn write_catalog_bin<W: Write>(mut out: W, catalog: &DevicesCatalog) -> Resu
     Ok(())
 }
 
-/// Reads a `WTRCAT` catalog written by [`write_catalog_bin`].
-pub fn read_catalog_bin<R: io::Read>(mut input: R) -> Result<DevicesCatalog, IoError> {
-    let mut bytes = Vec::new();
-    input.read_to_end(&mut bytes)?;
-    crate::wire::decode_catalog(&bytes).map_err(|e| IoError::BadHeader(e.to_string()))
+/// Reads a devices-catalog in either format (JSONL or `WTRCAT`,
+/// sniffed like [`CatalogStream::new`]) by draining a [`CatalogStream`].
+pub fn read_catalog_auto<R: BufRead>(input: R) -> Result<DevicesCatalog, IoError> {
+    drain(CatalogStream::new(input)?)
 }
 
-/// Reads a devices-catalog in either format, sniffing the `WTRCAT` magic:
-/// binary files start with it, JSONL files start with `{`.
-pub fn read_catalog_auto<R: BufRead>(mut input: R) -> Result<DevicesCatalog, IoError> {
-    let head = input.fill_buf()?;
-    let magic = crate::wire::CAT_MAGIC;
-    if head.len() >= magic.len() && &head[..magic.len()] == magic {
-        read_catalog_bin(input)
-    } else {
-        read_catalog(input)
+/// [`read_catalog_auto`] with serde parsing every JSONL row: the
+/// reference the zero-copy scanner is checked against (equivalence tests
+/// and the `io_throughput` bench). `WTRCAT` input decodes exactly as in
+/// [`read_catalog_auto`].
+pub fn read_catalog_serde<R: BufRead>(input: R) -> Result<DevicesCatalog, IoError> {
+    drain(CatalogStream::with_parser(
+        input,
+        parse_lines_serde::<CatalogRowWire>,
+    )?)
+}
+
+/// Collects a stream into a catalog. Rows keep the stream's symbols:
+/// interning the stream's final table, in order, into the fresh catalog
+/// issues exactly those symbols.
+fn drain<R: BufRead>(mut stream: CatalogStream<R>) -> Result<DevicesCatalog, IoError> {
+    let mut catalog = DevicesCatalog::new(stream.window_days());
+    while let Some(chunk) = stream.next_chunk()? {
+        for row in chunk {
+            catalog.insert_entry(row);
+        }
     }
+    for apn in stream.finish()?.strings() {
+        catalog.intern_apn(apn);
+    }
+    Ok(catalog)
 }
 
 /// Reads exactly `n` bytes from `r`.
@@ -477,15 +430,53 @@ fn read_exact_vec<R: Read>(r: &mut R, n: usize, what: &str) -> Result<Vec<u8>, I
     Ok(buf)
 }
 
+/// [`read_exact_vec`] inside the `WTRCAT` header region (fixed fields
+/// and table strings): input that ends there is a malformed header,
+/// not an IO failure.
+fn read_header_vec<R: Read>(r: &mut R, n: usize, what: &str) -> Result<Vec<u8>, IoError> {
+    read_exact_vec(r, n, what).map_err(|e| match e {
+        IoError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+            IoError::BadHeader(e.to_string())
+        }
+        e => e,
+    })
+}
+
+/// The one row-order rule of both catalog formats: each row's
+/// `(user, day)` must be strictly greater than the previous row's. The
+/// writers always emit this order, and [`DevicesCatalog`] keys and the
+/// downstream summary folds rely on it, so a repeated or swapped row is
+/// an error rather than something each reader resolves its own way.
+fn check_row_order(last: &mut Option<(u64, u32)>, row: &CatalogEntry) -> Result<(), String> {
+    let key = (row.user, row.day.0);
+    if let Some((user, day)) = *last {
+        if key <= (user, day) {
+            return Err(format!(
+                "row (user {}, day {}) does not follow row (user {user}, day {day}): \
+                 catalog rows must be strictly ascending by (user, day)",
+                key.0, key.1
+            ));
+        }
+    }
+    *last = Some(key);
+    Ok(())
+}
+
+/// How a [`CatalogStream`] parses a block of numbered JSONL row lines:
+/// [`parse_lines`], or [`parse_lines_serde`] behind
+/// [`read_catalog_serde`].
+type LineParser = fn(&[(usize, &str)]) -> Vec<Result<CatalogRowWire, IoError>>;
+
 /// Which on-disk format a [`CatalogStream`] is decoding.
 enum StreamBackend<R> {
     /// JSONL: rows parse in parallel per line block; APN strings intern
-    /// into the stream's growing table in row order (identical to
-    /// [`read_catalog`]'s serial install order). Lines accumulate into
-    /// one persistent block buffer (cleared but never shrunk between
-    /// refills) and parse as borrowed slices — no per-row `String`.
+    /// into the stream's growing table in row order. Lines accumulate
+    /// into one persistent block buffer (cleared but never shrunk
+    /// between refills) and parse as borrowed slices — no per-row
+    /// `String`.
     Jsonl {
         input: R,
+        parse: LineParser,
         /// 1-based number of the last physical line consumed.
         line_no: usize,
         /// Reusable block buffer holding the current refill's raw lines.
@@ -503,13 +494,14 @@ enum StreamBackend<R> {
 }
 
 /// A chunk-at-a-time devices-catalog reader: the [`RecordStream`]
-/// behind the bounded-memory pipeline.
+/// behind the bounded-memory pipeline, and the only decoder of catalog
+/// bytes — [`read_catalog_auto`] is a drain of it.
 ///
-/// Sniffs the format like [`read_catalog_auto`] (a `WTRCAT` magic means
-/// binary, anything else JSONL), reads the header eagerly — window
-/// length, declared row count and, for `WTRCAT`, the canonical APN
-/// table — then yields rows in file order **without ever materializing
-/// a [`DevicesCatalog`]**. Peak memory is O(chunk), not O(rows).
+/// Sniffs the format (a `WTRCAT` magic means binary, anything else
+/// JSONL), reads the header eagerly — window length, declared row count
+/// and, for `WTRCAT`, the canonical APN table — then yields rows in file
+/// order **without ever materializing a [`DevicesCatalog`]**. Peak
+/// memory is O(chunk), not O(rows).
 ///
 /// # Determinism and equivalence
 ///
@@ -519,17 +511,20 @@ enum StreamBackend<R> {
 ///   the same rows. Folds driven from this stream therefore execute the
 ///   exact same arithmetic, in the same order, as the materialized
 ///   path: byte-identical results, including floating-point bits.
-/// * APN symbols match the materialized readers exactly: JSONL interns
-///   in row order (like [`read_catalog`]), `WTRCAT` uses the file's
-///   canonical table (like [`wire::decode_catalog`]). Resolve the
-///   emitted rows' symbols through [`CatalogStream::apn_table`] /
-///   [`CatalogStream::finish`].
+/// * APN symbols: JSONL interns in row order (first occurrence),
+///   `WTRCAT` uses the file's canonical table. Resolve the emitted rows'
+///   symbols through the table [`CatalogStream::finish`] returns.
+/// * Rows must be strictly ascending by `(user, day)`, across chunk
+///   boundaries too: a repeated or swapped row fails the stream (for
+///   JSONL with [`IoError::Parse`] and the row's line number).
 pub struct CatalogStream<R> {
     backend: StreamBackend<R>,
     table: ApnTable,
     window_days: u32,
     declared_rows: u64,
     rows_seen: u64,
+    /// `(user, day)` of the last row decoded, for the row-order rule.
+    last_key: Option<(u64, u32)>,
     /// Rows per emitted chunk: `par::chunk_size(declared_rows)`.
     chunk_len: usize,
     pending: Vec<CatalogEntry>,
@@ -539,17 +534,22 @@ pub struct CatalogStream<R> {
 impl<R: BufRead> CatalogStream<R> {
     /// Opens a catalog stream over `input`, sniffing the format from
     /// the leading bytes and reading the header eagerly.
-    pub fn new(mut input: R) -> Result<Self, IoError> {
+    pub fn new(input: R) -> Result<Self, IoError> {
+        Self::with_parser(input, parse_lines::<CatalogRowWire>)
+    }
+
+    /// [`CatalogStream::new`] with `parse` as the JSONL row parser.
+    fn with_parser(mut input: R, parse: LineParser) -> Result<Self, IoError> {
         let head = input.fill_buf()?;
         let magic = wire::CAT_MAGIC;
         if head.len() >= magic.len() && &head[..magic.len()] == magic {
             Self::new_wtrcat(input)
         } else {
-            Self::new_jsonl(input)
+            Self::new_jsonl(input, parse)
         }
     }
 
-    fn new_jsonl(mut input: R) -> Result<Self, IoError> {
+    fn new_jsonl(mut input: R, parse: LineParser) -> Result<Self, IoError> {
         let mut header_line = String::new();
         if input.read_line(&mut header_line)? == 0 {
             return Err(IoError::BadHeader("empty input".into()));
@@ -566,6 +566,7 @@ impl<R: BufRead> CatalogStream<R> {
         Ok(CatalogStream {
             backend: StreamBackend::Jsonl {
                 input,
+                parse,
                 line_no: 1,
                 buf: String::new(),
                 spans: Vec::new(),
@@ -574,6 +575,7 @@ impl<R: BufRead> CatalogStream<R> {
             window_days: header.window_days,
             declared_rows,
             rows_seen: 0,
+            last_key: None,
             chunk_len: par::chunk_size(header.rows),
             pending: Vec::new(),
             exhausted: false,
@@ -588,16 +590,16 @@ impl<R: BufRead> CatalogStream<R> {
         // bounded by the input's actual remaining bytes, see
         // `read_exact_vec`) and the accumulated region re-parsed by the
         // wire decoder — one source of truth for table validation.
-        let mut raw = read_exact_vec(&mut input, wire::CAT_FIXED_LEN, "header")?;
+        let mut raw = read_header_vec(&mut input, wire::CAT_FIXED_LEN, "header")?;
         let fixed = wire::decode_catalog_fixed(&mut &raw[..])
             .map_err(|e| IoError::BadHeader(e.to_string()))?;
         let rows = usize::try_from(fixed.rows)
             .map_err(|_| IoError::BadHeader("declared row count overflows usize".into()))?;
         for _ in 0..fixed.table_len {
-            let len_bytes = read_exact_vec(&mut input, 2, "APN string length")?;
+            let len_bytes = read_header_vec(&mut input, 2, "APN string length")?;
             let len = u16::from_le_bytes(len_bytes[..].try_into().expect("2 bytes")) as usize;
             raw.extend_from_slice(&len_bytes);
-            raw.extend_from_slice(&read_exact_vec(&mut input, len, "APN string bytes")?);
+            raw.extend_from_slice(&read_header_vec(&mut input, len, "APN string bytes")?);
         }
         let mut slice = &raw[..];
         let header = wire::decode_catalog_header(&mut slice)
@@ -614,6 +616,7 @@ impl<R: BufRead> CatalogStream<R> {
             window_days: header.window_days,
             declared_rows,
             rows_seen: 0,
+            last_key: None,
             chunk_len: par::chunk_size(rows),
             pending: Vec::new(),
             exhausted: false,
@@ -625,28 +628,11 @@ impl<R: BufRead> CatalogStream<R> {
         self.window_days
     }
 
-    /// Row count declared by the header (validated by
-    /// [`CatalogStream::finish`]).
-    pub fn declared_rows(&self) -> u64 {
-        self.declared_rows
-    }
-
-    /// Rows decoded so far.
-    pub fn rows_seen(&self) -> u64 {
-        self.rows_seen
-    }
-
-    /// The APN table emitted rows' symbols resolve through. For JSONL
-    /// inputs the table **grows while streaming** (first-occurrence
-    /// interning in row order) — resolve symbols only after the stream
-    /// is exhausted. `WTRCAT` tables are complete (and canonical) from
-    /// the start.
-    pub fn apn_table(&self) -> &ApnTable {
-        &self.table
-    }
-
     /// Validates the end-of-stream invariants (stream exhausted, row
-    /// count matches the header) and returns the final APN table.
+    /// count matches the header) and returns the final APN table the
+    /// emitted rows' symbols resolve through. For JSONL the table grows
+    /// while streaming (first-occurrence interning in row order), so
+    /// resolve symbols only through this final table.
     pub fn finish(self) -> Result<ApnTable, IoError> {
         if !self.exhausted || !self.pending.is_empty() {
             return Err(IoError::BadHeader(
@@ -668,6 +654,7 @@ impl<R: BufRead> CatalogStream<R> {
         match &mut self.backend {
             StreamBackend::Jsonl {
                 input,
+                parse,
                 line_no,
                 buf,
                 spans,
@@ -695,11 +682,17 @@ impl<R: BufRead> CatalogStream<R> {
                     .iter()
                     .map(|(num, range)| (*num, &buf[range.clone()]))
                     .collect();
-                let wires: Vec<CatalogRowWire> = parse_lines(&numbered)?;
-                self.rows_seen += wires.len() as u64;
-                let table = &mut self.table;
-                self.pending
-                    .extend(wires.into_iter().map(|w| w.into_entry(|a| table.intern(a))));
+                for ((line, _), wire) in numbered.iter().zip(parse(&numbered)) {
+                    let entry = wire?.into_entry(|a| self.table.intern(a));
+                    check_row_order(&mut self.last_key, &entry).map_err(|message| {
+                        IoError::Parse {
+                            line: *line,
+                            message,
+                        }
+                    })?;
+                    self.rows_seen += 1;
+                    self.pending.push(entry);
+                }
             }
             StreamBackend::Wtrcat {
                 input,
@@ -734,9 +727,11 @@ impl<R: BufRead> CatalogStream<R> {
                     wire::decode_chunk_rows(body, *rows, table_len)
                 });
                 for chunk in decoded {
-                    let chunk = chunk.map_err(|e| IoError::BadHeader(e.to_string()))?;
-                    self.rows_seen += chunk.len() as u64;
-                    self.pending.extend(chunk);
+                    for entry in chunk.map_err(|e| IoError::BadHeader(e.to_string()))? {
+                        check_row_order(&mut self.last_key, &entry).map_err(IoError::BadHeader)?;
+                        self.rows_seen += 1;
+                        self.pending.push(entry);
+                    }
                 }
             }
         }
@@ -800,14 +795,15 @@ pub fn read_truth<R: BufRead>(
 ) -> Result<BTreeMap<u64, wtr_model::vertical::Vertical>, IoError> {
     let mut text = String::new();
     input.read_to_string(&mut text)?;
-    let lines: Vec<TruthLine> = parse_lines(&numbered_line_slices(&text, 1))?;
-    Ok(lines.into_iter().map(|t| (t.user, t.vertical)).collect())
+    parse_lines(&numbered_line_slices(&text, 1))
+        .into_iter()
+        .map(|line: Result<TruthLine, IoError>| line.map(|t| (t.user, t.vertical)))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::FastParse;
     use wtr_model::ids::{Plmn, Tac};
     use wtr_model::roaming::RoamingLabel;
     use wtr_model::time::{Day, SimTime};
@@ -851,78 +847,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "profiling harness, run by hand with --release"]
-    fn profile_read_catalog_stages() {
-        // Synthetic analysis-scale catalog: ~40k rows shaped like the
-        // 2500x22 fixture (2 APNs, ~6 sectors, full hourly, mobility).
-        let mut cat = DevicesCatalog::new(22);
-        let apns: Vec<_> = (0..200)
-            .map(|i| cat.intern_apn(&format!("apn{i}.example.com.mnc004.mcc204.gprs")))
-            .collect();
-        for user in 0..2_000u64 {
-            for day in 0..20u32 {
-                let row = cat.row_mut(
-                    user,
-                    Day(day),
-                    Plmn::of(204, 4),
-                    Tac::new(35_000_000).unwrap(),
-                    RoamingLabel::IH,
-                );
-                row.events = 100 + user;
-                row.bytes_up = 100 * user;
-                row.apns.insert(apns[(user % 200) as usize]);
-                row.apns.insert(apns[((user + 7) % 200) as usize]);
-                for s in 0..6u64 {
-                    row.sector_set.insert(user * 31 + s);
-                }
-                row.visited.insert(23430);
-                for h in 0..24 {
-                    row.hourly[h] = (user as u32 + h as u32) % 50;
-                }
-                row.mobility = MobilityAccum::from_parts([
-                    10.0,
-                    51.5 * 10.0,
-                    -0.1 * 10.0,
-                    51.5 * 51.5 * 10.0,
-                    0.01 * 10.0,
-                ]);
-            }
-        }
-        let mut jsonl = Vec::new();
-        write_catalog(&mut jsonl, &cat).unwrap();
-        eprintln!("rows {} bytes {}", cat.len(), jsonl.len());
-        let text = std::str::from_utf8(&jsonl[..]).unwrap();
-        let body = &text[text.find('\n').unwrap() + 1..];
-        let numbered = numbered_line_slices(body, 2);
-        let t = std::time::Instant::now();
-        let mut n = 0usize;
-        for (_, line) in &numbered {
-            n += usize::from(CatalogRowWire::fast_parse(line).is_some());
-        }
-        eprintln!(
-            "fast_parse only: {:?} ({n}/{} hit)",
-            t.elapsed(),
-            numbered.len()
-        );
-        let t = std::time::Instant::now();
-        let wires: Vec<CatalogRowWire> = parse_lines(&numbered).unwrap();
-        eprintln!("parse_lines(fast): {:?}", t.elapsed());
-        let t = std::time::Instant::now();
-        let _w2: Vec<CatalogRowWire> = parse_lines_serde(&numbered).unwrap();
-        eprintln!("parse_lines(serde): {:?}", t.elapsed());
-        let t = std::time::Instant::now();
-        let mut rebuilt = DevicesCatalog::new(22);
-        for wire in wires {
-            wire.install(&mut rebuilt);
-        }
-        eprintln!("install: {:?}", t.elapsed());
-        let t = std::time::Instant::now();
-        let back = read_catalog(&jsonl[..]).unwrap();
-        eprintln!("read_catalog total: {:?}", t.elapsed());
-        assert_eq!(back.len(), cat.len());
-    }
-
-    #[test]
     fn transactions_roundtrip() {
         let txs = sample_transactions();
         let mut buf = Vec::new();
@@ -960,7 +884,7 @@ mod tests {
         let cat = sample_catalog();
         let mut buf = Vec::new();
         write_catalog(&mut buf, &cat).unwrap();
-        let back = read_catalog(&buf[..]).unwrap();
+        let back = read_catalog_auto(&buf[..]).unwrap();
         assert_eq!(back.len(), cat.len());
         assert_eq!(back.window_days(), 22);
         let row = back.get(1, Day(3)).unwrap();
@@ -1031,72 +955,14 @@ mod tests {
         write_catalog(&mut jsonl, &cat).unwrap();
         let mut bin = Vec::new();
         write_catalog_bin(&mut bin, &cat).unwrap();
-        let from_jsonl = read_catalog(&jsonl[..]).unwrap();
-        let from_bin = read_catalog_bin(&bin[..]).unwrap();
+        let from_jsonl = read_catalog_auto(&jsonl[..]).unwrap();
+        let from_bin = read_catalog_auto(&bin[..]).unwrap();
         let mut a = Vec::new();
         write_catalog(&mut a, &from_jsonl).unwrap();
         let mut b = Vec::new();
         write_catalog(&mut b, &from_bin).unwrap();
         assert_eq!(a, jsonl, "JSONL reimport re-exports identically");
         assert_eq!(b, jsonl, "WTRCAT reimport re-exports identically");
-    }
-
-    #[test]
-    fn catalog_stream_yields_same_rows_and_table_as_materialized() {
-        use wtr_sim::stream::RecordStream;
-        let cat = sample_catalog();
-        let mut jsonl = Vec::new();
-        write_catalog(&mut jsonl, &cat).unwrap();
-        let mut bin = Vec::new();
-        write_catalog_bin(&mut bin, &cat).unwrap();
-        for bytes in [&jsonl, &bin] {
-            let materialized = read_catalog_auto(&bytes[..]).unwrap();
-            let mut stream = CatalogStream::new(&bytes[..]).unwrap();
-            assert_eq!(stream.window_days(), 22);
-            assert_eq!(stream.declared_rows(), cat.len() as u64);
-            let mut rows = Vec::new();
-            while let Some(chunk) = stream.next_chunk().unwrap() {
-                rows.extend(chunk);
-            }
-            let table = stream.finish().unwrap();
-            assert_eq!(&table, materialized.apn_table());
-            let want: Vec<&CatalogEntry> = materialized.iter().collect();
-            assert_eq!(rows.len(), want.len());
-            for (got, want) in rows.iter().zip(want) {
-                assert_eq!(got, want);
-            }
-        }
-    }
-
-    #[test]
-    fn catalog_stream_rejects_row_count_mismatch_and_trailer() {
-        use wtr_sim::stream::RecordStream;
-        let cat = sample_catalog();
-        let mut jsonl = Vec::new();
-        write_catalog(&mut jsonl, &cat).unwrap();
-        // Drop the final row: declared count no longer matches.
-        let text = String::from_utf8(jsonl).unwrap();
-        let truncated: String = text
-            .lines()
-            .take(text.lines().count() - 1)
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let mut stream = CatalogStream::new(truncated.as_bytes()).unwrap();
-        while stream.next_chunk().unwrap().is_some() {}
-        assert!(matches!(stream.finish(), Err(IoError::BadHeader(_))));
-        // WTRCAT trailing garbage is rejected.
-        let mut bin = Vec::new();
-        write_catalog_bin(&mut bin, &cat).unwrap();
-        bin.push(0);
-        let mut stream = CatalogStream::new(&bin[..]).unwrap();
-        let result = loop {
-            let step = stream.next_chunk();
-            match &step {
-                Ok(Some(_)) => continue,
-                _ => break step,
-            }
-        };
-        assert!(result.is_err(), "trailing byte after final chunk detected");
     }
 
     #[test]
@@ -1112,14 +978,58 @@ mod tests {
             .map(|l| format!("{l}\n"))
             .collect();
         assert!(matches!(
-            read_catalog(truncated.as_bytes()),
+            read_catalog_auto(truncated.as_bytes()),
             Err(IoError::BadHeader(_))
         ));
         // Garbage header.
         assert!(matches!(
-            read_catalog(&b"{\"format\":\"nope\"}\n"[..]),
+            read_catalog_auto(&b"{\"format\":\"nope\"}\n"[..]),
             Err(IoError::BadHeader(_))
         ));
-        assert!(matches!(read_catalog(&b""[..]), Err(IoError::BadHeader(_))));
+        assert!(matches!(
+            read_catalog_auto(&b""[..]),
+            Err(IoError::BadHeader(_))
+        ));
+    }
+
+    #[test]
+    fn row_order_rule_spans_chunk_boundaries() {
+        // One row past a full JSONL refill and a full WTRCAT chunk.
+        let tac = Tac::new(35_000_000).unwrap();
+        let mut cat = DevicesCatalog::new(1);
+        for user in 0..=wire::CAT_CHUNK_ROWS as u64 {
+            cat.row_mut(user, Day(0), Plmn::of(204, 4), tac, RoamingLabel::IH);
+        }
+        let rows = cat.len();
+
+        // JSONL: the first refill's last row again, after the rest.
+        let mut jsonl = Vec::new();
+        write_catalog(&mut jsonl, &cat).unwrap();
+        let text = String::from_utf8(jsonl).unwrap();
+        let repeat = text.lines().nth(wire::CAT_CHUNK_ROWS).unwrap();
+        let rows_field = |n: usize| format!("\"rows\":{n}");
+        let body = text.replacen(&rows_field(rows), &rows_field(rows + 1), 1) + repeat + "\n";
+        let err = read_catalog_auto(body.as_bytes()).unwrap_err();
+        assert!(
+            matches!(err, IoError::Parse { line, .. } if line == rows + 2),
+            "{err}"
+        );
+
+        // WTRCAT: a second chunk holding user 0's row again.
+        let bin = wire::encode_catalog(&cat);
+        let mut first = DevicesCatalog::new(1);
+        first.insert_entry(cat.iter().next().unwrap().clone());
+        let one = wire::encode_catalog(&first);
+        let header_len = |bytes: &[u8]| {
+            let mut slice = bytes;
+            wire::decode_catalog_header(&mut slice).unwrap();
+            bytes.len() - slice.len()
+        };
+        let chunk = header_len(&bin);
+        let body_len = u32::from_le_bytes(bin[chunk..chunk + 4].try_into().unwrap()) as usize;
+        let mut spliced = bin[..chunk + 8 + body_len].to_vec();
+        spliced.extend_from_slice(&one[header_len(&one)..]);
+        let err = read_catalog_auto(&spliced[..]).unwrap_err();
+        assert!(err.to_string().contains("strictly ascending"), "{err}");
     }
 }

@@ -610,15 +610,6 @@ pub fn decode_catalog_header(buf: &mut &[u8]) -> Result<CatalogHeaderBin, ParseE
     })
 }
 
-/// Parses one chunk frame (`byte_len u32 LE | row_count u32 LE`) from
-/// the front of `buf`, returning the chunk body slice and its declared
-/// row count and advancing `buf` past the frame.
-pub fn decode_chunk_frame<'a>(buf: &mut &'a [u8]) -> Result<(&'a [u8], usize), ParseError> {
-    let byte_len = get_u32_le(buf, "chunk byte length")? as usize;
-    let rows = get_u32_le(buf, "chunk row count")? as usize;
-    Ok((take(buf, byte_len, "chunk body")?, rows))
-}
-
 /// Decodes one row-group chunk body into its rows (in file order).
 /// `table_len` bounds the valid APN symbol range; symbols resolve
 /// against the header's canonical table.
@@ -641,57 +632,10 @@ pub fn decode_chunk_rows(
     Ok(out)
 }
 
-/// Decodes a `WTRCAT` catalog produced by [`encode_catalog`].
-///
-/// Row-group chunks are independent byte ranges, so they are decoded on
-/// [`wtr_sim::par`] workers and reassembled in file order: the resulting
-/// catalog — including its APN symbol assignment, which comes from the
-/// file's canonical table — is identical at any worker count.
-pub fn decode_catalog(bytes: &[u8]) -> Result<DevicesCatalog, ParseError> {
-    let mut buf = bytes;
-    let header = decode_catalog_header(&mut buf)?;
-    let table_len = header.table.len();
-    let mut catalog = DevicesCatalog::new(header.window_days);
-    for s in header.table.strings() {
-        catalog.intern_apn(s);
-    }
-    // Slice out the chunks serially (cheap length-prefix walk), then decode
-    // the row bytes in parallel.
-    let mut chunks: Vec<(&[u8], usize)> = Vec::with_capacity(header.chunks as usize);
-    for _ in 0..header.chunks {
-        chunks.push(decode_chunk_frame(&mut buf)?);
-    }
-    if !buf.is_empty() {
-        return Err(ParseError::BadLength {
-            what: "catalog trailer",
-            expected: "no bytes after the final chunk",
-            found: buf.len(),
-        });
-    }
-    let decoded: Vec<Result<Vec<CatalogEntry>, ParseError>> =
-        wtr_sim::par::par_map(&chunks, |&(body, rows)| {
-            decode_chunk_rows(body, rows, table_len)
-        });
-    let mut total = 0u64;
-    for chunk in decoded {
-        for row in chunk? {
-            total += 1;
-            catalog.insert_entry(row);
-        }
-    }
-    if total != header.rows {
-        return Err(ParseError::BadLength {
-            what: "catalog body",
-            expected: "header row count",
-            found: total as usize,
-        });
-    }
-    Ok(catalog)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::read_catalog_auto;
 
     fn sample(n: u64) -> Vec<M2mTransaction> {
         (0..n)
@@ -851,7 +795,7 @@ mod tests {
     fn catalog_roundtrip_preserves_content() {
         let cat = sample_catalog(40, 5);
         let bytes = encode_catalog(&cat);
-        let back = decode_catalog(&bytes).unwrap();
+        let back = read_catalog_auto(&bytes[..]).unwrap();
         assert_eq!(back.len(), cat.len());
         assert_eq!(back.window_days(), cat.window_days());
         assert_eq!(resolved(&back), resolved(&cat));
@@ -876,7 +820,7 @@ mod tests {
         // APNs were interned in a different order.
         let cat = sample_catalog(25, 4);
         let bytes = encode_catalog(&cat);
-        let back = decode_catalog(&bytes).unwrap();
+        let back = read_catalog_auto(&bytes[..]).unwrap();
         assert!(back.apn_table().is_canonical());
         assert_eq!(encode_catalog(&back), bytes);
     }
@@ -884,7 +828,7 @@ mod tests {
     #[test]
     fn empty_catalog_roundtrip() {
         let cat = DevicesCatalog::new(22);
-        let back = decode_catalog(&encode_catalog(&cat)).unwrap();
+        let back = read_catalog_auto(&encode_catalog(&cat)[..]).unwrap();
         assert!(back.is_empty());
         assert_eq!(back.window_days(), 22);
     }
@@ -894,12 +838,12 @@ mod tests {
         let bytes = encode_catalog(&sample_catalog(5, 2)).to_vec();
         let mut bad = bytes.clone();
         bad[0] ^= 0xff;
-        assert!(decode_catalog(&bad).is_err());
-        assert!(decode_catalog(&bytes[..bytes.len() - 1]).is_err());
-        assert!(decode_catalog(&bytes[..10]).is_err());
+        assert!(read_catalog_auto(&bad[..]).is_err());
+        assert!(read_catalog_auto(&bytes[..bytes.len() - 1]).is_err());
+        assert!(read_catalog_auto(&bytes[..10]).is_err());
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(decode_catalog(&trailing).is_err());
+        assert!(read_catalog_auto(&trailing[..]).is_err());
     }
 
     #[test]
@@ -915,7 +859,7 @@ mod tests {
             raw.extend_from_slice(&(s.len() as u16).to_le_bytes());
             raw.extend_from_slice(s.as_bytes());
         }
-        assert!(decode_catalog(&raw).is_err());
+        assert!(read_catalog_auto(&raw[..]).is_err());
     }
 
     #[test]
@@ -936,7 +880,7 @@ mod tests {
             row.apns.insert(sym);
         }
         let bytes = encode_catalog(&cat);
-        let back = decode_catalog(&bytes).unwrap();
+        let back = read_catalog_auto(&bytes[..]).unwrap();
         assert_eq!(back.len(), cat.len());
         assert_eq!(resolved(&back), resolved(&cat));
     }

@@ -18,24 +18,23 @@
 //! pipeline). Rows route into per-day open catalogs under a watermark:
 //! rows within the watermark absorb into their open day, older rows
 //! land directly in the sealed archive, and days that fall out of the
-//! watermark are sealed — merged into the archive ascending and
-//! canonicalized ([`wtr_probes::catalog::DevicesCatalog::merge`] +
-//! `canonicalize`, the `ChunkFold` absorb operator "folded forever").
+//! watermark are sealed — merged into the archive ascending
+//! ([`wtr_probes::catalog::DevicesCatalog::merge`], the `ChunkFold`
+//! absorb operator "folded forever").
 //!
 //! ## Query
 //!
 //! `GET /report/{tenant}/{table}` serves all 11 analysis tables plus
 //! `classify` and `summary` from a response cache keyed by the tenant's
 //! **absorb generation**: every successful ingest bumps the generation,
-//! invalidating cached renders precisely. Reports are rebuilt by
-//! *canonical replay* — the merged snapshot is re-serialized through
-//! `write_catalog` (content-canonical bytes) and replayed through the
-//! identical `stream_catalog` → `analyze` → `render_analysis` path the
-//! batch CLI uses — so server reports are byte-identical to
-//! `wtr analyze` over the same record set, at any tap count or
-//! arrival order within the watermark. Readers never block ingest: the
-//! tenant books lock is held only long enough to clone an `Arc` of the
-//! archive and the (small) open days; the heavy replay runs outside it.
+//! invalidating cached renders precisely. A rebuild runs the merged
+//! in-memory snapshot through `materialize_catalog` → `analyze` →
+//! `render_analysis`, the analysis route `wtr analyze` also ends in, so
+//! server reports are byte-identical to `wtr analyze` over the same
+//! record set, at any tap count or arrival order within the watermark
+//! (see [`tenant`]). Readers never block ingest: the tenant books lock
+//! is held only long enough to clone an `Arc` of the archive and the
+//! (small) open days; the rebuild runs outside it.
 
 #![forbid(unsafe_code)]
 

@@ -11,30 +11,32 @@
 //! * **reports** — the rendered-table cache, keyed by the absorb
 //!   generation. Ingest never touches it; it invalidates itself by
 //!   comparing generations. The lock doubles as single-flight: when a
-//!   generation misses, exactly one reader replays the snapshot while
-//!   the rest queue for the finished result.
+//!   generation misses, exactly one reader rebuilds from the snapshot
+//!   while the rest queue for the finished result.
 //!
-//! ## Canonical replay
+//! ## One analysis route
 //!
-//! Reports are **not** rendered from live fold state. The snapshot is
-//! merged, canonicalized and re-serialized through
-//! [`wtr_probes::io::write_catalog`] — whose bytes depend only on row
-//! *content*, never intern order — then replayed through the identical
-//! [`wtr_core::stream::stream_catalog`] → `analyze` → `render_analysis`
-//! path the batch CLI walks. Same bytes in, same code, same bytes out:
-//! server reports are byte-identical to `wtr analyze` over the
-//! same record set by construction, for any tap count or arrival order
-//! that keeps each catalog row within one upload (the row-partitioned
-//! tap contract; rows *split* across uploads still absorb, but f64
-//! mobility sums then regroup in arrival order).
+//! A cold rebuild merges the snapshot into one in-memory catalog and
+//! runs it through [`wtr_core::stream::materialize_catalog`] →
+//! `analyze` → `render_analysis`; `wtr analyze` reaches the same
+//! `analyze` → `render_analysis` calls through `stream_catalog`. Both
+//! front ends hand `analyze` canonical APN symbols and summaries folded
+//! over rows in `(user, day)` order, so nothing of the tenant's intern
+//! history or arrival order reaches the reports: server reports are
+//! byte-identical to `wtr analyze` over the same record set, for any
+//! tap count or arrival order that keeps each catalog row within one
+//! upload (the row-partitioned tap contract; rows *split* across
+//! uploads still absorb, but f64 mobility sums then regroup in arrival
+//! order). `tests/stream_equivalence.rs` pins the resident route
+//! against a replay of its JSONL export bit for bit.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use wtr_core::report::{render_analysis, render_classify, ANALYSES};
-use wtr_core::stream::{analyze, stream_catalog};
+use wtr_core::stream::{analyze, materialize_catalog};
 use wtr_model::tacdb::TacDatabase;
 use wtr_probes::catalog::DevicesCatalog;
-use wtr_probes::io::{write_catalog, CatalogStream, IoError};
+use wtr_probes::io::{CatalogStream, IoError};
 use wtr_sim::stream::RecordStream;
 
 /// Every table the report endpoint serves: the 11 analysis tables plus
@@ -161,7 +163,6 @@ impl Tenant {
         let mut books = self.books.lock().expect("books poisoned");
         books.window_days = books.window_days.max(upload_window);
         let rows = entries.len() as u64;
-        let mut archive_touched = false;
         for entry in entries {
             let day = entry.day.0;
             books.max_day = Some(books.max_day.map_or(day, |m| m.max(day)));
@@ -177,16 +178,10 @@ impl Tenant {
                 // Past-watermark straggler: absorb directly into the
                 // sealed archive (copy-on-seal via make_mut).
                 Arc::make_mut(&mut books.archive).adopt_entry(entry, &table);
-                archive_touched = true;
             }
         }
         let low = self.low_watermark(&books);
         let sealed_days = self.seal_below(&mut books, low);
-        if archive_touched && sealed_days == 0 {
-            // seal_below canonicalizes when it seals; stragglers alone
-            // must too, so the archive stays in canonical symbol form.
-            Arc::make_mut(&mut books.archive).canonicalize();
-        }
         books.rows_ingested += rows;
         books.generation += 1;
         Ok(IngestReceipt {
@@ -217,7 +212,7 @@ impl Tenant {
     }
 
     /// Merges every open day strictly below `low` into the archive,
-    /// ascending (the deterministic fold order), then canonicalizes.
+    /// ascending (the deterministic fold order).
     fn seal_below(&self, books: &mut Books, low: u64) -> u64 {
         let to_seal: Vec<u32> = books
             .open
@@ -233,7 +228,6 @@ impl Tenant {
             let day_catalog = books.open.remove(&day).expect("day listed above");
             Arc::make_mut(&mut books.archive).merge(day_catalog);
         }
-        Arc::make_mut(&mut books.archive).canonicalize();
         books.days_sealed += sealed;
         sealed
     }
@@ -275,20 +269,16 @@ impl Tenant {
         for day_catalog in open {
             merged.merge(day_catalog);
         }
-        merged.canonicalize();
         let set = Arc::new(build_reports(generation, &merged)?);
         *cache = Some(Arc::clone(&set));
         Ok(set)
     }
 }
 
-/// Canonical replay: serialize the merged snapshot with
-/// [`write_catalog`] (content-canonical bytes) and run the batch
-/// pipeline over them, rendering every table once.
+/// Runs the merged snapshot through the batch analysis and renders
+/// every table once.
 fn build_reports(generation: u64, merged: &DevicesCatalog) -> Result<ReportSet, String> {
-    let mut bytes = Vec::new();
-    write_catalog(&mut bytes, merged).map_err(|e| format!("snapshot serialize: {e}"))?;
-    let data = stream_catalog(&bytes[..]).map_err(|e| format!("snapshot replay: {e}"))?;
+    let data = materialize_catalog(merged);
     let tacdb = TacDatabase::standard();
     let suite = analyze(&data.summaries, &data.apns, data.window_days, &tacdb);
     let mut tables: BTreeMap<&'static str, String> = BTreeMap::new();
@@ -325,6 +315,7 @@ mod tests {
     use wtr_model::ids::{Plmn, Tac};
     use wtr_model::roaming::RoamingLabel;
     use wtr_model::time::Day;
+    use wtr_probes::io::write_catalog;
 
     fn catalog_with_days(days: &[u32]) -> Vec<u8> {
         let mut cat = DevicesCatalog::new(22);

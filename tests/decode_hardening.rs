@@ -1,17 +1,19 @@
 //! Decode hardening: corrupt catalog inputs must fail with an
 //! [`IoError`], never panic and never allocate unboundedly, in both
-//! storage formats (JSONL and `WTRCAT`) and on both the materialized
-//! and the streaming readers.
+//! storage formats (JSONL and `WTRCAT`), whether the one catalog decoder
+//! ([`io::CatalogStream`]) is drained into a catalog or folded by
+//! `stream_catalog`.
 //!
 //! Plus the scanner fallback contract: the schema-specialized JSONL
-//! fast path ([`io::read_catalog`] / [`io::read_transactions`]) must be
-//! observationally identical to the serde-only reference readers
-//! ([`io::read_catalog_serde`] / [`io::read_transactions_serde`]) — on
-//! valid input the same value, on invalid input the same error message
-//! and line number.
+//! fast path ([`io::read_catalog_auto`] / [`io::read_transactions`])
+//! must be observationally identical to the serde-only reference
+//! readers ([`io::read_catalog_serde`] / [`io::read_transactions_serde`])
+//! — on valid input the same value, on invalid input the same error
+//! message and line number.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use where_things_roam::core::stream::stream_catalog;
 use where_things_roam::model::ids::{Mcc, Mnc, Plmn, Tac};
 use where_things_roam::model::rat::{RadioFlags, RatSet};
 use where_things_roam::model::roaming::RoamingLabel;
@@ -107,35 +109,24 @@ fn wtrcat_bytes(cat: &DevicesCatalog) -> Vec<u8> {
     buf
 }
 
-/// Drives every reader over `bytes`; each must return (not panic), and
-/// the streaming reader must terminate.
+/// Drives every catalog route over `bytes` — drained into a catalog and
+/// folded into summaries; each must return (not panic), and they must
+/// agree on whether the input decodes.
 fn decode_all_paths(bytes: &[u8]) -> Vec<Result<(), String>> {
-    let mut outcomes = Vec::new();
-    outcomes.push(
+    let outcomes = vec![
         io::read_catalog_auto(bytes)
             .map(|_| ())
             .map_err(|e| e.to_string()),
-    );
-    match io::CatalogStream::new(bytes) {
-        Err(e) => outcomes.push(Err(e.to_string())),
-        Ok(mut stream) => {
-            let streamed = loop {
-                match stream.next_chunk() {
-                    Ok(Some(_)) => continue,
-                    Ok(None) => break stream.finish().map(|_| ()),
-                    Err(e) => break Err(e),
-                }
-            };
-            outcomes.push(streamed.map_err(|e| e.to_string()));
-        }
-    }
+        stream_catalog(bytes).map(|_| ()).map_err(|e| e.to_string()),
+    ];
+    assert_eq!(outcomes[0], outcomes[1], "drain and fold disagree");
     outcomes
 }
 
 /// Compares the fast-path and serde-only catalog readers on one input:
 /// same success (byte-identical re-export) or same error string.
 fn assert_catalog_readers_agree(bytes: &[u8]) {
-    let fast = io::read_catalog(bytes);
+    let fast = io::read_catalog_auto(bytes);
     let slow = io::read_catalog_serde(bytes);
     match (fast, slow) {
         (Ok(a), Ok(b)) => assert_eq!(jsonl_bytes(&a), jsonl_bytes(&b)),
@@ -205,7 +196,7 @@ proptest! {
     ) {
         let cat = build_catalog(&rows);
         let bytes = jsonl_bytes(&cat);
-        let fast = io::read_catalog(&bytes[..]).unwrap();
+        let fast = io::read_catalog_auto(&bytes[..]).unwrap();
         let slow = io::read_catalog_serde(&bytes[..]).unwrap();
         prop_assert_eq!(jsonl_bytes(&fast), jsonl_bytes(&slow));
         prop_assert_eq!(jsonl_bytes(&fast), bytes);
@@ -261,13 +252,12 @@ fn fixed_header(window_days: u32, rows: u64, chunks: u32, table_len: u32) -> Vec
 /// unbounded allocation.
 #[test]
 fn huge_table_len_is_rejected_promptly() {
+    // The first table read hits the end of the header region.
     let bytes = fixed_header(5, 0, 0, u32::MAX);
     assert!(matches!(
-        io::read_catalog_bin(&bytes[..]),
+        io::read_catalog_auto(&bytes[..]),
         Err(IoError::BadHeader(_))
     ));
-    // The streaming reader hits EOF on the first table read.
-    assert!(io::CatalogStream::new(&bytes[..]).is_err());
 }
 
 /// A declared row count inconsistent with the chunk count (the hostile
@@ -278,12 +268,11 @@ fn inconsistent_rows_and_chunks_are_rejected() {
     for (rows, chunks) in [(u64::MAX, 1u32), (1, 0), (0, 1), (4097, 1), (1, 2)] {
         let bytes = fixed_header(5, rows, chunks, 0);
         assert!(
-            matches!(io::read_catalog_bin(&bytes[..]), Err(IoError::BadHeader(_))),
+            matches!(
+                io::read_catalog_auto(&bytes[..]),
+                Err(IoError::BadHeader(_))
+            ),
             "rows={rows} chunks={chunks}"
-        );
-        assert!(
-            io::CatalogStream::new(&bytes[..]).is_err(),
-            "stream: rows={rows} chunks={chunks}"
         );
     }
 }
@@ -319,4 +308,42 @@ fn bad_magic_rejected_before_lengths_are_trusted() {
     bytes[0] ^= 0xFF;
     let mut slice = &bytes[..];
     assert!(wire::decode_catalog_fixed(&mut slice).is_err());
+}
+
+/// Rows must be strictly ascending by `(user, day)`. A repeated row (the
+/// header counting it) and two swapped rows are both rejected with the
+/// offending line's number, the scanner and serde readers agree, and the
+/// folding route fails the same way instead of counting the row twice.
+#[test]
+fn repeated_and_swapped_rows_are_rejected_with_line_number() {
+    let cat = build_catalog(&[(1, 0, 0, 10), (1, 1, 1, 20), (2, 0, 2, 30)]);
+    let text = String::from_utf8(jsonl_bytes(&cat)).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    let header_with_extra_row = lines[0].replace("\"rows\":3", "\"rows\":4");
+    let repeated = [
+        header_with_extra_row.as_str(),
+        lines[1],
+        lines[2],
+        lines[2],
+        lines[3],
+    ];
+    let swapped = [lines[0], lines[2], lines[1], lines[3]];
+    for (what, body, bad_line) in [("repeated", &repeated[..], 4), ("swapped", &swapped[..], 3)] {
+        let body = body.join("\n") + "\n";
+        let fast = io::read_catalog_auto(body.as_bytes());
+        match &fast {
+            Err(IoError::Parse { line, .. }) => assert_eq!(*line, bad_line, "{what}"),
+            other => panic!(
+                "{what} rows accepted: {:?}",
+                other.as_ref().map(|c| c.len())
+            ),
+        }
+        let serde = io::read_catalog_serde(body.as_bytes());
+        assert_eq!(
+            fast.unwrap_err().to_string(),
+            serde.unwrap_err().to_string(),
+            "{what}"
+        );
+        assert!(stream_catalog(body.as_bytes()).is_err(), "{what} folded");
+    }
 }

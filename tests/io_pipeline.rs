@@ -22,7 +22,7 @@ fn export_import_classify_is_lossless() {
 
     let mut buf = Vec::new();
     io::write_catalog(&mut buf, &output.catalog).unwrap();
-    let imported = io::read_catalog(&buf[..]).unwrap();
+    let imported = io::read_catalog_auto(&buf[..]).unwrap();
     assert_eq!(imported.len(), output.catalog.len());
     assert_eq!(imported.device_count(), output.catalog.device_count());
 

@@ -147,7 +147,7 @@ fn catalog_io_roundtrip_is_thread_count_invariant() {
     let mut reference: Option<Vec<u8>> = None;
     for &t in &MATRIX {
         par::set_threads(Some(t));
-        let back = io::read_catalog(&serialized[..]).unwrap();
+        let back = io::read_catalog_auto(&serialized[..]).unwrap();
         let mut bytes = Vec::new();
         io::write_catalog(&mut bytes, &back).unwrap();
         assert_eq!(bytes, serialized, "catalog roundtrip at {t} threads");
@@ -184,7 +184,7 @@ fn wtrcat_codec_is_thread_count_invariant() {
         par::set_threads(Some(t));
         let mut bin = Vec::new();
         io::write_catalog_bin(&mut bin, &output.catalog).unwrap();
-        let back = io::read_catalog_bin(&bin[..]).unwrap();
+        let back = io::read_catalog_auto(&bin[..]).unwrap();
         // Decoded catalog re-exports to the exact pre-encode JSONL…
         let mut reexport = Vec::new();
         io::write_catalog(&mut reexport, &back).unwrap();

@@ -9,8 +9,9 @@
 //!   generation and invalidates exactly the stale renders.
 //! * Watermark-0 sealing: old days seal into the archive, stragglers
 //!   absorb past the watermark, and reports still cover every row.
-//! * Hostile bodies (the decode-hardening shapes) bounce with the
-//!   scanner's line-numbered error and leave tenant state untouched.
+//! * Hostile bodies (the decode-hardening shapes, plus a repeated row)
+//!   bounce with the scanner's line-numbered error and leave tenant
+//!   state untouched.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -322,6 +323,24 @@ fn hostile_bodies_bounce_without_state_change() {
         // WTRCAT magic with hostile bytes behind it.
         let fake_wtrcat = b"WTRCAT\x01\xff\xff\xff\xff\xff\xff\xff\xff";
         assert_eq!(request(addr, "POST", "/ingest/t", fake_wtrcat).status, 400);
+
+        // A repeated row, counted by the header: rows must be strictly
+        // ascending by (user, day).
+        let text = String::from_utf8(catalog_bytes(&catalog)).unwrap();
+        let (header, rows) = text.split_once('\n').unwrap();
+        let first_row = rows.lines().next().unwrap();
+        let header = header.replace(
+            &format!("\"rows\":{}", catalog.len()),
+            &format!("\"rows\":{}", catalog.len() + 1),
+        );
+        let repeated = format!("{header}\n{first_row}\n{rows}");
+        let reply = request(addr, "POST", "/ingest/t", repeated.as_bytes());
+        assert_eq!(reply.status, 400);
+        assert!(
+            reply.body_str().contains("line 3"),
+            "error must name the repeated row's line: {}",
+            reply.body_str()
+        );
 
         // None of it moved the books.
         let after = request(addr, "GET", "/report/t/summary", &[]);

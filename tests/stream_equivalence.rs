@@ -130,12 +130,10 @@ fn streamed_ingest_matches_materialized() {
 
     let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     // Per format: the chunked stream must equal the materialized
-    // read-then-reduce path byte for byte, at every thread count.
-    // (Formats are compared within themselves — APN symbol numbering is
-    // reader-visible and differs between JSONL appearance order and the
-    // WTRCAT canonical table.)
+    // read-then-reduce path byte for byte, at every thread count. Both
+    // hand out canonical APN symbols, so the formats agree as well.
+    let mut reference: Option<Vec<u8>> = None;
     for (what, file) in [("JSONL", &jsonl), ("WTRCAT", &wtrcat)] {
-        let mut reference: Option<Vec<u8>> = None;
         for &t in &MATRIX {
             par::set_threads(Some(t));
             let materialized = data_bytes(&materialize_catalog(
@@ -145,7 +143,7 @@ fn streamed_ingest_matches_materialized() {
             assert_eq!(materialized, streamed, "{what} stream at {t} threads");
             match &reference {
                 None => reference = Some(streamed),
-                Some(r) => assert_eq!(r, &streamed, "{what} at {t} threads vs 1"),
+                Some(r) => assert_eq!(r, &streamed, "{what} at {t} threads vs JSONL at 1"),
             }
         }
     }
@@ -162,7 +160,7 @@ fn fast_scanner_read_matches_serde_read() {
     let mut jsonl = Vec::new();
     io::write_catalog(&mut jsonl, &output.catalog).unwrap();
 
-    let fast = io::read_catalog(jsonl.as_slice()).unwrap();
+    let fast = io::read_catalog_auto(jsonl.as_slice()).unwrap();
     let serde_only = io::read_catalog_serde(jsonl.as_slice()).unwrap();
     let export = |cat: &DevicesCatalog| {
         let mut bytes = Vec::new();
@@ -305,6 +303,52 @@ fn materialized_snapshot_matches_text_replay() {
                 "served {table}, loss {loss}"
             );
         }
+    }
+}
+
+#[test]
+fn apn_intern_order_does_not_reach_reports() {
+    // Four inbound devices: one uses only a car APN, three use it and a
+    // meter APN. Row order numbers the car APN first, sorted order the
+    // meter APN, and the Fig. 12 split takes a device's first matching
+    // APN — so the reports must not depend on which numbering a route
+    // started from.
+    let mut catalog = DevicesCatalog::new(1);
+    let car = catalog.intern_apn("zz.scania.com.mnc002.mcc262.gprs");
+    let meter = catalog.intern_apn("aa.centricaplc.com.mnc004.mcc204.gprs");
+    let tac = Tac::new(35_000_000).unwrap();
+    for user in 0..4u64 {
+        let row = catalog.row_mut(user, Day(0), Plmn::of(204, 4), tac, RoamingLabel::IH);
+        row.events = 10;
+        row.apns.insert(car);
+        if user > 0 {
+            row.apns.insert(meter);
+        }
+    }
+    let mut jsonl = Vec::new();
+    io::write_catalog(&mut jsonl, &catalog).unwrap();
+    let mut wtrcat = Vec::new();
+    io::write_catalog_bin(&mut wtrcat, &catalog).unwrap();
+
+    let tacdb = TacDatabase::standard();
+    let routes = [
+        ("JSONL", stream_catalog(jsonl.as_slice()).unwrap()),
+        ("WTRCAT", stream_catalog(wtrcat.as_slice()).unwrap()),
+        ("resident", materialize_catalog(&catalog)),
+    ]
+    .map(|(route, data)| {
+        let suite = analyze(&data.summaries, &data.apns, data.window_days, &tacdb);
+        (route, suite_bytes(&suite), rendered_tables(&data, &suite))
+    });
+    let (_, suite, tables) = &routes[0];
+    assert!(
+        tables["verticals"].starts_with("verticals: 1 cars"),
+        "{}",
+        tables["verticals"]
+    );
+    for (route, other_suite, other_tables) in &routes[1..] {
+        assert_eq!(suite, other_suite, "{route} suite vs JSONL");
+        assert_eq!(tables, other_tables, "{route} tables vs JSONL");
     }
 }
 
