@@ -148,7 +148,7 @@ fn canonical_symbols(
     apns: &ApnTable,
 ) -> (Vec<DeviceSummary>, ApnTable) {
     let (table, remap) = apns.canonicalized();
-    for summary in summaries.iter_mut().filter(|s| !s.apns.is_empty()) {
+    for summary in &mut summaries {
         summary.apns = summary.apns.iter().map(|sym| remap[sym.index()]).collect();
     }
     (summaries, table)

@@ -228,7 +228,7 @@ fn merge_partials(left: &mut Partial, right: Partial) {
 /// Rows must arrive in the catalog's canonical (user, day) order for the
 /// first-touch identity fields (`sim_plmn`/`tac`) to match the
 /// materialized path — both the JSONL and WTRCAT writers emit that
-/// order. All merges are integer adds, set unions and "first wins"
+/// order, and `CatalogStream` rejects a file that breaks it. All merges are integer adds, set unions and "first wins"
 /// choices except the f64 mobility accumulator, whose bit-exactness
 /// across paths is guaranteed by pinning chunk boundaries
 /// (`wtr_sim::par::chunk_size`) rather than by associativity.

@@ -304,8 +304,9 @@ impl DevicesCatalog {
             .or_insert_with(|| CatalogEntry::new(user, day, sim_plmn, tac, label))
     }
 
-    /// Inserts a fully-built row (the wire-decode path). A row for an
-    /// existing (user, day) key is folded in with [`CatalogEntry::absorb`].
+    /// Inserts a fully-built row (how `read_catalog_auto` fills a
+    /// catalog from decoded rows). A row for an existing (user, day) key
+    /// is folded in with [`CatalogEntry::absorb`].
     pub fn insert_entry(&mut self, entry: CatalogEntry) {
         match self.rows.entry((entry.user, entry.day.0)) {
             std::collections::btree_map::Entry::Vacant(v) => {
