@@ -22,7 +22,7 @@ use crate::records::M2mTransaction;
 use crate::scan::{self, Scanner};
 use crate::wire;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, BufRead, Read, Write};
 use wtr_model::ids::{Plmn, Tac};
 use wtr_model::intern::{ApnSym, ApnTable};
@@ -527,7 +527,10 @@ pub struct CatalogStream<R> {
     last_key: Option<(u64, u32)>,
     /// Rows per emitted chunk: `par::chunk_size(declared_rows)`.
     chunk_len: usize,
-    pending: Vec<CatalogEntry>,
+    /// Decoded rows not yet emitted. A deque, so emitting a chunk moves
+    /// only that chunk's rows (splitting a `Vec` re-copied the rest of
+    /// the refill for every chunk).
+    pending: VecDeque<CatalogEntry>,
     exhausted: bool,
 }
 
@@ -577,7 +580,7 @@ impl<R: BufRead> CatalogStream<R> {
             rows_seen: 0,
             last_key: None,
             chunk_len: par::chunk_size(header.rows),
-            pending: Vec::new(),
+            pending: VecDeque::new(),
             exhausted: false,
         })
     }
@@ -618,7 +621,7 @@ impl<R: BufRead> CatalogStream<R> {
             rows_seen: 0,
             last_key: None,
             chunk_len: par::chunk_size(rows),
-            pending: Vec::new(),
+            pending: VecDeque::new(),
             exhausted: false,
         })
     }
@@ -691,7 +694,7 @@ impl<R: BufRead> CatalogStream<R> {
                         }
                     })?;
                     self.rows_seen += 1;
-                    self.pending.push(entry);
+                    self.pending.push_back(entry);
                 }
             }
             StreamBackend::Wtrcat {
@@ -730,7 +733,7 @@ impl<R: BufRead> CatalogStream<R> {
                     for entry in chunk.map_err(|e| IoError::BadHeader(e.to_string()))? {
                         check_row_order(&mut self.last_key, &entry).map_err(IoError::BadHeader)?;
                         self.rows_seen += 1;
-                        self.pending.push(entry);
+                        self.pending.push_back(entry);
                     }
                 }
             }
@@ -750,11 +753,8 @@ impl<R: BufRead> RecordStream for CatalogStream<R> {
         if self.pending.is_empty() {
             return Ok(None);
         }
-        if self.pending.len() <= self.chunk_len {
-            return Ok(Some(std::mem::take(&mut self.pending)));
-        }
-        let rest = self.pending.split_off(self.chunk_len);
-        Ok(Some(std::mem::replace(&mut self.pending, rest)))
+        let take = self.pending.len().min(self.chunk_len);
+        Ok(Some(self.pending.drain(..take).collect()))
     }
 }
 

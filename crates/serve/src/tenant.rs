@@ -19,16 +19,16 @@
 //! A cold rebuild merges the snapshot into one in-memory catalog and
 //! runs it through [`wtr_core::stream::materialize_catalog`] →
 //! `analyze` → `render_analysis`; `wtr analyze` reaches the same
-//! `analyze` → `render_analysis` calls through `stream_catalog`. Both
-//! front ends hand `analyze` canonical APN symbols and summaries folded
-//! over rows in `(user, day)` order, so nothing of the tenant's intern
-//! history or arrival order reaches the reports: server reports are
-//! byte-identical to `wtr analyze` over the same record set, for any
-//! tap count or arrival order that keeps each catalog row within one
-//! upload (the row-partitioned tap contract; rows *split* across
-//! uploads still absorb, but f64 mobility sums then regroup in arrival
-//! order). `tests/stream_equivalence.rs` pins the resident route
-//! against a replay of its JSONL export bit for bit.
+//! `analyze` → `render_analysis` calls by folding the catalog file
+//! chunk by chunk. Both front ends hand `analyze` canonical APN symbols
+//! and summaries folded over rows in `(user, day)` order, so nothing of
+//! the tenant's intern history or arrival order reaches the reports:
+//! server reports are byte-identical to `wtr analyze` over the same
+//! record set, for any tap count or arrival order that keeps each
+//! catalog row within one upload (the row-partitioned tap contract;
+//! rows *split* across uploads still absorb, but f64 mobility sums then
+//! regroup in arrival order). `tests/stream_equivalence.rs` pins the
+//! resident route against a replay of its JSONL export bit for bit.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
