@@ -64,6 +64,11 @@ const EVENT_RAW_ORDER_DIGEST: u64 = 0xdb4f2e20b9537b30;
 /// [`fingerprint`] (both catalog formats, ground truth, element load,
 /// record counts).
 const LOSSY_FINGERPRINT_DIGEST: u64 = 0x3fc8306b81d4c42f;
+/// 400 devices x 5 days, seed 7, nbiot 0.05: JSONL catalog bytes with
+/// the keys catalog schema v2 retires (`call_secs`, `sector_set`)
+/// stripped from every row, at loss 0 and at loss 0.07.
+const CATALOG_V2_JSONL_DIGEST: u64 = 0x95d9b1435507d4d9;
+const LOSSY_CATALOG_V2_JSONL_DIGEST: u64 = 0x20840effe16a7f8c;
 
 /// Order-sensitive digest: bytes folded 8 at a time through `mix64`.
 fn digest(bytes: &[u8]) -> u64 {
@@ -74,6 +79,27 @@ fn digest(bytes: &[u8]) -> u64 {
         acc = mix64(acc ^ u64::from_le_bytes(b));
     }
     mix64(acc ^ bytes.len() as u64)
+}
+
+/// Removes `,"call_secs":N` and `,"sector_set":[…]` from every row of
+/// a catalog JSONL export: the v2 projection of a v1 catalog.
+fn strip_v1_keys(jsonl: &[u8]) -> Vec<u8> {
+    let text = std::str::from_utf8(jsonl).unwrap();
+    let mut out = String::with_capacity(text.len());
+    for line in text.lines() {
+        let mut line = line.to_owned();
+        if let Some(at) = line.find(",\"call_secs\":") {
+            let end = at + 1 + line[at + 1..].find(',').unwrap();
+            line.replace_range(at..end, "");
+        }
+        if let Some(at) = line.find(",\"sector_set\":[") {
+            let end = at + line[at..].find(']').unwrap() + 1;
+            line.replace_range(at..end, "");
+        }
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out.into_bytes()
 }
 
 fn scenario_config(loss: f64) -> MnoScenarioConfig {
@@ -140,6 +166,7 @@ fn catalog_bytes_match_pre_shard_golden_anchor() {
     let mut jsonl = Vec::new();
     io::write_catalog(&mut jsonl, &out.catalog).unwrap();
     assert_eq!(digest(&jsonl), OLD_CATALOG_JSONL_DIGEST);
+    assert_eq!(digest(&strip_v1_keys(&jsonl)), CATALOG_V2_JSONL_DIGEST);
     assert_eq!(out.record_counts, OLD_RECORD_COUNTS);
     assert_eq!(out.catalog.len(), OLD_CATALOG_ROWS);
 }
@@ -150,6 +177,12 @@ fn lossy_fingerprint_matches_golden() {
     // digest pins which ones, on top of everything the loss-free golden
     // anchor covers.
     let out = MnoScenario::new(scenario_config(0.07)).run_sharded(1);
+    let mut jsonl = Vec::new();
+    io::write_catalog(&mut jsonl, &out.catalog).unwrap();
+    assert_eq!(
+        digest(&strip_v1_keys(&jsonl)),
+        LOSSY_CATALOG_V2_JSONL_DIGEST
+    );
     assert_eq!(digest(&fingerprint(&out)), LOSSY_FINGERPRINT_DIGEST);
 }
 
