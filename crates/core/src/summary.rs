@@ -345,7 +345,6 @@ mod tests {
         r.events += 3;
         let r = cat.row_mut(2, Day(1), Plmn::of(234, 30), tac(), RoamingLabel::HA);
         r.calls += 1;
-        r.call_secs += 60;
         cat
     }
 

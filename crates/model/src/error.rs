@@ -43,6 +43,17 @@ pub enum ParseError {
         /// Explanation of the violation.
         reason: &'static str,
     },
+    /// A binary stream did not open with the magic bytes of the format
+    /// version this build reads.
+    BadMagic {
+        /// Name of the format (e.g. `"WTRCAT"`).
+        format: &'static str,
+        /// The version this build reads.
+        expected: u8,
+        /// The version the stream declares, if it opens with the format
+        /// name.
+        found: Option<u8>,
+    },
     /// The MCC is syntactically valid but not allocated to any country in
     /// the registry.
     UnknownMcc(u16),
@@ -77,6 +88,20 @@ impl fmt::Display for ParseError {
                 )
             }
             ParseError::BadApn { reason } => write!(f, "invalid APN: {reason}"),
+            ParseError::BadMagic {
+                format,
+                expected,
+                found: Some(found),
+            } if found != expected => write!(
+                f,
+                "{format} version {found} is not supported (this build reads version {expected})"
+            ),
+            ParseError::BadMagic {
+                format, expected, ..
+            } => write!(
+                f,
+                "not a {format} version {expected} stream (bad magic bytes)"
+            ),
             ParseError::UnknownMcc(mcc) => write!(f, "MCC {mcc} not allocated in registry"),
             ParseError::UnknownPlmn { mcc, mnc } => {
                 write!(f, "PLMN {mcc}-{mnc:02} not present in operator registry")

@@ -100,7 +100,11 @@ impl MobilityAccum {
     }
 }
 
-/// One (device, day) row of the devices-catalog.
+/// One (device, day) row of the devices-catalog: the §4.1 fields
+/// (device ID, event, call and byte counts, SIM and visited PLMNs, APNs,
+/// radio-flags, mobility) plus an hour-of-day histogram and two IMSI-range
+/// tags. Sector ids are not kept: the sectors a device used reach the row
+/// only as event-weighted position moments in `mobility`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CatalogEntry {
     /// Anonymized device ID.
@@ -121,8 +125,6 @@ pub struct CatalogEntry {
     pub calls: u64,
     /// SMS-like transactions.
     pub sms: u64,
-    /// Total call seconds.
-    pub call_secs: u64,
     /// Data sessions.
     pub data_sessions: u64,
     /// Uplink bytes.
@@ -137,8 +139,6 @@ pub struct CatalogEntry {
     pub apns: BTreeSet<ApnSym>,
     /// Radio-flags: RATs successfully used, per plane.
     pub radio_flags: RadioFlags,
-    /// Raw sector ids used this day (distinct set).
-    pub sector_set: BTreeSet<u64>,
     /// Events per hour of day (signaling + data + voice) — the diurnal
     /// fingerprint that separates machine traffic (flat/periodic) from
     /// human traffic (waking-hours curve), cf. the M2M-vs-phone diurnal
@@ -171,24 +171,17 @@ impl CatalogEntry {
             failed_events: 0,
             calls: 0,
             sms: 0,
-            call_secs: 0,
             data_sessions: 0,
             bytes_up: 0,
             bytes_down: 0,
             visited: BTreeSet::new(),
             apns: BTreeSet::new(),
             radio_flags: RadioFlags::default(),
-            sector_set: BTreeSet::new(),
             hourly: [0; 24],
             in_designated_range: false,
             in_published_m2m_range: false,
             mobility: MobilityAccum::default(),
         }
-    }
-
-    /// Number of distinct sectors used this day.
-    pub fn sectors(&self) -> usize {
-        self.sector_set.len()
     }
 
     /// Total bytes both directions.
@@ -221,14 +214,12 @@ impl CatalogEntry {
         self.failed_events += other.failed_events;
         self.calls += other.calls;
         self.sms += other.sms;
-        self.call_secs += other.call_secs;
         self.data_sessions += other.data_sessions;
         self.bytes_up += other.bytes_up;
         self.bytes_down += other.bytes_down;
         self.visited.extend(other.visited.iter().copied());
         self.apns.extend(other.apns.iter().copied());
         self.radio_flags.merge(other.radio_flags);
-        self.sector_set.extend(other.sector_set.iter().copied());
         for (h, n) in other.hourly.iter().enumerate() {
             self.hourly[h] += n;
         }

@@ -173,9 +173,13 @@ pub fn read_transactions_serde<R: BufRead>(mut input: R) -> Result<Vec<M2mTransa
 
 /// The JSONL wire form of one catalog row: identical field names and
 /// order to [`CatalogEntry`], with `apns` spelled out as the sorted list
-/// of strings (resolved through the catalog's intern table). This keeps
-/// the line format — byte for byte — what it was before symbols existed,
-/// while the in-memory entry stores compact `ApnSym` keys.
+/// of strings (resolved through the catalog's intern table), while the
+/// in-memory entry stores compact `ApnSym` keys.
+///
+/// Rows of catalog schema v1 also carried the call seconds and the set
+/// of sector ids. The scanner gives up on such a line and the serde
+/// fallback ignores the two extra keys, so a v1 JSONL catalog reads as
+/// its v2 content.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct CatalogRowWire {
     user: u64,
@@ -187,14 +191,12 @@ struct CatalogRowWire {
     failed_events: u64,
     calls: u64,
     sms: u64,
-    call_secs: u64,
     data_sessions: u64,
     bytes_up: u64,
     bytes_down: u64,
     visited: BTreeSet<u32>,
     apns: BTreeSet<String>,
     radio_flags: RadioFlags,
-    sector_set: BTreeSet<u64>,
     hourly: [u32; 24],
     in_designated_range: bool,
     in_published_m2m_range: bool,
@@ -225,8 +227,6 @@ impl scan::FastParse for CatalogRowWire {
         let calls = sc.u64_val()?;
         sc.lit(",\"sms\":")?;
         let sms = sc.u64_val()?;
-        sc.lit(",\"call_secs\":")?;
-        let call_secs = sc.u64_val()?;
         sc.lit(",\"data_sessions\":")?;
         let data_sessions = sc.u64_val()?;
         sc.lit(",\"bytes_up\":")?;
@@ -239,8 +239,6 @@ impl scan::FastParse for CatalogRowWire {
         let apns = sc.set(|sc| sc.string_val().map(str::to_owned))?;
         sc.lit(",\"radio_flags\":")?;
         let radio_flags = sc.radio_flags()?;
-        sc.lit(",\"sector_set\":")?;
-        let sector_set = sc.set(Scanner::u64_val)?;
         sc.lit(",\"hourly\":")?;
         let hourly = sc.hourly()?;
         sc.lit(",\"in_designated_range\":")?;
@@ -261,14 +259,12 @@ impl scan::FastParse for CatalogRowWire {
             failed_events,
             calls,
             sms,
-            call_secs,
             data_sessions,
             bytes_up,
             bytes_down,
             visited,
             apns,
             radio_flags,
-            sector_set,
             hourly,
             in_designated_range,
             in_published_m2m_range,
@@ -290,7 +286,6 @@ impl CatalogRowWire {
             failed_events: entry.failed_events,
             calls: entry.calls,
             sms: entry.sms,
-            call_secs: entry.call_secs,
             data_sessions: entry.data_sessions,
             bytes_up: entry.bytes_up,
             bytes_down: entry.bytes_down,
@@ -301,7 +296,6 @@ impl CatalogRowWire {
                 .map(|&sym| catalog.apn_str(sym).to_owned())
                 .collect(),
             radio_flags: entry.radio_flags,
-            sector_set: entry.sector_set.clone(),
             hourly: entry.hourly,
             in_designated_range: entry.in_designated_range,
             in_published_m2m_range: entry.in_published_m2m_range,
@@ -324,14 +318,12 @@ impl CatalogRowWire {
             failed_events: self.failed_events,
             calls: self.calls,
             sms: self.sms,
-            call_secs: self.call_secs,
             data_sessions: self.data_sessions,
             bytes_up: self.bytes_up,
             bytes_down: self.bytes_down,
             visited: self.visited,
             apns,
             radio_flags: self.radio_flags,
-            sector_set: self.sector_set,
             hourly: self.hourly,
             in_designated_range: self.in_designated_range,
             in_published_m2m_range: self.in_published_m2m_range,
@@ -543,9 +535,7 @@ impl<R: BufRead> CatalogStream<R> {
 
     /// [`CatalogStream::new`] with `parse` as the JSONL row parser.
     fn with_parser(mut input: R, parse: LineParser) -> Result<Self, IoError> {
-        let head = input.fill_buf()?;
-        let magic = wire::CAT_MAGIC;
-        if head.len() >= magic.len() && &head[..magic.len()] == magic {
+        if input.fill_buf()?.starts_with(wire::CAT_NAME) {
             Self::new_wtrcat(input)
         } else {
             Self::new_jsonl(input, parse)
@@ -589,11 +579,17 @@ impl<R: BufRead> CatalogStream<R> {
         // Validation order is load-bearing: the fixed region — magic
         // first, then the rows/chunks consistency check — is parsed and
         // rejected *before* any length field out of it drives a read
-        // loop. Only then are the table strings pulled in (each read
-        // bounded by the input's actual remaining bytes, see
-        // `read_exact_vec`) and the accumulated region re-parsed by the
-        // wire decoder — one source of truth for table validation.
-        let mut raw = read_header_vec(&mut input, wire::CAT_FIXED_LEN, "header")?;
+        // loop. A short fixed region is left to that parse too, so a
+        // file of another version is named as such however short it is.
+        // Only then are the table strings pulled in (each read bounded
+        // by the input's actual remaining bytes, see `read_exact_vec`)
+        // and the accumulated region re-parsed by the wire decoder — one
+        // source of truth for table validation.
+        let mut raw = Vec::with_capacity(wire::CAT_FIXED_LEN);
+        input
+            .by_ref()
+            .take(wire::CAT_FIXED_LEN as u64)
+            .read_to_end(&mut raw)?;
         let fixed = wire::decode_catalog_fixed(&mut &raw[..])
             .map_err(|e| IoError::BadHeader(e.to_string()))?;
         let rows = usize::try_from(fixed.rows)

@@ -256,7 +256,6 @@ impl EventSink for MnoProbe {
                 }
                 row.visited.insert(sig.visited.packed());
                 if let Some(sector) = sig.sector {
-                    row.sector_set.insert(sector.raw());
                     let pos = self.home_network.sector_position(sector);
                     row.mobility.add(pos, 1.0);
                 }
@@ -279,16 +278,12 @@ impl EventSink for MnoProbe {
                 row.in_published_m2m_range |= published;
                 row.hourly[v.time.hour_of_day() as usize] += 1;
                 match v.kind {
-                    VoiceKind::Call => {
-                        row.calls += 1;
-                        row.call_secs += v.duration_secs as u64;
-                    }
+                    VoiceKind::Call => row.calls += 1,
                     VoiceKind::SmsLike => row.sms += 1,
                 }
                 row.radio_flags.record(v.rat, false, true);
                 row.visited.insert(v.visited.packed());
                 if v.visited == self.studied {
-                    row.sector_set.insert(v.sector.raw());
                     row.mobility
                         .add(self.home_network.sector_position(v.sector), 1.0);
                 }
@@ -322,7 +317,6 @@ impl EventSink for MnoProbe {
                 row.radio_flags.record(d.rat, true, false);
                 row.visited.insert(d.visited.packed());
                 if d.visited == self.studied {
-                    row.sector_set.insert(d.sector.raw());
                     row.mobility
                         .add(self.home_network.sector_position(d.sector), 1.0);
                 }
@@ -429,7 +423,7 @@ mod tests {
             .iter()
             .any(|&a| p.catalog.apn_str(a).contains("centricaplc")));
         assert!(row.radio_flags.data.contains(Rat::G2));
-        assert_eq!(row.sectors(), 1);
+        assert_eq!(row.mobility.weight(), 2.0, "both events placed in a sector");
         assert!(row.mobility.gyration_km().unwrap() < 1e-6);
     }
 
@@ -457,7 +451,7 @@ mod tests {
         let row = p.catalog.iter().next().unwrap();
         assert_eq!(row.label, RoamingLabel::HA);
         assert_eq!(row.events, 0, "no radio events for outbound roamers");
-        assert_eq!(row.sectors(), 0, "no sector visibility abroad");
+        assert_eq!(row.mobility.weight(), 0.0, "no sector visibility abroad");
     }
 
     #[test]
@@ -487,7 +481,6 @@ mod tests {
         }));
         let row = p.catalog.iter().next().unwrap();
         assert_eq!(row.calls, 1);
-        assert_eq!(row.call_secs, 90);
         assert!(row.radio_flags.voice.contains(Rat::G2));
         assert!(row.used_voice() && !row.used_data());
         assert_eq!(p.cdr_count(), 1);

@@ -24,8 +24,16 @@ use wtr_sim::events::ProcedureResult;
 /// Magic bytes opening a transaction log.
 pub const MAGIC: &[u8; 8] = b"WTRM2M\x01\x00";
 
-/// Magic bytes opening a columnar devices-catalog (`WTRCAT`) file.
-pub const CAT_MAGIC: &[u8; 8] = b"WTRCAT\x01\x00";
+/// Magic bytes opening a columnar devices-catalog (`WTRCAT`) file: the
+/// format name, the version byte and a zero byte. Version 2 dropped the
+/// per-row call seconds and sector-id set of version 1.
+pub const CAT_MAGIC: &[u8; 8] = b"WTRCAT\x02\x00";
+
+/// The format name that opens a `WTRCAT` file of any version. The
+/// catalog readers sniff this, not the whole magic, so that a file of
+/// another version fails the version check instead of being read as
+/// JSONL.
+pub const CAT_NAME: &[u8; 6] = b"WTRCAT";
 
 /// Rows per `WTRCAT` row-group chunk — the unit of parallel decoding.
 pub const CAT_CHUNK_ROWS: usize = 4096;
@@ -93,6 +101,20 @@ fn decode_result(b: u8) -> Result<ProcedureResult, ParseError> {
     })
 }
 
+/// Checks a stream's leading bytes against `magic`: a 6-byte format
+/// name, a version byte and a zero byte. A stream that opens with the
+/// format name but differs after it is reported with its version byte.
+fn check_magic(found: &[u8], magic: &[u8; 8], format: &'static str) -> Result<(), ParseError> {
+    if found == magic {
+        return Ok(());
+    }
+    Err(ParseError::BadMagic {
+        format,
+        expected: magic[6],
+        found: (found.len() == magic.len() && found[..6] == magic[..6]).then(|| found[6]),
+    })
+}
+
 /// Serialized size of one record.
 pub const RECORD_SIZE: usize = 8 + 8 + 4 + 4 + 1 + 1;
 
@@ -132,11 +154,7 @@ pub fn decode_log(mut buf: impl Buf) -> Result<Vec<M2mTransaction>, ParseError> 
     }
     let mut magic = [0u8; 8];
     buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(ParseError::BadApn {
-            reason: "bad transaction-log magic",
-        });
-    }
+    check_magic(&magic, MAGIC, "WTRM2M")?;
     let count = buf.get_u64_le() as usize;
     if buf.remaining() != count * RECORD_SIZE {
         return Err(ParseError::BadLength {
@@ -171,21 +189,24 @@ pub fn decode_log(mut buf: impl Buf) -> Result<Vec<M2mTransaction>, ParseError> 
 // Layout:
 //
 // ```text
-// magic "WTRCAT\x01\x00"
+// magic "WTRCAT\x02\x00"
 // window_days: u32 LE
 // rows:        u64 LE
 // chunks:      u32 LE
 // apn table:   u32 LE count, then per string u16 LE length + UTF-8 bytes,
 //              strictly ascending (canonical order; symbols = sorted rank)
 // per chunk:   byte_len u32 LE | row_count u32 LE | row bytes
+// per row:     user, day, sim PLMN, TAC | label u8 | flags u8 |
+//              7 counters | radio flags 2 bytes | visited set | APN set |
+//              24 hourly counters | mobility 5 × f64 (if flagged)
 // ```
 //
 // Rows use LEB128 varints for counters and id columns, one byte per
 // enum/bitset, and raw little-endian f64 for the mobility accumulator
 // (present only when non-default). Sorted sets (visited PLMN keys, APN
-// symbols, sector ids) are delta-encoded. Because the table is stored in
-// canonical (sorted) order and rows are remapped to it at encode time, the
-// file bytes depend only on catalog *content* — never on ingest order or
+// symbols) are delta-encoded. Because the table is stored in canonical
+// (sorted) order and rows are remapped to it at encode time, the file
+// bytes depend only on catalog *content* — never on ingest order or
 // thread count.
 
 fn put_varint(buf: &mut BytesMut, mut v: u64) {
@@ -293,7 +314,6 @@ fn encode_row(buf: &mut BytesMut, row: &CatalogEntry, remap: &[ApnSym]) {
         row.failed_events,
         row.calls,
         row.sms,
-        row.call_secs,
         row.data_sessions,
         row.bytes_up,
         row.bytes_down,
@@ -310,7 +330,6 @@ fn encode_row(buf: &mut BytesMut, row: &CatalogEntry, remap: &[ApnSym]) {
         .collect();
     apns.sort_unstable();
     put_sorted_set(buf, apns.into_iter());
-    put_sorted_set(buf, row.sector_set.iter().copied());
     for h in row.hourly {
         put_varint(buf, u64::from(h));
     }
@@ -350,7 +369,7 @@ fn decode_row(buf: &mut &[u8], table_len: usize) -> Result<CatalogEntry, ParseEr
             allowed: "bits 0..=2",
         });
     }
-    let mut counters = [0u64; 8];
+    let mut counters = [0u64; 7];
     for c in &mut counters {
         *c = get_varint(buf)?;
     }
@@ -382,7 +401,6 @@ fn decode_row(buf: &mut &[u8], table_len: usize) -> Result<CatalogEntry, ParseEr
         }
         apns.insert(ApnSym::from_raw(raw));
     }
-    let sector_set: BTreeSet<u64> = get_sorted_set(buf, "sector set")?.into_iter().collect();
     let mut hourly = [0u32; 24];
     for h in &mut hourly {
         *h = narrow_u32(get_varint(buf)?, "hourly counter")?;
@@ -414,14 +432,12 @@ fn decode_row(buf: &mut &[u8], table_len: usize) -> Result<CatalogEntry, ParseEr
         failed_events: counters[1],
         calls: counters[2],
         sms: counters[3],
-        call_secs: counters[4],
-        data_sessions: counters[5],
-        bytes_up: counters[6],
-        bytes_down: counters[7],
+        data_sessions: counters[4],
+        bytes_up: counters[5],
+        bytes_down: counters[6],
         visited,
         apns,
         radio_flags,
-        sector_set,
         hourly,
         in_designated_range: flags & 0b001 != 0,
         in_published_m2m_range: flags & 0b010 != 0,
@@ -529,12 +545,11 @@ pub struct CatalogFixed {
 /// — so a corrupt or mis-sniffed file is rejected here, before any
 /// reader loops on a hostile length field.
 pub fn decode_catalog_fixed(buf: &mut &[u8]) -> Result<CatalogFixed, ParseError> {
-    let magic = take(buf, CAT_MAGIC.len(), "catalog header")?;
-    if magic != CAT_MAGIC {
-        return Err(ParseError::BadApn {
-            reason: "bad WTRCAT magic",
-        });
-    }
+    check_magic(
+        take(buf, CAT_MAGIC.len(), "catalog header")?,
+        CAT_MAGIC,
+        "WTRCAT",
+    )?;
     let window_days = get_u32_le(buf, "window_days")?;
     let rows = u64::from_le_bytes(
         take(buf, 8, "row count")?
@@ -751,7 +766,6 @@ mod tests {
                 row.failed_events = user % 3;
                 row.calls = user % 2;
                 row.sms = user % 5;
-                row.call_secs = user * 7;
                 row.data_sessions = 1 + user % 4;
                 row.bytes_up = user * 1_000;
                 row.bytes_down = user * 10_000;
@@ -760,8 +774,6 @@ mod tests {
                 row.apns.insert(sym);
                 row.radio_flags.any = RatSet::from_bits((1 + user % 15) as u8);
                 row.radio_flags.data = RatSet::from_bits((user % 4) as u8);
-                row.sector_set.insert(user * 31 + u64::from(day));
-                row.sector_set.insert(user * 31 + 1);
                 row.hourly[(user % 24) as usize] = day + 1;
                 row.in_designated_range = user % 7 == 0;
                 row.in_published_m2m_range = user % 11 == 0;
@@ -809,7 +821,6 @@ mod tests {
             assert_eq!(a.radio_flags, b.radio_flags);
             assert_eq!(a.hourly, b.hourly);
             assert_eq!(a.visited, b.visited);
-            assert_eq!(a.sector_set, b.sector_set);
         }
     }
 

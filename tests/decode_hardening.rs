@@ -48,7 +48,6 @@ fn build_catalog(rows: &[(u8, u8, u8, u16)]) -> DevicesCatalog {
         r.bytes_down += u64::from(events) * 17;
         r.calls += u64::from(kind % 4);
         r.visited.insert(u32::from(user) + 200_000);
-        r.sector_set.insert(u64::from(events) * 31);
         r.radio_flags.merge(RadioFlags {
             any: RatSet::from_bits(1 + kind % 15),
             data: RatSet::from_bits(kind % 4),

@@ -14,7 +14,8 @@
 //!    engine pin that: the event **multiset** of a small fixed world is
 //!    unchanged, and the loss-free catalog (which depends only on
 //!    per-device streams) is byte-identical. Further digests pin the
-//!    small world's raw emission order and the whole lossy fingerprint.
+//!    small world's raw emission order, the lossy catalog and the whole
+//!    lossy fingerprint.
 //! 3. **Merge algebra** (proptest): `MnoProbe::absorb` over arbitrary
 //!    device partitions reproduces the serial fold exactly, and the
 //!    `LossySink` drop set is invariant to how devices are partitioned
@@ -48,8 +49,11 @@ const SHARDS: [usize; 4] = [1, 2, 3, 8];
 // change (old tie-break: global insertion sequence).
 // ---------------------------------------------------------------------
 
-/// 400 devices x 5 days, seed 7, nbiot 0.05, loss 0: JSONL catalog bytes.
-const OLD_CATALOG_JSONL_DIGEST: u64 = 0x11c4fa741ce1c115;
+/// 400 devices x 5 days, seed 7, nbiot 0.05, loss 0: JSONL catalog
+/// bytes. Re-recorded for catalog schema v2, whose rows dropped the call
+/// seconds and the sector-id set: this is the pre-shard golden with
+/// those two keys stripped.
+const CATALOG_JSONL_DIGEST: u64 = 0x95d9b1435507d4d9;
 /// Same run: (radio events, CDRs, xDRs).
 const OLD_RECORD_COUNTS: (u64, u64, u64) = (70_376, 4_808, 35_936);
 /// Same run: catalog rows.
@@ -62,13 +66,11 @@ const OLD_EVENT_MULTISET_DIGEST: u64 = 0x7bce9976374b188a;
 const EVENT_RAW_ORDER_DIGEST: u64 = 0xdb4f2e20b9537b30;
 /// 400 devices x 5 days, seed 7, nbiot 0.05, loss 0.07: the full
 /// [`fingerprint`] (both catalog formats, ground truth, element load,
-/// record counts).
-const LOSSY_FINGERPRINT_DIGEST: u64 = 0x3fc8306b81d4c42f;
-/// 400 devices x 5 days, seed 7, nbiot 0.05: JSONL catalog bytes with
-/// the keys catalog schema v2 retires (`call_secs`, `sector_set`)
-/// stripped from every row, at loss 0 and at loss 0.07.
-const CATALOG_V2_JSONL_DIGEST: u64 = 0x95d9b1435507d4d9;
-const LOSSY_CATALOG_V2_JSONL_DIGEST: u64 = 0x20840effe16a7f8c;
+/// record counts). Re-recorded for catalog schema v2 (was
+/// `0x3fc8306b81d4c42f`): it digests the WTRCAT bytes too.
+const LOSSY_FINGERPRINT_DIGEST: u64 = 0x2fbb477ad739efc6;
+/// Same run at loss 0.07: JSONL catalog bytes.
+const LOSSY_CATALOG_JSONL_DIGEST: u64 = 0x20840effe16a7f8c;
 
 /// Order-sensitive digest: bytes folded 8 at a time through `mix64`.
 fn digest(bytes: &[u8]) -> u64 {
@@ -79,27 +81,6 @@ fn digest(bytes: &[u8]) -> u64 {
         acc = mix64(acc ^ u64::from_le_bytes(b));
     }
     mix64(acc ^ bytes.len() as u64)
-}
-
-/// Removes `,"call_secs":N` and `,"sector_set":[…]` from every row of
-/// a catalog JSONL export: the v2 projection of a v1 catalog.
-fn strip_v1_keys(jsonl: &[u8]) -> Vec<u8> {
-    let text = std::str::from_utf8(jsonl).unwrap();
-    let mut out = String::with_capacity(text.len());
-    for line in text.lines() {
-        let mut line = line.to_owned();
-        if let Some(at) = line.find(",\"call_secs\":") {
-            let end = at + 1 + line[at + 1..].find(',').unwrap();
-            line.replace_range(at..end, "");
-        }
-        if let Some(at) = line.find(",\"sector_set\":[") {
-            let end = at + line[at..].find(']').unwrap() + 1;
-            line.replace_range(at..end, "");
-        }
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out.into_bytes()
 }
 
 fn scenario_config(loss: f64) -> MnoScenarioConfig {
@@ -160,13 +141,13 @@ fn catalog_bytes_match_pre_shard_golden_anchor() {
     // The dispatch-order re-anchor changed only cross-agent
     // interleaving; each device's own event stream — and therefore the
     // loss-free catalog, whose rows are pure per-device folds — is
-    // untouched. The digest below was captured from the pre-change
-    // engine.
+    // untouched. The digest below is the one captured from the
+    // pre-change engine, with the keys catalog schema v2 retired
+    // stripped from its rows.
     let out = MnoScenario::new(scenario_config(0.0)).run_sharded(1);
     let mut jsonl = Vec::new();
     io::write_catalog(&mut jsonl, &out.catalog).unwrap();
-    assert_eq!(digest(&jsonl), OLD_CATALOG_JSONL_DIGEST);
-    assert_eq!(digest(&strip_v1_keys(&jsonl)), CATALOG_V2_JSONL_DIGEST);
+    assert_eq!(digest(&jsonl), CATALOG_JSONL_DIGEST);
     assert_eq!(out.record_counts, OLD_RECORD_COUNTS);
     assert_eq!(out.catalog.len(), OLD_CATALOG_ROWS);
 }
@@ -174,15 +155,12 @@ fn catalog_bytes_match_pre_shard_golden_anchor() {
 #[test]
 fn lossy_fingerprint_matches_golden() {
     // Record loss drops a partition-invariant set of probe records; the
-    // digest pins which ones, on top of everything the loss-free golden
+    // digests pin which ones, on top of everything the loss-free golden
     // anchor covers.
     let out = MnoScenario::new(scenario_config(0.07)).run_sharded(1);
     let mut jsonl = Vec::new();
     io::write_catalog(&mut jsonl, &out.catalog).unwrap();
-    assert_eq!(
-        digest(&strip_v1_keys(&jsonl)),
-        LOSSY_CATALOG_V2_JSONL_DIGEST
-    );
+    assert_eq!(digest(&jsonl), LOSSY_CATALOG_JSONL_DIGEST);
     assert_eq!(digest(&fingerprint(&out)), LOSSY_FINGERPRINT_DIGEST);
 }
 
