@@ -123,6 +123,9 @@ pub fn simulate_mno(argv: &[String]) -> Result<(), String> {
         gsma_transparency: args.flag("transparency"),
         record_loss_fraction: args.get_parsed("record-loss", 0.0f64)?,
     };
+    if config.days == 0 {
+        return Err("--days must be at least 1".into());
+    }
     eprintln!(
         "simulating {} devices over {} days (seed {})…",
         config.devices, config.days, config.seed

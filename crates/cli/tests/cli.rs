@@ -181,6 +181,27 @@ fn missing_required_options_fail_cleanly() {
 }
 
 #[test]
+fn zero_days_and_zero_shards_are_usage_errors() {
+    let catalog = tmp("catalog-zero.jsonl");
+    for (flag, extra) in [
+        ("--days", &["--days", "0"][..]),
+        ("--shards", &["--days", "1", "--shards", "0"]),
+    ] {
+        let mut args = vec!["simulate-mno", "--out", catalog.to_str().unwrap()];
+        args.extend(["--devices", "10"]);
+        args.extend(extra);
+        let out = wtr(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} must be at least 1")),
+            "{extra:?}: {stderr}"
+        );
+    }
+    assert!(!catalog.exists(), "a rejected run writes no catalog");
+}
+
+#[test]
 fn truth_export_and_validate_loop() {
     let catalog = tmp("catalog-validate.jsonl");
     let truth = tmp("truth-validate.jsonl");

@@ -434,13 +434,40 @@ fn read_header_vec<R: Read>(r: &mut R, n: usize, what: &str) -> Result<Vec<u8>, 
     })
 }
 
-/// The one row-order rule of both catalog formats: each row's
-/// `(user, day)` must be strictly greater than the previous row's. The
-/// writers always emit this order, and [`DevicesCatalog`] keys and the
-/// downstream summary folds rely on it, so a repeated or swapped row is
-/// an error rather than something each reader resolves its own way.
-fn check_row_order(last: &mut Option<(u64, u32)>, row: &CatalogEntry) -> Result<(), String> {
+/// Longest observation window a catalog header may declare: ten years
+/// of days, room for multi-year operator studies. Per-day analysis state
+/// is sized by the declared window, so this bounds what a header alone
+/// can make a reader allocate.
+pub const MAX_WINDOW_DAYS: u32 = 3660;
+
+/// Rejects a header whose window exceeds [`MAX_WINDOW_DAYS`].
+fn check_window(window_days: u32) -> Result<(), IoError> {
+    if window_days > MAX_WINDOW_DAYS {
+        return Err(IoError::BadHeader(format!(
+            "window of {window_days} days exceeds the {MAX_WINDOW_DAYS}-day limit"
+        )));
+    }
+    Ok(())
+}
+
+/// The row rules of both catalog formats: each row's day lies inside
+/// the declared window, and its `(user, day)` is strictly greater than
+/// the previous row's. The writers always emit such rows, and
+/// [`DevicesCatalog`] keys and the downstream per-day and summary folds
+/// rely on them, so a row that breaks either rule is an error rather
+/// than something each reader resolves its own way.
+fn check_row(
+    last: &mut Option<(u64, u32)>,
+    window_days: u32,
+    row: &CatalogEntry,
+) -> Result<(), String> {
     let key = (row.user, row.day.0);
+    if key.1 >= window_days {
+        return Err(format!(
+            "row (user {}, day {}) lies outside the {window_days}-day window",
+            key.0, key.1
+        ));
+    }
     if let Some((user, day)) = *last {
         if key <= (user, day) {
             return Err(format!(
@@ -489,11 +516,12 @@ enum StreamBackend<R> {
 /// behind the bounded-memory pipeline, and the only decoder of catalog
 /// bytes — [`read_catalog_auto`] is a drain of it.
 ///
-/// Sniffs the format (a `WTRCAT` magic means binary, anything else
-/// JSONL), reads the header eagerly — window length, declared row count
-/// and, for `WTRCAT`, the canonical APN table — then yields rows in file
-/// order **without ever materializing a [`DevicesCatalog`]**. Peak
-/// memory is O(chunk), not O(rows).
+/// Sniffs the format (a leading `WTRCAT` means binary, anything else
+/// JSONL; a `WTRCAT` version this build does not read fails with
+/// [`IoError::BadHeader`]), reads the header eagerly — window length,
+/// declared row count and, for `WTRCAT`, the canonical APN table — then
+/// yields rows in file order **without ever materializing a
+/// [`DevicesCatalog`]**. Peak memory is O(chunk), not O(rows).
 ///
 /// # Determinism and equivalence
 ///
@@ -506,9 +534,12 @@ enum StreamBackend<R> {
 /// * APN symbols: JSONL interns in row order (first occurrence),
 ///   `WTRCAT` uses the file's canonical table. Resolve the emitted rows'
 ///   symbols through the table [`CatalogStream::finish`] returns.
+/// * The header's window may not exceed [`MAX_WINDOW_DAYS`], and each
+///   row's day must lie inside it.
 /// * Rows must be strictly ascending by `(user, day)`, across chunk
 ///   boundaries too: a repeated or swapped row fails the stream (for
-///   JSONL with [`IoError::Parse`] and the row's line number).
+///   JSONL with [`IoError::Parse`] and the row's line number, as does a
+///   row outside the window).
 pub struct CatalogStream<R> {
     backend: StreamBackend<R>,
     table: ApnTable,
@@ -555,6 +586,7 @@ impl<R: BufRead> CatalogStream<R> {
                 header.format
             )));
         }
+        check_window(header.window_days)?;
         let declared_rows = header.rows as u64;
         Ok(CatalogStream {
             backend: StreamBackend::Jsonl {
@@ -592,6 +624,7 @@ impl<R: BufRead> CatalogStream<R> {
             .read_to_end(&mut raw)?;
         let fixed = wire::decode_catalog_fixed(&mut &raw[..])
             .map_err(|e| IoError::BadHeader(e.to_string()))?;
+        check_window(fixed.window_days)?;
         let rows = usize::try_from(fixed.rows)
             .map_err(|_| IoError::BadHeader("declared row count overflows usize".into()))?;
         for _ in 0..fixed.table_len {
@@ -683,7 +716,7 @@ impl<R: BufRead> CatalogStream<R> {
                     .collect();
                 for ((line, _), wire) in numbered.iter().zip(parse(&numbered)) {
                     let entry = wire?.into_entry(|a| self.table.intern(a));
-                    check_row_order(&mut self.last_key, &entry).map_err(|message| {
+                    check_row(&mut self.last_key, self.window_days, &entry).map_err(|message| {
                         IoError::Parse {
                             line: *line,
                             message,
@@ -727,7 +760,8 @@ impl<R: BufRead> CatalogStream<R> {
                 });
                 for chunk in decoded {
                     for entry in chunk.map_err(|e| IoError::BadHeader(e.to_string()))? {
-                        check_row_order(&mut self.last_key, &entry).map_err(IoError::BadHeader)?;
+                        check_row(&mut self.last_key, self.window_days, &entry)
+                            .map_err(IoError::BadHeader)?;
                         self.rows_seen += 1;
                         self.pending.push_back(entry);
                     }

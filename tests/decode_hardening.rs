@@ -107,11 +107,35 @@ fn wtrcat_bytes(cat: &DevicesCatalog) -> Vec<u8> {
     buf
 }
 
-/// Drains the catalog decoder over `bytes`; it must return, not panic.
+/// Folds the catalog decoder's rows over `bytes` into summaries and
+/// per-day label shares; it must return, not panic or allocate by what
+/// a corrupt header declares.
 fn decode(bytes: &[u8]) -> Result<(), String> {
-    io::read_catalog_auto(bytes)
-        .map(|_| ())
-        .map_err(|e| e.to_string())
+    stream_catalog(bytes).map(|_| ()).map_err(|e| e.to_string())
+}
+
+/// The schema-v1 form of a catalog JSONL export: every row also carries
+/// the `call_secs` counter and the `sector_set` list that v2 retired.
+fn with_v1_keys(jsonl: &[u8]) -> String {
+    let text = std::str::from_utf8(jsonl).unwrap();
+    let mut lines = text.lines();
+    let mut out = format!("{}\n", lines.next().unwrap());
+    for (n, row) in lines.enumerate() {
+        let row = row
+            .replacen(
+                ",\"data_sessions\":",
+                &format!(",\"call_secs\":{}{}", n * 7, ",\"data_sessions\":"),
+                1,
+            )
+            .replacen(
+                ",\"hourly\":",
+                &format!(",\"sector_set\":[{},{}],\"hourly\":", n, n * 31 + 1),
+                1,
+            );
+        out.push_str(&row);
+        out.push('\n');
+    }
+    out
 }
 
 /// Compares the fast-path and serde-only catalog readers on one input:
@@ -177,17 +201,21 @@ proptest! {
         assert_catalog_readers_agree(&flipped);
     }
 
-    /// Valid catalogs parse identically through the scanner and serde.
+    /// Valid catalogs parse identically through the scanner and serde,
+    /// and so does their schema-v1 form, to the same catalog.
     #[test]
     fn scanner_matches_serde_on_valid_catalogs(
         rows in prop::collection::vec((0u8..40, 0u8..5, 0u8..6, 1u16..500), 0..60),
     ) {
         let cat = build_catalog(&rows);
         let bytes = jsonl_bytes(&cat);
-        let fast = io::read_catalog_auto(&bytes[..]).unwrap();
-        let slow = io::read_catalog_serde(&bytes[..]).unwrap();
-        prop_assert_eq!(jsonl_bytes(&fast), jsonl_bytes(&slow));
-        prop_assert_eq!(jsonl_bytes(&fast), bytes);
+        let v1 = with_v1_keys(&bytes);
+        for input in [&bytes[..], v1.as_bytes()] {
+            let fast = io::read_catalog_auto(input).unwrap();
+            let slow = io::read_catalog_serde(input).unwrap();
+            prop_assert_eq!(jsonl_bytes(&fast), jsonl_bytes(&slow));
+            prop_assert_eq!(jsonl_bytes(&fast), &bytes[..]);
+        }
     }
 
     /// Valid transaction logs parse identically; corrupted ones report
@@ -334,4 +362,72 @@ fn repeated_and_swapped_rows_are_rejected_with_line_number() {
         );
         assert!(stream_catalog(body.as_bytes()).is_err(), "{what} folded");
     }
+}
+
+/// A WTRCAT file of another format version fails its header, naming
+/// both versions, instead of being read as JSONL.
+#[test]
+fn other_wtrcat_versions_are_rejected_by_version() {
+    let mut bytes = wtrcat_bytes(&build_catalog(&[(1, 0, 0, 10)]));
+    assert_eq!(&bytes[..8], wire::CAT_MAGIC);
+    bytes[6] = 1;
+    match io::read_catalog_auto(&bytes[..]) {
+        Err(IoError::BadHeader(message)) => assert!(
+            message.contains("version 1") && message.contains("reads version 2"),
+            "{message}"
+        ),
+        other => panic!("v1 WTRCAT accepted: {:?}", other.map(|c| c.len())),
+    }
+}
+
+/// A header may declare at most `MAX_WINDOW_DAYS` days, and every row's
+/// day must lie inside the declared window — in both formats, through
+/// both JSONL readers and the folding route.
+#[test]
+fn hostile_windows_and_out_of_window_rows_are_rejected() {
+    let cat = build_catalog(&[(1, 0, 0, 10), (1, 4, 1, 20), (2, 0, 2, 30)]);
+    let text = String::from_utf8(jsonl_bytes(&cat)).unwrap();
+    let window =
+        |days: u32| text.replacen("\"window_days\":5", &format!("\"window_days\":{days}"), 1);
+    let bin_window = |days: u32| {
+        let mut bytes = wtrcat_bytes(&cat);
+        let at = wire::CAT_MAGIC.len();
+        bytes[at..at + 4].copy_from_slice(&days.to_le_bytes());
+        bytes
+    };
+
+    // A window past the cap fails the header, before any row is read.
+    let hostile = window(10_000_000);
+    for bytes in [hostile.as_bytes(), &bin_window(10_000_000)[..]] {
+        let err = io::read_catalog_auto(bytes).unwrap_err();
+        assert!(matches!(err, IoError::BadHeader(_)), "{err}");
+        assert!(stream_catalog(bytes).is_err());
+    }
+    let at_cap = window(io::MAX_WINDOW_DAYS);
+    assert_eq!(
+        io::read_catalog_auto(at_cap.as_bytes())
+            .unwrap()
+            .window_days(),
+        io::MAX_WINDOW_DAYS
+    );
+
+    // A 4-day window leaves the day-4 row (line 3) outside it.
+    let narrow = window(4);
+    let fast = io::read_catalog_auto(narrow.as_bytes());
+    assert!(
+        matches!(&fast, Err(IoError::Parse { line: 3, .. })),
+        "{:?}",
+        fast.map(|c| c.len())
+    );
+    let serde = io::read_catalog_serde(narrow.as_bytes());
+    assert_eq!(
+        fast.unwrap_err().to_string(),
+        serde.unwrap_err().to_string()
+    );
+    assert!(stream_catalog(narrow.as_bytes()).is_err());
+    let err = io::read_catalog_auto(&bin_window(4)[..]).unwrap_err();
+    assert!(
+        matches!(&err, IoError::BadHeader(m) if m.contains("outside the 4-day window")),
+        "{err}"
+    );
 }

@@ -320,9 +320,31 @@ fn hostile_bodies_bounce_without_state_change() {
         truncated.truncate(cut + 1);
         assert_eq!(request(addr, "POST", "/ingest/t", &truncated).status, 400);
 
-        // WTRCAT magic with hostile bytes behind it.
+        // WTRCAT magic with hostile bytes behind it: a version-1 header,
+        // refused by its version.
         let fake_wtrcat = b"WTRCAT\x01\xff\xff\xff\xff\xff\xff\xff\xff";
-        assert_eq!(request(addr, "POST", "/ingest/t", fake_wtrcat).status, 400);
+        let reply = request(addr, "POST", "/ingest/t", fake_wtrcat);
+        assert_eq!(reply.status, 400);
+        assert!(
+            reply.body_str().contains("version 1"),
+            "error must name the file's version: {}",
+            reply.body_str()
+        );
+
+        // A one-row body declaring a 10,000,000-day window: refused at
+        // the header, before the tenant can keep that window.
+        let text = String::from_utf8(catalog_bytes(&catalog)).unwrap();
+        let first_row = text.lines().nth(1).unwrap();
+        let hostile_window = format!(
+            "{{\"format\":\"wtr-catalog\",\"window_days\":10000000,\"rows\":1}}\n{first_row}\n"
+        );
+        let reply = request(addr, "POST", "/ingest/t", hostile_window.as_bytes());
+        assert_eq!(reply.status, 400);
+        assert!(
+            reply.body_str().contains("10000000 days"),
+            "error must name the declared window: {}",
+            reply.body_str()
+        );
 
         // A repeated row, counted by the header: rows must be strictly
         // ascending by (user, day).
