@@ -161,44 +161,34 @@ fn platform_roundtrip() {
 
 #[test]
 fn missing_required_options_fail_cleanly() {
-    for args in [
-        vec!["simulate-mno"],
-        vec!["classify"],
-        vec!["analyze"],
-        vec!["platform-stats"],
+    let catalog = tmp("catalog-rejected.jsonl");
+    let out = catalog.to_str().unwrap();
+    for (args, expected) in [
+        (vec!["simulate-mno"], "required"),
+        (vec!["classify"], "required"),
+        (vec!["analyze"], "required"),
+        (vec!["platform-stats"], "required"),
+        (
+            vec!["simulate-mno", "--out", out, "--days", "0"],
+            "--days must be at least 1",
+        ),
+        (
+            vec!["simulate-mno", "--out", out, "--days", "1", "--shards", "0"],
+            "--shards must be at least 1",
+        ),
     ] {
-        let out = wtr(&args);
-        assert!(!out.status.success(), "{args:?} should fail");
+        let run = wtr(&args);
+        assert_eq!(run.status.code(), Some(1), "{args:?} should fail");
         assert!(
-            String::from_utf8_lossy(&out.stderr).contains("required"),
+            String::from_utf8_lossy(&run.stderr).contains(expected),
             "{args:?}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    // Nonexistent input file.
-    let out = wtr(&["classify", "--catalog", "/nonexistent/x.jsonl"]);
-    assert!(!out.status.success());
-}
-
-#[test]
-fn zero_days_and_zero_shards_are_usage_errors() {
-    let catalog = tmp("catalog-zero.jsonl");
-    for (flag, extra) in [
-        ("--days", &["--days", "0"][..]),
-        ("--shards", &["--days", "1", "--shards", "0"]),
-    ] {
-        let mut args = vec!["simulate-mno", "--out", catalog.to_str().unwrap()];
-        args.extend(["--devices", "10"]);
-        args.extend(extra);
-        let out = wtr(&args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
-        assert!(
-            stderr.contains(&format!("{flag} must be at least 1")),
-            "{extra:?}: {stderr}"
+            String::from_utf8_lossy(&run.stderr)
         );
     }
     assert!(!catalog.exists(), "a rejected run writes no catalog");
+    // Nonexistent input file.
+    let out = wtr(&["classify", "--catalog", "/nonexistent/x.jsonl"]);
+    assert!(!out.status.success());
 }
 
 #[test]
