@@ -4,12 +4,12 @@ use crate::classify::{Classification, DeviceClass};
 use crate::metrics::{shares, CrossTab};
 use crate::summary::DeviceSummary;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use wtr_model::country::Country;
 use wtr_model::roaming::RoamingLabel;
 use wtr_probes::catalog::{CatalogEntry, DevicesCatalog};
-use wtr_sim::par;
-use wtr_sim::stream::{drive_iter_with, drive_slice, ChunkFold};
+use wtr_sim::stream::{drive_iter, drive_slice, ChunkFold};
 
 /// Per-day roaming-label shares (E6). The paper reports H:H ≈ 48%,
 /// V:H ≈ 33%, I:H ≈ 18% per day, "stable across the 22 days".
@@ -40,26 +40,6 @@ impl LabelSharesFold {
         }
     }
 
-    fn fold_entry(&mut self, row: &CatalogEntry) {
-        if (row.day.0 as usize) < self.per_day.len() {
-            *self.per_day[row.day.0 as usize]
-                .entry(row.label)
-                .or_insert(0.0) += 1.0;
-        }
-        *self.overall.entry(row.label).or_insert(0.0) += 1.0;
-    }
-
-    fn merge(&mut self, later: LabelSharesFold) {
-        for (day, counts) in later.per_day.into_iter().enumerate() {
-            for (label, n) in counts {
-                *self.per_day[day].entry(label).or_insert(0.0) += n;
-            }
-        }
-        for (label, n) in later.overall {
-            *self.overall.entry(label).or_insert(0.0) += n;
-        }
-    }
-
     /// Normalizes counts into shares.
     pub fn finish(self) -> LabelShares {
         let normalize = |counts: BTreeMap<RoamingLabel, f64>| -> BTreeMap<RoamingLabel, f64> {
@@ -76,35 +56,32 @@ impl LabelSharesFold {
     }
 }
 
-impl ChunkFold<CatalogEntry> for LabelSharesFold {
+impl<T: Borrow<CatalogEntry>> ChunkFold<T> for LabelSharesFold {
     fn zero(&self) -> Self {
         LabelSharesFold::new(self.per_day.len() as u32)
     }
 
-    fn fold_chunk(&mut self, chunk: &[CatalogEntry]) {
+    fn fold_chunk(&mut self, chunk: &[T]) {
         for row in chunk {
-            self.fold_entry(row);
+            let row = row.borrow();
+            if (row.day.0 as usize) < self.per_day.len() {
+                *self.per_day[row.day.0 as usize]
+                    .entry(row.label)
+                    .or_insert(0.0) += 1.0;
+            }
+            *self.overall.entry(row.label).or_insert(0.0) += 1.0;
         }
     }
 
     fn absorb(&mut self, later: Self) {
-        self.merge(later);
-    }
-}
-
-impl ChunkFold<&CatalogEntry> for LabelSharesFold {
-    fn zero(&self) -> Self {
-        LabelSharesFold::new(self.per_day.len() as u32)
-    }
-
-    fn fold_chunk(&mut self, chunk: &[&CatalogEntry]) {
-        for row in chunk {
-            self.fold_entry(row);
+        for (day, counts) in later.per_day.into_iter().enumerate() {
+            for (label, n) in counts {
+                *self.per_day[day].entry(label).or_insert(0.0) += n;
+            }
         }
-    }
-
-    fn absorb(&mut self, later: Self) {
-        self.merge(later);
+        for (label, n) in later.overall {
+            *self.overall.entry(label).or_insert(0.0) += n;
+        }
     }
 }
 
@@ -114,7 +91,7 @@ impl ChunkFold<&CatalogEntry> for LabelSharesFold {
 /// into ordered maps, keeping the result thread-count-invariant.
 pub fn label_shares(catalog: &DevicesCatalog) -> LabelShares {
     let mut fold = LabelSharesFold::new(catalog.window_days());
-    drive_iter_with(&mut fold, par::chunk_size(catalog.len()), catalog.iter());
+    drive_iter(&mut fold, catalog.iter());
     fold.finish()
 }
 

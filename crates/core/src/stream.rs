@@ -20,10 +20,10 @@
 //!
 //! # Equivalence
 //!
-//! Both passes use chunk boundaries that are pure functions of the
-//! record count ([`wtr_sim::par::chunk_size`]), the same boundaries the
-//! materialized functions use — so every number here is byte-identical
-//! to the materialized pipeline at any thread count. The
+//! Every fold here is exact under regrouping — [`SummaryFold`] folds
+//! each device's rows in row order wherever the chunks are cut — so
+//! every number is byte-identical to the materialized pipeline at any
+//! thread count, whatever chunking either side used. The
 //! `stream_equivalence` test suite serializes both sides and compares
 //! bytes.
 
@@ -106,9 +106,8 @@ pub struct StreamedCatalog {
 /// shares simultaneously; rows are dropped chunk by chunk.
 ///
 /// Byte-identical to [`materialize_catalog`] over the catalog
-/// `read_catalog_auto` returns for the same file: the stream re-chunks
-/// at [`wtr_sim::par::chunk_size`] of the declared row count, the same
-/// boundaries the materialized path folds with.
+/// `read_catalog_auto` returns for the same file, although the two
+/// routes cut their chunks in different places.
 pub fn stream_catalog<R: BufRead>(input: R) -> Result<StreamedCatalog, IoError> {
     let mut stream = CatalogStream::new(input)?;
     let window_days = stream.window_days();

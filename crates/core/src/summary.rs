@@ -5,14 +5,14 @@
 //! anonymized device across the observation window.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use wtr_model::ids::{Plmn, Tac};
 use wtr_model::intern::ApnSym;
 use wtr_model::rat::RadioFlags;
 use wtr_model::roaming::RoamingLabel;
 use wtr_probes::catalog::{CatalogEntry, DevicesCatalog, MobilityAccum};
-use wtr_sim::par;
-use wtr_sim::stream::{drive_iter_with, ChunkFold};
+use wtr_sim::stream::{drive_iter, ChunkFold};
 
 /// One device, aggregated over the whole observation window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -120,45 +120,47 @@ impl DeviceSummary {
     }
 }
 
-/// Chunk-local accumulator: per device, the summary under construction
-/// plus how often each daily label was seen (for the dominant-label vote).
-type Partial = BTreeMap<u64, (DeviceSummary, BTreeMap<RoamingLabel, u32>)>;
+/// One device's summary under construction, plus how often each daily
+/// label was seen (for the dominant-label vote).
+type Open = (DeviceSummary, BTreeMap<RoamingLabel, u32>);
 
-/// Folds one catalog row into a partial. First-touch identity: the first
-/// row a device contributes (earliest (user, day) in the chunk) sets
-/// `sim_plmn`/`tac`/`first_day`.
-fn fold_row(acc: &mut Partial, row: &CatalogEntry) {
-    let (s, counts) = acc.entry(row.user).or_insert_with(|| {
-        (
-            DeviceSummary {
-                user: row.user,
-                sim_plmn: row.sim_plmn,
-                tac: row.tac,
-                active_days: 0,
-                first_day: row.day.0,
-                last_day: row.day.0,
-                dominant_label: row.label,
-                labels: BTreeSet::new(),
-                apns: BTreeSet::new(),
-                radio_flags: RadioFlags::default(),
-                events: 0,
-                failed_events: 0,
-                calls: 0,
-                sms: 0,
-                data_sessions: 0,
-                bytes: 0,
-                in_designated_range: false,
-                in_published_m2m_range: false,
-                visited: BTreeSet::new(),
-                hourly: [0; 24],
-                mobility: MobilityAccum::default(),
-            },
-            BTreeMap::new(),
-        )
-    });
+/// Opens a device's summary on its first row, which sets the identity
+/// fields (`sim_plmn`/`tac`/`first_day`).
+fn open(row: &CatalogEntry) -> Open {
+    let mut device = (
+        DeviceSummary {
+            user: row.user,
+            sim_plmn: row.sim_plmn,
+            tac: row.tac,
+            active_days: 0,
+            first_day: row.day.0,
+            last_day: row.day.0,
+            dominant_label: row.label,
+            labels: BTreeSet::new(),
+            apns: BTreeSet::new(),
+            radio_flags: RadioFlags::default(),
+            events: 0,
+            failed_events: 0,
+            calls: 0,
+            sms: 0,
+            data_sessions: 0,
+            bytes: 0,
+            in_designated_range: false,
+            in_published_m2m_range: false,
+            visited: BTreeSet::new(),
+            hourly: [0; 24],
+            mobility: MobilityAccum::default(),
+        },
+        BTreeMap::new(),
+    );
+    fold_row(&mut device, row);
+    device
+}
+
+/// Folds a device's next row (rows ascend by day) into its summary.
+fn fold_row((s, counts): &mut Open, row: &CatalogEntry) {
     s.active_days += 1;
-    s.first_day = s.first_day.min(row.day.0);
-    s.last_day = s.last_day.max(row.day.0);
+    s.last_day = row.day.0;
     s.labels.insert(row.label);
     s.apns.extend(row.apns.iter().copied());
     s.radio_flags.merge(row.radio_flags);
@@ -178,66 +180,27 @@ fn fold_row(acc: &mut Partial, row: &CatalogEntry) {
     *counts.entry(row.label).or_insert(0) += 1;
 }
 
-/// Merges the partial of a *later* chunk into an earlier one. Identity
-/// fields keep the left (earlier) side, matching the serial fold.
-fn merge_partials(left: &mut Partial, right: Partial) {
-    for (user, (rs, rcounts)) in right {
-        match left.entry(user) {
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert((rs, rcounts));
-            }
-            std::collections::btree_map::Entry::Occupied(mut o) => {
-                let (s, counts) = o.get_mut();
-                s.active_days += rs.active_days;
-                s.first_day = s.first_day.min(rs.first_day);
-                s.last_day = s.last_day.max(rs.last_day);
-                s.labels.extend(rs.labels);
-                s.apns.extend(rs.apns);
-                s.radio_flags.merge(rs.radio_flags);
-                s.events += rs.events;
-                s.failed_events += rs.failed_events;
-                s.calls += rs.calls;
-                s.sms += rs.sms;
-                s.data_sessions += rs.data_sessions;
-                s.bytes += rs.bytes;
-                s.in_designated_range |= rs.in_designated_range;
-                s.in_published_m2m_range |= rs.in_published_m2m_range;
-                s.visited.extend(rs.visited);
-                for (h, n) in rs.hourly.iter().enumerate() {
-                    s.hourly[h] += n;
-                }
-                s.mobility.merge(&rs.mobility);
-                for (label, n) in rcounts {
-                    *counts.entry(label).or_insert(0) += n;
-                }
-            }
-        }
-    }
-}
-
 /// Streaming accumulator for per-device summaries: the [`ChunkFold`]
 /// behind [`summarize`] and the single-pass catalog pipeline
 /// (`wtr_core::stream`).
 ///
-/// Folds catalog rows (owned or borrowed chunks) into a per-device
-/// partial; [`SummaryFold::finish`] resolves the dominant-label vote and
-/// yields summaries sorted by device ID. State is O(devices), never
-/// O(rows): this is what lets a visited-MNO-scale catalog stream through
-/// without materializing.
-///
-/// Rows must arrive in the catalog's canonical (user, day) order for the
-/// first-touch identity fields (`sim_plmn`/`tac`) to match the
-/// materialized path — both the JSONL and WTRCAT writers emit that
-/// order, and `CatalogStream` rejects a file that breaks it. All merges are integer adds, set unions and "first wins"
-/// choices except the f64 mobility accumulator, whose bit-exactness
-/// across paths is guaranteed by pinning chunk boundaries
-/// (`wtr_sim::par::chunk_size`) rather than by associativity.
-/// `Clone` (like every other analysis fold) so an open accumulation —
-/// e.g. a `wtr_serve` day that has not sealed yet — can be snapshotted
-/// and finished without disturbing the live fold.
+/// Rows must arrive in the catalog's canonical (user, day) order — both
+/// the JSONL and WTRCAT writers emit that order, and `CatalogStream`
+/// rejects a file that breaks it. Each summary is then the in-order
+/// fold of its own device's rows, however the rows were chunked: a
+/// chunk's first device is the only one an earlier chunk can hold rows
+/// of, so its rows wait in `head`, unfolded, until
+/// [`absorb`](ChunkFold::absorb) or [`SummaryFold::finish`] meets the
+/// rows before them. The f64 mobility sums therefore never regroup, and
+/// a summary depends on nothing but its device's rows. State is
+/// O(devices) plus one device's rows, never O(rows): this is what lets
+/// a visited-MNO-scale catalog stream through without materializing.
 #[derive(Debug, Default, Clone)]
 pub struct SummaryFold {
-    partial: Partial,
+    /// Rows of the first device this fold saw, cloned and not yet folded.
+    head: Vec<CatalogEntry>,
+    /// Every later device, in row order.
+    devices: Vec<Open>,
 }
 
 impl SummaryFold {
@@ -246,16 +209,29 @@ impl SummaryFold {
         SummaryFold::default()
     }
 
-    /// Devices seen so far.
-    pub fn device_count(&self) -> usize {
-        self.partial.len()
+    /// Adds one row: into `head` until a second device appears, then
+    /// onto the last device or as the next one.
+    fn push(&mut self, row: &CatalogEntry) {
+        match self.devices.last_mut() {
+            Some(last) if last.0.user == row.user => fold_row(last, row),
+            None if self.head.first().is_none_or(|r| r.user == row.user) => {
+                self.head.push(row.clone());
+            }
+            _ => self.devices.push(open(row)),
+        }
     }
 
-    /// Resolves dominant labels and returns summaries sorted by device
-    /// ID (`BTreeMap` order).
+    /// Folds `head` in front of the other devices, resolves dominant
+    /// labels and returns the summaries in row order (device-ID order).
     pub fn finish(self) -> Vec<DeviceSummary> {
-        self.partial
-            .into_values()
+        let head = self.head.split_first().map(|(first, rest)| {
+            rest.iter().fold(open(first), |mut device, row| {
+                fold_row(&mut device, row);
+                device
+            })
+        });
+        head.into_iter()
+            .chain(self.devices)
             .map(|(mut s, counts)| {
                 if let Some((label, _)) = counts
                     .iter()
@@ -269,49 +245,35 @@ impl SummaryFold {
     }
 }
 
-impl ChunkFold<CatalogEntry> for SummaryFold {
+impl<T: Borrow<CatalogEntry>> ChunkFold<T> for SummaryFold {
     fn zero(&self) -> Self {
         SummaryFold::new()
     }
 
-    fn fold_chunk(&mut self, chunk: &[CatalogEntry]) {
+    fn fold_chunk(&mut self, chunk: &[T]) {
         for row in chunk {
-            fold_row(&mut self.partial, row);
+            self.push(row.borrow());
         }
     }
 
     fn absorb(&mut self, later: Self) {
-        merge_partials(&mut self.partial, later.partial);
-    }
-}
-
-impl ChunkFold<&CatalogEntry> for SummaryFold {
-    fn zero(&self) -> Self {
-        SummaryFold::new()
-    }
-
-    fn fold_chunk(&mut self, chunk: &[&CatalogEntry]) {
-        for row in chunk {
-            fold_row(&mut self.partial, row);
+        for row in &later.head {
+            self.push(row);
         }
-    }
-
-    fn absorb(&mut self, later: Self) {
-        merge_partials(&mut self.partial, later.partial);
+        self.devices.extend(later.devices);
     }
 }
 
 /// Folds a devices-catalog into per-device summaries, sorted by device ID.
 ///
 /// The fold is sharded over worker threads (`wtr_sim::par`) through
-/// [`SummaryFold`] without collecting the rows first; because the
-/// catalog iterates in (user, day) order, chunk boundaries are pinned by
-/// [`par::chunk_size`] and chunk partials merge in order, the result is
+/// [`SummaryFold`] without collecting the rows first. Because each
+/// summary is the in-order fold of its device's rows, the result is
 /// identical — byte for byte once serialized — at any thread count, and
 /// bit-identical to streaming the same rows from a catalog file.
 pub fn summarize(catalog: &DevicesCatalog) -> Vec<DeviceSummary> {
     let mut fold = SummaryFold::new();
-    drive_iter_with(&mut fold, par::chunk_size(catalog.len()), catalog.iter());
+    drive_iter(&mut fold, catalog.iter());
     fold.finish()
 }
 

@@ -521,16 +521,16 @@ enum StreamBackend<R> {
 /// [`IoError::BadHeader`]), reads the header eagerly — window length,
 /// declared row count and, for `WTRCAT`, the canonical APN table — then
 /// yields rows in file order **without ever materializing a
-/// [`DevicesCatalog`]**. Peak memory is O(chunk), not O(rows).
+/// [`DevicesCatalog`]**. Each chunk is one read unit: a JSONL block of
+/// at most [`wire::CAT_CHUNK_ROWS`] lines, or one `WTRCAT` row group.
+/// Peak memory is O(chunk), not O(rows), whatever the file's size.
 ///
 /// # Determinism and equivalence
 ///
-/// * Emitted chunk boundaries are [`par::chunk_size`] of the *declared*
-///   row count — the same pure-in-`n` boundaries
-///   [`wtr_sim::stream::drive_slice`] uses over a materialized slice of
-///   the same rows. Folds driven from this stream therefore execute the
-///   exact same arithmetic, in the same order, as the materialized
-///   path: byte-identical results, including floating-point bits.
+/// * Chunk boundaries follow the file's bytes, never the thread count.
+///   The workspace's folds are exact under regrouping, so a fold driven
+///   from this stream equals the same fold over the materialized rows,
+///   floating-point bits included.
 /// * APN symbols: JSONL interns in row order (first occurrence),
 ///   `WTRCAT` uses the file's canonical table. Resolve the emitted rows'
 ///   symbols through the table [`CatalogStream::finish`] returns.
@@ -548,12 +548,9 @@ pub struct CatalogStream<R> {
     rows_seen: u64,
     /// `(user, day)` of the last row decoded, for the row-order rule.
     last_key: Option<(u64, u32)>,
-    /// Rows per emitted chunk: `par::chunk_size(declared_rows)`.
-    chunk_len: usize,
-    /// Decoded rows not yet emitted. A deque, so emitting a chunk moves
-    /// only that chunk's rows (splitting a `Vec` re-copied the rest of
-    /// the refill for every chunk).
-    pending: VecDeque<CatalogEntry>,
+    /// Decoded chunks not yet emitted (a `WTRCAT` refill decodes a
+    /// worker-window of row groups at once).
+    pending: VecDeque<Vec<CatalogEntry>>,
     exhausted: bool,
 }
 
@@ -601,7 +598,6 @@ impl<R: BufRead> CatalogStream<R> {
             declared_rows,
             rows_seen: 0,
             last_key: None,
-            chunk_len: par::chunk_size(header.rows),
             pending: VecDeque::new(),
             exhausted: false,
         })
@@ -625,8 +621,6 @@ impl<R: BufRead> CatalogStream<R> {
         let fixed = wire::decode_catalog_fixed(&mut &raw[..])
             .map_err(|e| IoError::BadHeader(e.to_string()))?;
         check_window(fixed.window_days)?;
-        let rows = usize::try_from(fixed.rows)
-            .map_err(|_| IoError::BadHeader("declared row count overflows usize".into()))?;
         for _ in 0..fixed.table_len {
             let len_bytes = read_header_vec(&mut input, 2, "APN string length")?;
             let len = u16::from_le_bytes(len_bytes[..].try_into().expect("2 bytes")) as usize;
@@ -649,7 +643,6 @@ impl<R: BufRead> CatalogStream<R> {
             declared_rows,
             rows_seen: 0,
             last_key: None,
-            chunk_len: par::chunk_size(rows),
             pending: VecDeque::new(),
             exhausted: false,
         })
@@ -681,7 +674,8 @@ impl<R: BufRead> CatalogStream<R> {
     }
 
     /// Pulls one backend unit (a line block or a `WTRCAT` chunk window)
-    /// into `pending`. Sets `exhausted` at end of input.
+    /// into `pending`, one chunk per line block or row group. Sets
+    /// `exhausted` at end of input.
     fn refill(&mut self) -> Result<(), IoError> {
         match &mut self.backend {
             StreamBackend::Jsonl {
@@ -714,6 +708,7 @@ impl<R: BufRead> CatalogStream<R> {
                     .iter()
                     .map(|(num, range)| (*num, &buf[range.clone()]))
                     .collect();
+                let mut chunk = Vec::with_capacity(numbered.len());
                 for ((line, _), wire) in numbered.iter().zip(parse(&numbered)) {
                     let entry = wire?.into_entry(|a| self.table.intern(a));
                     check_row(&mut self.last_key, self.window_days, &entry).map_err(|message| {
@@ -722,9 +717,9 @@ impl<R: BufRead> CatalogStream<R> {
                             message,
                         }
                     })?;
-                    self.rows_seen += 1;
-                    self.pending.push_back(entry);
+                    chunk.push(entry);
                 }
+                self.push_chunk(chunk);
             }
             StreamBackend::Wtrcat {
                 input,
@@ -759,16 +754,24 @@ impl<R: BufRead> CatalogStream<R> {
                     wire::decode_chunk_rows(body, *rows, table_len)
                 });
                 for chunk in decoded {
-                    for entry in chunk.map_err(|e| IoError::BadHeader(e.to_string()))? {
-                        check_row(&mut self.last_key, self.window_days, &entry)
+                    let chunk = chunk.map_err(|e| IoError::BadHeader(e.to_string()))?;
+                    for entry in &chunk {
+                        check_row(&mut self.last_key, self.window_days, entry)
                             .map_err(IoError::BadHeader)?;
-                        self.rows_seen += 1;
-                        self.pending.push_back(entry);
                     }
+                    self.push_chunk(chunk);
                 }
             }
         }
         Ok(())
+    }
+
+    /// Queues a decoded chunk for emission; an empty one is dropped.
+    fn push_chunk(&mut self, chunk: Vec<CatalogEntry>) {
+        if !chunk.is_empty() {
+            self.rows_seen += chunk.len() as u64;
+            self.pending.push_back(chunk);
+        }
     }
 }
 
@@ -777,14 +780,10 @@ impl<R: BufRead> RecordStream for CatalogStream<R> {
     type Error = IoError;
 
     fn next_chunk(&mut self) -> Result<Option<Vec<CatalogEntry>>, IoError> {
-        while !self.exhausted && self.pending.len() < self.chunk_len {
+        while !self.exhausted && self.pending.is_empty() {
             self.refill()?;
         }
-        if self.pending.is_empty() {
-            return Ok(None);
-        }
-        let take = self.pending.len().min(self.chunk_len);
-        Ok(Some(self.pending.drain(..take).collect()))
+        Ok(self.pending.pop_front())
     }
 }
 

@@ -64,7 +64,7 @@ pub use events::{
     DataSession, ProcedureResult, ProcedureType, SignalingEvent, SimEvent, VoiceCall,
 };
 pub use mobility::MobilityModel;
-pub use par::{par_map, par_map_reduce};
+pub use par::par_map;
 pub use rng::SubstreamRng;
 pub use stream::{ChunkFold, RecordStream};
 pub use traffic::TrafficProfile;

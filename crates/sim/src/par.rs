@@ -8,7 +8,7 @@
 //! # Determinism by construction
 //!
 //! Work is split into fixed chunks whose size is a pure function of the
-//! input length only (never of the thread count, see [`chunk_size`]).
+//! input length only (never of the thread count).
 //! Each chunk is folded independently into a partial accumulator, and
 //! the partials are merged **left to right in chunk-index order** — even
 //! when running serially, the same chunk boundaries are used, so the
@@ -75,35 +75,8 @@ const MAX_CHUNKS: usize = 64;
 /// which is the linchpin of the determinism guarantee: the partial
 /// accumulators computed per chunk are identical no matter how many
 /// threads the chunks were distributed over.
-pub fn chunk_size(n: usize) -> usize {
+fn chunk_size(n: usize) -> usize {
     n.div_ceil(MAX_CHUNKS).max(MIN_CHUNK)
-}
-
-/// Folds every chunk of `items` with `fold` (starting from `identity`)
-/// and merges the per-chunk partials left-to-right in chunk order.
-///
-/// `fold(acc, item)` absorbs one item into a chunk-local accumulator;
-/// `merge(left, right)` combines two adjacent partials where `left`
-/// covers strictly earlier items than `right`. Because partials are
-/// always merged in chunk-index order, `merge` may rely on that
-/// ordering ("first wins" is safe); it does not need to be commutative.
-///
-/// Runs serially (same chunking, same call sequence) when the input is
-/// small or only one worker thread is configured.
-pub fn par_map_reduce<T, A, I, F, M>(items: &[T], identity: I, fold: F, merge: M) -> A
-where
-    T: Sync,
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(A, &T) -> A + Sync,
-    M: Fn(A, A) -> A,
-{
-    let partials = chunked_map(items, |chunk| chunk.iter().fold(identity(), &fold));
-    let mut out = identity();
-    for p in partials {
-        out = merge(out, p);
-    }
-    out
 }
 
 /// Maps every item through `f`, preserving input order in the output.
@@ -154,8 +127,8 @@ pub fn split_ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
 /// Maps every item through `f` with **one work unit per item**,
 /// preserving input order in the output.
 ///
-/// Unlike [`par_map`], which shards at [`chunk_size`] granularity (and
-/// therefore runs serially for fewer than `MIN_CHUNK` items), this
+/// Unlike [`par_map`], which shards into chunks of at least `MIN_CHUNK`
+/// items (and therefore runs serially for fewer than that), this
 /// spreads the items themselves across workers in contiguous index
 /// ranges. It exists for the streaming drivers in [`crate::stream`],
 /// where each "item" is already a whole chunk of records and the
@@ -195,9 +168,10 @@ where
 /// Applies `f` to each fixed-size chunk of `items`, returning the
 /// per-chunk results in chunk-index order.
 ///
-/// This is the shared engine behind [`par_map`] and
-/// [`par_map_reduce`]: chunk boundaries come from [`chunk_size`], and
-/// chunks are assigned to scoped worker threads in contiguous runs.
+/// This is the engine behind [`par_map`] and
+/// [`crate::stream::drive_slice`]: chunk boundaries are a pure function
+/// of `items.len()`, and chunks are assigned to scoped worker threads in
+/// contiguous runs.
 /// Each worker returns `(chunk_index, result)` pairs which are sorted
 /// back into chunk order before returning, so callers observe a
 /// deterministic sequence regardless of scheduling.
@@ -282,7 +256,7 @@ where
 /// left operand always covering strictly earlier input than the right,
 /// and an unpaired tail element passes through unchanged. `merge` may
 /// therefore rely on left-covers-earlier ("first wins") semantics, like
-/// [`par_map_reduce`]'s ordered merge — but unlike the serial left fold
+/// [`chunked_map`]'s ordered results — but unlike the serial left fold
 /// it is *regrouped*: `merge` must be associative for the result to
 /// equal a left fold. Each level's pair merges run on scoped worker
 /// threads, turning an O(k) serial merge tail into O(log k) levels.
@@ -364,31 +338,13 @@ mod tests {
         let items: Vec<f64> = (0..50_000).map(|i| (i as f64).sin() * 1e-3).collect();
         let sum = |t: usize| {
             set_threads(Some(t));
-            let s = par_map_reduce(&items, || 0.0f64, |a, x| a + x, |a, b| a + b);
+            let partials = chunked_map(&items, |chunk| chunk.iter().sum::<f64>());
             set_threads(None);
-            s.to_bits()
+            partials.into_iter().fold(0.0f64, |a, b| a + b).to_bits()
         };
         let s1 = sum(1);
         assert_eq!(s1, sum(2));
         assert_eq!(s1, sum(8));
-    }
-
-    #[test]
-    fn reduce_supports_first_wins_merge() {
-        let _g = LOCK.lock().unwrap();
-        // Non-commutative merge: keep the first-seen value.
-        let items: Vec<u32> = (0..5_000).collect();
-        for t in [1usize, 2, 8] {
-            set_threads(Some(t));
-            let first = par_map_reduce(
-                &items,
-                || None::<u32>,
-                |a, x| a.or(Some(*x)),
-                |a, b| a.or(b),
-            );
-            assert_eq!(first, Some(0));
-        }
-        set_threads(None);
     }
 
     #[test]

@@ -24,28 +24,23 @@
 //!
 //! # Determinism
 //!
-//! Byte-identical output at any thread count falls out of three rules,
-//! the same ones [`crate::par`] established:
+//! Byte-identical output at any thread count falls out of two rules:
 //!
-//! 1. **Chunk boundaries are a pure function of stream content** (record
-//!    positions and counts), never of the thread count.
+//! 1. **Every sink is exact under regrouping** (the [`ChunkFold`]
+//!    contract), so where the chunks are cut decides how the work is
+//!    split, never a result. The cuts are still a pure function of the
+//!    stream content, never of the thread count.
 //! 2. Each chunk folds into a fresh [`ChunkFold::zero`] accumulator;
 //!    partials are **absorbed left-to-right in chunk order**, so
 //!    "first-touch wins" semantics survive parallel execution.
-//! 3. Sinks whose merge involves floating-point accumulation are driven
-//!    with the *same* chunk boundaries on every path (see
-//!    [`crate::par::chunk_size`]), so the exact sequence of arithmetic
-//!    — and therefore every rounding decision — is reproduced.
 //!
 //! The window of chunks in flight ([`drive`] folds up to
 //! [`crate::par::threads`] chunks concurrently) affects only *when*
-//! partials are computed, never the fold boundaries or the absorb
-//! order.
+//! partials are computed, never the absorb order.
 
 use crate::par;
 
-/// Records per chunk for iterator-backed streaming ([`drive_iter`])
-/// when the caller does not pin a chunk size.
+/// Records per chunk for iterator-backed streaming ([`drive_iter`]).
 pub const STREAM_CHUNK: usize = 4096;
 
 /// A sink that folds chunks of `T` records into bounded accumulator
@@ -67,13 +62,13 @@ pub const STREAM_CHUNK: usize = 4096;
 ///
 /// # Contract
 ///
-/// For the drivers to be thread-count invariant, folding the
-/// concatenation of two chunks must equal folding them into separate
-/// zeros and absorbing: `fold(a ++ b) == fold(a).absorb(fold(b))`.
-/// Integer counters, set unions, map-entry merges and "left wins"
-/// identities satisfy this exactly; floating-point accumulators satisfy
-/// it up to rounding, which the pipeline neutralizes by pinning chunk
-/// boundaries (rule 3 of the module docs).
+/// Folding the concatenation of two chunks must equal folding them into
+/// separate zeros and absorbing, exactly:
+/// `fold(a ++ b) == fold(a).absorb(fold(b))`. Integer counters, set
+/// unions, map-entry merges, "left wins" identities and samples reduced
+/// in sorted order satisfy this. A floating-point sum does not, so a
+/// sink must not regroup one: the device-summary fold, for example,
+/// folds each device's rows in row order whatever the chunking.
 pub trait ChunkFold<T>: Send + Sized {
     /// A fresh accumulator with `self`'s configuration and no state.
     fn zero(&self) -> Self;
@@ -127,25 +122,6 @@ impl<T, F: ChunkFold<T>> ChunkFold<T> for Vec<F> {
     }
 }
 
-/// A record counter — the simplest possible sink, mostly useful to ride
-/// along in a broadcast tuple ("how many records did this pass see?").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountFold(pub u64);
-
-impl<T> ChunkFold<T> for CountFold {
-    fn zero(&self) -> Self {
-        CountFold(0)
-    }
-
-    fn fold_chunk(&mut self, chunk: &[T]) {
-        self.0 += chunk.len() as u64;
-    }
-
-    fn absorb(&mut self, later: Self) {
-        self.0 += later.0;
-    }
-}
-
 /// A deterministic chunked producer of records.
 ///
 /// `next_chunk` returns `Ok(Some(chunk))` until the stream is
@@ -184,10 +160,8 @@ where
 /// Drives every record of `items` into `sink` with chunk-parallel
 /// folding, absorbing partials in chunk order.
 ///
-/// Chunk boundaries come from [`par::chunk_size`] — a pure function of
-/// `items.len()` — so output is byte-identical at any thread count, and
-/// identical to any other path folding the same `n` records through
-/// [`par::chunk_size`]`(n)` boundaries.
+/// Chunk boundaries come from [`par::chunked_map`] — a pure function of
+/// `items.len()` — so output is byte-identical at any thread count.
 pub fn drive_slice<T, F>(sink: &mut F, items: &[T])
 where
     T: Sync,
@@ -207,28 +181,24 @@ where
 }
 
 /// Drives an iterator of owned records into `sink`, buffering
-/// `chunk_len` records at a time and folding up to [`par::threads`]
+/// [`STREAM_CHUNK`] records at a time and folding up to [`par::threads`]
 /// chunks concurrently. Returns the number of records consumed.
 ///
-/// Peak memory is O(`chunk_len` × worker window + sink state) — the
-/// iterator itself is never collected. `chunk_len` positions the fold
-/// boundaries; pass [`par::chunk_size`] of the (known) total to
-/// reproduce [`drive_slice`]'s boundaries exactly, or [`STREAM_CHUNK`]
-/// when the total is unknown.
-pub fn drive_iter_with<T, F, I>(sink: &mut F, chunk_len: usize, items: I) -> u64
+/// Peak memory is O([`STREAM_CHUNK`] × worker window + sink state) — the
+/// iterator itself is never collected.
+pub fn drive_iter<T, F, I>(sink: &mut F, items: I) -> u64
 where
     T: Send + Sync,
     F: ChunkFold<T> + Sync,
     I: IntoIterator<Item = T>,
 {
-    let chunk_len = chunk_len.max(1);
     let mut it = items.into_iter();
     let mut seen = 0u64;
     loop {
         let window_target = par::threads().max(1);
         let mut window: Vec<Vec<T>> = Vec::with_capacity(window_target);
         for _ in 0..window_target {
-            let chunk: Vec<T> = it.by_ref().take(chunk_len).collect();
+            let chunk: Vec<T> = it.by_ref().take(STREAM_CHUNK).collect();
             if chunk.is_empty() {
                 break;
             }
@@ -240,16 +210,6 @@ where
         }
         fold_window(sink, &window);
     }
-}
-
-/// [`drive_iter_with`] at the default [`STREAM_CHUNK`] boundary.
-pub fn drive_iter<T, F, I>(sink: &mut F, items: I) -> u64
-where
-    T: Send + Sync,
-    F: ChunkFold<T> + Sync,
-    I: IntoIterator<Item = T>,
-{
-    drive_iter_with(sink, STREAM_CHUNK, items)
 }
 
 /// Pulls `stream` to exhaustion, folding its chunks into `sink` with up
@@ -416,21 +376,10 @@ mod tests {
     #[test]
     fn broadcast_tuple_and_vec_feed_all_sinks() {
         let items: Vec<u64> = (1..=100).collect();
-        let mut sink = (Probe::new(), CountFold(0), vec![Probe::new(), Probe::new()]);
+        let mut sink = (Probe::new(), vec![Probe::new(), Probe::new()]);
         drive_slice(&mut sink, &items);
         assert_eq!(sink.0.sum, 5050);
-        assert_eq!(sink.1, CountFold(100));
-        assert_eq!(sink.2[0], sink.2[1]);
-        assert_eq!(sink.2[0].sum, 5050);
-    }
-
-    #[test]
-    fn count_fold_counts() {
-        let mut c = CountFold::default();
-        c.fold_chunk(&[1u8, 2, 3]);
-        let mut later = <CountFold as ChunkFold<u8>>::zero(&c);
-        later.fold_chunk(&[4u8]);
-        <CountFold as ChunkFold<u8>>::absorb(&mut c, later);
-        assert_eq!(c.0, 4);
+        assert_eq!(sink.1[0], sink.1[1]);
+        assert_eq!(sink.1[0], sink.0);
     }
 }

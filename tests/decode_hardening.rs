@@ -276,9 +276,8 @@ fn huge_table_len_is_rejected_promptly() {
     ));
 }
 
-/// A declared row count inconsistent with the chunk count (the hostile
-/// `chunk_len` input of old) must surface as `BadHeader` before any
-/// chunk sizing happens.
+/// A declared row count inconsistent with the chunk count must surface
+/// as `BadHeader` before any chunk is read.
 #[test]
 fn inconsistent_rows_and_chunks_are_rejected() {
     for (rows, chunks) in [(u64::MAX, 1u32), (1, 0), (0, 1), (4097, 1), (1, 2)] {

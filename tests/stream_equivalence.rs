@@ -38,6 +38,7 @@ use where_things_roam::model::tacdb::TacDatabase;
 use where_things_roam::model::time::Day;
 use where_things_roam::probes::catalog::DevicesCatalog;
 use where_things_roam::probes::io;
+use where_things_roam::radio::geo::GeoPoint;
 use where_things_roam::scenarios::{MnoScenario, MnoScenarioConfig};
 use where_things_roam::serve::{Tenant, TABLES};
 use where_things_roam::sim::par;
@@ -368,9 +369,18 @@ fn build_catalog(rows: &[(u8, u8, u8, u16)]) -> DevicesCatalog {
             1 => (Plmn::of(234, 30), RoamingLabel::HH),
             _ => (Plmn::of(262, 2), RoamingLabel::IH),
         };
-        let r = cat.row_mut(u64::from(user), Day(u32::from(day % 5)), plmn, tac, label);
+        let day = u32::from(day % 5);
+        let r = cat.row_mut(u64::from(user), Day(day), plmn, tac, label);
         r.events += u64::from(events);
         r.bytes_up += u64::from(events) * 100;
+        // Fractional mobility: regrouping these f64 sums changes bits.
+        r.mobility.add(
+            GeoPoint::new(
+                50.0 + f64::from(user) * 0.0131 + f64::from(events) * 1e-4,
+                -1.5 + f64::from(day) * 0.0173,
+            ),
+            f64::from(events) * 0.37,
+        );
         if kind % 3 == 0 {
             r.apns.insert(meter);
         } else if kind % 3 == 2 {
@@ -394,9 +404,15 @@ fn toy_classification(users: impl Iterator<Item = u64>) -> Classification {
     c
 }
 
-/// Folds `items` whole vs. as three absorbed parts and asserts the
-/// serialized outputs match.
-fn assert_associative<T, F, O, Fin>(sink: &F, items: &[T], cut1: usize, cut2: usize, finish: Fin)
+/// Folds `items` whole vs. as three absorbed parts, asserts the outputs
+/// match and returns the three-part one.
+fn assert_associative<T, F, O, Fin>(
+    sink: &F,
+    items: &[T],
+    cut1: usize,
+    cut2: usize,
+    finish: Fin,
+) -> O
 where
     F: ChunkFold<T>,
     O: PartialEq + std::fmt::Debug,
@@ -412,7 +428,9 @@ where
     c.fold_chunk(&items[cut2..]);
     a.absorb(b);
     a.absorb(c);
-    assert_eq!(finish(whole), finish(a));
+    let parts = finish(a);
+    assert_eq!(finish(whole), parts);
+    parts
 }
 
 proptest! {
@@ -428,9 +446,15 @@ proptest! {
         let (c1, c2) = (c1.min(c2), c1.max(c2));
         // SummaryFold requires canonical order, which any order-preserving
         // split of the canonical iterator respects.
-        assert_associative(&SummaryFold::new(), &entries, c1, c2, |f| {
-            serde_json::to_string(&f.finish()).unwrap()
-        });
+        let summaries = assert_associative(&SummaryFold::new(), &entries, c1, c2, |f| f.finish());
+        // Each summary depends on its own device's rows only.
+        for summary in summaries {
+            let mut own = DevicesCatalog::new(cat.window_days());
+            for row in cat.iter().filter(|r| r.user == summary.user) {
+                own.insert_entry(row.clone());
+            }
+            prop_assert_eq!(summarize(&own), vec![summary]);
+        }
     }
 
     #[test]
