@@ -74,7 +74,10 @@ pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Req
     let mut head_bytes = 0usize;
     let mut read_line = |reader: &mut BufReader<TcpStream>| -> Result<String, HttpError> {
         let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
+        // One byte past the budget is enough to refuse: a line with no
+        // newline is cut there instead of buffered until the timeout.
+        let budget = (MAX_HEAD_BYTES - head_bytes + 1) as u64;
+        let n = reader.by_ref().take(budget).read_line(&mut line)?;
         head_bytes += n;
         if head_bytes > MAX_HEAD_BYTES {
             return Err(bad(431, "request head too large"));

@@ -395,6 +395,16 @@ fn oversized_bodies_are_refused_with_413() {
     let big = vec![b'x'; 4096];
     let reply = request(addr, "POST", "/ingest/t", &big);
     assert_eq!(reply.status, 413);
+    // A head over the 16 KiB cap with no newline, write side left open:
+    // refused at the cap, not held until the socket timeout.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(&vec![b'x'; 20 * 1024]).unwrap();
+    let mut status_line = String::new();
+    BufReader::new(&stream).read_line(&mut status_line).unwrap();
+    assert!(status_line.starts_with("HTTP/1.1 431 "), "{status_line:?}");
     handle.shutdown();
     runner.join().unwrap();
 }
