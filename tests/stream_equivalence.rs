@@ -32,6 +32,7 @@ use where_things_roam::core::stream::{
     analyze, analyze_rescan, materialize_catalog, stream_catalog, AnalysisSuite, StreamedCatalog,
 };
 use where_things_roam::core::summary::{summarize, SummaryFold};
+use where_things_roam::model::hash::mix64;
 use where_things_roam::model::ids::{Plmn, Tac};
 use where_things_roam::model::roaming::RoamingLabel;
 use where_things_roam::model::tacdb::TacDatabase;
@@ -82,6 +83,28 @@ fn suite_bytes(suite: &AnalysisSuite) -> Vec<u8> {
     push(serde_json::to_string(&suite.diurnal).unwrap());
     push(serde_json::to_string(&suite.revenue).unwrap());
     bytes
+}
+
+/// Order-sensitive digest: bytes folded 8 at a time through `mix64`
+/// (the fold `shard_determinism` pins its goldens with).
+fn digest(bytes: &[u8]) -> u64 {
+    let mut acc = 0x9E37_79B9_7F4A_7C15u64;
+    for chunk in bytes.chunks(8) {
+        let mut b = [0u8; 8];
+        b[..chunk.len()].copy_from_slice(chunk);
+        acc = mix64(acc ^ u64::from_le_bytes(b));
+    }
+    mix64(acc ^ bytes.len() as u64)
+}
+
+/// Asserts `bytes` match a golden `(digest, byte count)` pin.
+fn assert_pin(what: &str, bytes: &[u8], (golden, len): (u64, usize)) {
+    assert_eq!(bytes.len(), len, "{what}: byte count");
+    let got = digest(bytes);
+    assert_eq!(
+        got, golden,
+        "{what}: digest {got:#018x}, golden {golden:#018x}"
+    );
 }
 
 /// Serializes a [`StreamedCatalog`] into one byte string.
@@ -251,9 +274,22 @@ fn materialized_snapshot_matches_text_replay() {
     // The resident route (`materialize_catalog`) and the text route
     // (`write_catalog` then `stream_catalog`) must agree bit for bit:
     // floats that survived a trip through JSON text are the one thing
-    // that could differ.
+    // that could differ. Golden pins of the resident route then hold the
+    // analysis code itself still: the whole suite, and the 13 rendered
+    // tables concatenated in `TABLES` order, as (digest, byte count).
     let tacdb = TacDatabase::standard();
-    for loss in [0.0, 0.07] {
+    for (loss, suite_pin, tables_pin) in [
+        (
+            0.0,
+            (0x3cb7_fcc0_d058_f62f, 30_265),
+            (0x27e3_a462_64af_b569, 3_578),
+        ),
+        (
+            0.07,
+            (0xe871_959f_94e3_84a0, 30_217),
+            (0x5cde_3167_4592_5c4f, 3_566),
+        ),
+    ] {
         let mut config = scenario_config();
         config.record_loss_fraction = loss;
         let catalog = MnoScenario::new(config).run().catalog;
@@ -285,8 +321,15 @@ fn materialized_snapshot_matches_text_replay() {
             mobility_bits(&replayed),
             "mobility bits, loss {loss}"
         );
+        assert_pin(
+            &format!("suite, loss {loss}"),
+            &suite_bytes(&resident_suite),
+            suite_pin,
+        );
         let tables = rendered_tables(&resident, &resident_suite);
         assert_eq!(tables.len(), TABLES.len());
+        let table_bytes: Vec<u8> = TABLES.iter().flat_map(|t| tables[t].bytes()).collect();
+        assert_pin(&format!("tables, loss {loss}"), &table_bytes, tables_pin);
         assert_eq!(
             tables,
             rendered_tables(&replayed, &replayed_suite),
