@@ -7,7 +7,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wtr_bench::{bench_m2m, bench_mno};
 use wtr_core::classify::Classifier;
-use wtr_core::metrics::Ecdf;
 use wtr_core::summary::summarize;
 use wtr_model::hash::{anonymize_u64, AnonKey};
 use wtr_probes::io as probe_io;
@@ -73,17 +72,6 @@ fn bench(c: &mut Criterion) {
             Classifier::new(&art.output.tacdb)
                 .classify(black_box(&art.summaries), art.output.catalog.apn_table())
         });
-    });
-    let samples: Vec<f64> = (0..400_000u64)
-        .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64)
-        .collect();
-    g.bench_function("ecdf_sort_400k_t1", |b| {
-        par::set_threads(Some(1));
-        b.iter(|| Ecdf::new(black_box(samples.clone())));
-        par::set_threads(None);
-    });
-    g.bench_function("ecdf_sort_400k_tN", |b| {
-        b.iter(|| Ecdf::new(black_box(samples.clone())));
     });
     g.finish();
 

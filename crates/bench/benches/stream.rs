@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use wtr_core::stream::{analyze, analyze_rescan, materialize_catalog, stream_catalog};
+use wtr_core::stream::{analyze, materialize_catalog, stream_catalog};
 use wtr_probes::io as probe_io;
 use wtr_scenarios::{MnoScenario, MnoScenarioConfig};
 
@@ -142,23 +142,13 @@ fn bench(c: &mut Criterion) {
     });
     g.finish();
 
-    // Analysis suite: one broadcast pass vs per-table re-scans.
+    // Analysis suite: classification plus every per-summary table.
     let tacdb = wtr_model::tacdb::TacDatabase::standard();
     let mut g = c.benchmark_group("analysis_suite");
     g.sample_size(10);
-    g.bench_function("broadcast_single_pass", |b| {
+    g.bench_function("analyze", |b| {
         b.iter(|| {
             analyze(
-                black_box(&data.summaries),
-                &data.apns,
-                data.window_days,
-                &tacdb,
-            )
-        })
-    });
-    g.bench_function("per_table_rescans", |b| {
-        b.iter(|| {
-            analyze_rescan(
                 black_box(&data.summaries),
                 &data.apns,
                 data.window_days,

@@ -344,10 +344,10 @@ pub fn classify(argv: &[String]) -> Result<(), String> {
 
 /// `wtr analyze`: named analyses over a catalog.
 ///
-/// All tables come from one broadcast fold over the summaries
-/// ([`wtr_core::stream::analyze`]), and the catalog file itself is folded
-/// chunk by chunk too, so the whole command runs in bounded memory and
-/// exactly two passes (file → summaries → tables).
+/// The catalog file is folded chunk by chunk into per-device summaries,
+/// and every table is computed over those summaries
+/// ([`wtr_core::stream::analyze`]), so the whole command runs in
+/// O(devices) memory (file → summaries → tables).
 pub fn analyze(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, &["catalog"], &[])?;
     if args.flag("help") {

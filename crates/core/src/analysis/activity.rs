@@ -10,7 +10,6 @@ use crate::classify::{Classification, DeviceClass};
 use crate::metrics::Ecdf;
 use crate::summary::DeviceSummary;
 use serde::{Deserialize, Serialize};
-use wtr_sim::stream::{drive_slice, ChunkFold};
 
 /// Roaming-status grouping used by Fig. 7 / Fig. 10: native-attached
 /// (H:H / V:H) vs international inbound (I:H).
@@ -56,66 +55,32 @@ pub struct ActiveDays {
     pub days: Ecdf,
 }
 
-/// Streaming accumulator for [`active_days`]: one pass collects the
-/// sample vectors for every requested (class, status) pair. Chunk
-/// vectors concatenate in input order, so the ECDFs are identical at
-/// any thread count.
-#[derive(Debug, Clone)]
-pub struct ActiveDaysFold<'a> {
-    classification: &'a Classification,
-    pairs: &'a [(DeviceClass, StatusGroup)],
-    samples: Vec<Vec<f64>>,
-}
-
-impl<'a> ActiveDaysFold<'a> {
-    /// An empty accumulator for `pairs`.
-    pub fn new(
-        classification: &'a Classification,
-        pairs: &'a [(DeviceClass, StatusGroup)],
-    ) -> Self {
-        ActiveDaysFold {
-            classification,
-            pairs,
-            samples: vec![Vec::new(); pairs.len()],
-        }
-    }
-
-    /// Builds the Fig. 7 ECDFs, one per pair in construction order.
-    pub fn finish(self) -> Vec<ActiveDays> {
-        self.pairs
-            .iter()
-            .zip(self.samples)
-            .map(|((class, status), samples)| ActiveDays {
-                class: *class,
-                status: *status,
-                days: Ecdf::new(samples),
-            })
-            .collect()
-    }
-}
-
-impl ChunkFold<DeviceSummary> for ActiveDaysFold<'_> {
-    fn zero(&self) -> Self {
-        ActiveDaysFold::new(self.classification, self.pairs)
-    }
-
-    fn fold_chunk(&mut self, chunk: &[DeviceSummary]) {
-        for s in chunk {
-            let class = self.classification.class_of(s.user);
-            let status = StatusGroup::of(s);
-            for (i, (wc, ws)) in self.pairs.iter().enumerate() {
-                if class == Some(*wc) && status == Some(*ws) {
-                    self.samples[i].push(s.active_days as f64);
+/// One ECDF per requested (class, status) pair, in request order, over
+/// what `sample` draws from each member summary (`None` skips it).
+/// Samples are collected in input order, then sorted by [`Ecdf::new`].
+/// Fig. 7, Fig. 8 and Fig. 10 all run this loop.
+pub(crate) fn pair_ecdfs(
+    summaries: &[DeviceSummary],
+    classification: &Classification,
+    pairs: &[(DeviceClass, StatusGroup)],
+    sample: impl Fn(&DeviceSummary) -> Option<f64>,
+) -> Vec<(DeviceClass, StatusGroup, Ecdf)> {
+    let mut samples = vec![Vec::new(); pairs.len()];
+    for s in summaries {
+        let key = (classification.class_of(s.user), StatusGroup::of(s));
+        for (out, &(class, status)) in samples.iter_mut().zip(pairs) {
+            if key == (Some(class), Some(status)) {
+                if let Some(x) = sample(s) {
+                    out.push(x);
                 }
             }
         }
     }
-
-    fn absorb(&mut self, later: Self) {
-        for (mine, theirs) in self.samples.iter_mut().zip(later.samples) {
-            mine.extend(theirs);
-        }
-    }
+    pairs
+        .iter()
+        .zip(samples)
+        .map(|(&(class, status), samples)| (class, status, Ecdf::new(samples)))
+        .collect()
 }
 
 /// Computes Fig. 7's active-days ECDFs for the requested (class, status)
@@ -125,9 +90,16 @@ pub fn active_days(
     classification: &Classification,
     pairs: &[(DeviceClass, StatusGroup)],
 ) -> Vec<ActiveDays> {
-    let mut fold = ActiveDaysFold::new(classification, pairs);
-    drive_slice(&mut fold, summaries);
-    fold.finish()
+    pair_ecdfs(summaries, classification, pairs, |s| {
+        Some(s.active_days as f64)
+    })
+    .into_iter()
+    .map(|(class, status, days)| ActiveDays {
+        class,
+        status,
+        days,
+    })
+    .collect()
 }
 
 /// Gyration distribution for one (class, status) population (E12).
@@ -142,77 +114,20 @@ pub struct Gyration {
     pub gyration_km: Ecdf,
 }
 
-/// Streaming accumulator for [`gyration`]: same shape as
-/// [`ActiveDaysFold`], sampling `gyration_km()` where defined.
-#[derive(Debug, Clone)]
-pub struct GyrationFold<'a> {
-    classification: &'a Classification,
-    pairs: &'a [(DeviceClass, StatusGroup)],
-    samples: Vec<Vec<f64>>,
-}
-
-impl<'a> GyrationFold<'a> {
-    /// An empty accumulator for `pairs`.
-    pub fn new(
-        classification: &'a Classification,
-        pairs: &'a [(DeviceClass, StatusGroup)],
-    ) -> Self {
-        GyrationFold {
-            classification,
-            pairs,
-            samples: vec![Vec::new(); pairs.len()],
-        }
-    }
-
-    /// Builds the Fig. 8 ECDFs, one per pair in construction order.
-    pub fn finish(self) -> Vec<Gyration> {
-        self.pairs
-            .iter()
-            .zip(self.samples)
-            .map(|((class, status), samples)| Gyration {
-                class: *class,
-                status: *status,
-                gyration_km: Ecdf::new(samples),
-            })
-            .collect()
-    }
-}
-
-impl ChunkFold<DeviceSummary> for GyrationFold<'_> {
-    fn zero(&self) -> Self {
-        GyrationFold::new(self.classification, self.pairs)
-    }
-
-    fn fold_chunk(&mut self, chunk: &[DeviceSummary]) {
-        for s in chunk {
-            let class = self.classification.class_of(s.user);
-            let status = StatusGroup::of(s);
-            for (i, (wc, ws)) in self.pairs.iter().enumerate() {
-                if class == Some(*wc) && status == Some(*ws) {
-                    if let Some(g) = s.gyration_km() {
-                        self.samples[i].push(g);
-                    }
-                }
-            }
-        }
-    }
-
-    fn absorb(&mut self, later: Self) {
-        for (mine, theirs) in self.samples.iter_mut().zip(later.samples) {
-            mine.extend(theirs);
-        }
-    }
-}
-
 /// Computes Fig. 8's radius-of-gyration ECDFs.
 pub fn gyration(
     summaries: &[DeviceSummary],
     classification: &Classification,
     pairs: &[(DeviceClass, StatusGroup)],
 ) -> Vec<Gyration> {
-    let mut fold = GyrationFold::new(classification, pairs);
-    drive_slice(&mut fold, summaries);
-    fold.finish()
+    pair_ecdfs(summaries, classification, pairs, DeviceSummary::gyration_km)
+        .into_iter()
+        .map(|(class, status, gyration_km)| Gyration {
+            class,
+            status,
+            gyration_km,
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -12,7 +12,6 @@
 use crate::classify::{Classification, DeviceClass};
 use crate::summary::DeviceSummary;
 use serde::{Deserialize, Serialize};
-use wtr_sim::stream::{drive_slice, ChunkFold};
 
 /// Hours treated as night (00:00–05:59).
 pub const NIGHT_HOURS: std::ops::Range<usize> = 0..6;
@@ -35,106 +34,55 @@ pub struct DiurnalProfile {
     pub peak_to_trough: f64,
 }
 
-/// Streaming accumulator for [`profiles`]: one pass sums the hourly
-/// event histograms for every requested class at once. All state is
-/// integer-valued, so chunked folding and absorbing is exact at any
-/// thread count.
-#[derive(Debug, Clone)]
-pub struct DiurnalFold<'a> {
-    classification: &'a Classification,
-    classes: &'a [DeviceClass],
-    hourly: Vec<[u64; 24]>,
-    devices: Vec<usize>,
-}
-
-impl<'a> DiurnalFold<'a> {
-    /// An empty accumulator for `classes`.
-    pub fn new(classification: &'a Classification, classes: &'a [DeviceClass]) -> Self {
-        DiurnalFold {
-            classification,
-            classes,
-            hourly: vec![[0; 24]; classes.len()],
-            devices: vec![0; classes.len()],
-        }
-    }
-
-    /// Normalizes the histograms into diurnal profiles, one per class in
-    /// construction order.
-    pub fn finish(self) -> Vec<DiurnalProfile> {
-        self.classes
-            .iter()
-            .zip(self.hourly)
-            .zip(self.devices)
-            .map(|((class, hourly), devices)| {
-                let total: u64 = hourly.iter().sum();
-                let mut hourly_share = [0.0; 24];
-                if total > 0 {
-                    for (h, n) in hourly.iter().enumerate() {
-                        hourly_share[h] = *n as f64 / total as f64;
-                    }
-                }
-                let night: u64 = hourly[NIGHT_HOURS].iter().sum();
-                let peak = hourly.iter().copied().max().unwrap_or(0) as f64;
-                let trough = hourly.iter().copied().min().unwrap_or(0).max(1) as f64;
-                DiurnalProfile {
-                    class: *class,
-                    devices,
-                    hourly_share,
-                    night_share: if total > 0 {
-                        night as f64 / total as f64
-                    } else {
-                        0.0
-                    },
-                    peak_to_trough: if total > 0 { peak / trough } else { 0.0 },
-                }
-            })
-            .collect()
-    }
-}
-
-impl ChunkFold<DeviceSummary> for DiurnalFold<'_> {
-    fn zero(&self) -> Self {
-        DiurnalFold::new(self.classification, self.classes)
-    }
-
-    fn fold_chunk(&mut self, chunk: &[DeviceSummary]) {
-        for s in chunk {
-            let Some(class) = self.classification.class_of(s.user) else {
-                continue;
-            };
-            for (i, wanted) in self.classes.iter().enumerate() {
-                if *wanted == class {
-                    self.devices[i] += 1;
-                    for (h, n) in s.hourly.iter().enumerate() {
-                        self.hourly[i][h] += n;
-                    }
-                }
-            }
-        }
-    }
-
-    fn absorb(&mut self, later: Self) {
-        for (mine, theirs) in self.devices.iter_mut().zip(later.devices) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.hourly.iter_mut().zip(later.hourly) {
-            for (h, n) in theirs.iter().enumerate() {
-                mine[h] += n;
-            }
-        }
-    }
-}
-
-/// Computes diurnal profiles for the requested classes in a single
-/// chunk-parallel pass.
+/// Computes diurnal profiles for the requested classes in one pass over
+/// the summaries: the hourly event histograms of each class's devices
+/// are summed, then normalized.
 pub fn profiles(
     summaries: &[DeviceSummary],
     classification: &Classification,
     classes: &[DeviceClass],
 ) -> Vec<DiurnalProfile> {
-    let mut fold = DiurnalFold::new(classification, classes);
-    drive_slice(&mut fold, summaries);
-    fold.finish()
+    let mut hourly = vec![[0u64; 24]; classes.len()];
+    let mut devices = vec![0usize; classes.len()];
+    for s in summaries {
+        let Some(class) = classification.class_of(s.user) else {
+            continue;
+        };
+        for (i, _) in classes.iter().enumerate().filter(|(_, c)| **c == class) {
+            devices[i] += 1;
+            for (sum, n) in hourly[i].iter_mut().zip(s.hourly) {
+                *sum += n;
+            }
+        }
+    }
+    classes
+        .iter()
+        .zip(hourly)
+        .zip(devices)
+        .map(|((class, hourly), devices)| {
+            let total: u64 = hourly.iter().sum();
+            let mut hourly_share = [0.0; 24];
+            if total > 0 {
+                for (h, n) in hourly.iter().enumerate() {
+                    hourly_share[h] = *n as f64 / total as f64;
+                }
+            }
+            let night: u64 = hourly[NIGHT_HOURS].iter().sum();
+            let peak = hourly.iter().copied().max().unwrap_or(0) as f64;
+            let trough = hourly.iter().copied().min().unwrap_or(0).max(1) as f64;
+            DiurnalProfile {
+                class: *class,
+                devices,
+                hourly_share,
+                night_share: if total > 0 {
+                    night as f64 / total as f64
+                } else {
+                    0.0
+                },
+                peak_to_trough: if total > 0 { peak / trough } else { 0.0 },
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

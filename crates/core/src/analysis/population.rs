@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use wtr_model::country::Country;
 use wtr_model::roaming::RoamingLabel;
 use wtr_probes::catalog::{CatalogEntry, DevicesCatalog};
-use wtr_sim::stream::{drive_iter, drive_slice, ChunkFold};
+use wtr_sim::stream::{drive_iter, ChunkFold};
 
 /// Per-day roaming-label shares (E6). The paper reports H:H ≈ 48%,
 /// V:H ≈ 33%, I:H ≈ 18% per day, "stable across the 22 days".
@@ -106,70 +106,29 @@ pub struct HomeCountries {
     pub by_class: CrossTab,
 }
 
-/// Streaming accumulator for [`home_countries`]: integer-valued counts,
-/// exact under chunked folding. Borrows the classification for class
-/// lookups, so it can ride in a broadcast pass over the summaries.
-#[derive(Debug, Clone)]
-pub struct HomeCountriesFold<'a> {
-    classification: &'a Classification,
-    counts: BTreeMap<String, f64>,
-    by_class: CrossTab,
-}
-
-impl<'a> HomeCountriesFold<'a> {
-    /// An empty accumulator resolving classes through `classification`.
-    pub fn new(classification: &'a Classification) -> Self {
-        HomeCountriesFold {
-            classification,
-            counts: BTreeMap::new(),
-            by_class: CrossTab::new(),
-        }
-    }
-
-    /// Finalizes into the Fig. 5 distributions.
-    pub fn finish(self) -> HomeCountries {
-        HomeCountries {
-            overall: shares(self.counts),
-            by_class: self.by_class,
-        }
-    }
-}
-
-impl ChunkFold<DeviceSummary> for HomeCountriesFold<'_> {
-    fn zero(&self) -> Self {
-        HomeCountriesFold::new(self.classification)
-    }
-
-    fn fold_chunk(&mut self, chunk: &[DeviceSummary]) {
-        for s in chunk {
-            if s.dominant_label.is_international_inbound() {
-                let iso = Country::by_mcc(s.sim_plmn.mcc)
-                    .map(|c| c.iso.to_owned())
-                    .unwrap_or_else(|| format!("mcc{}", s.sim_plmn.mcc));
-                *self.counts.entry(iso.clone()).or_insert(0.0) += 1.0;
-                if let Some(class) = self.classification.class_of(s.user) {
-                    self.by_class.add(class.label(), &iso, 1.0);
-                }
-            }
-        }
-    }
-
-    fn absorb(&mut self, later: Self) {
-        for (iso, n) in later.counts {
-            *self.counts.entry(iso).or_insert(0.0) += n;
-        }
-        self.by_class.merge(later.by_class);
-    }
-}
-
 /// Computes the Fig. 5 distributions over international inbound roamers.
 pub fn home_countries(
     summaries: &[DeviceSummary],
     classification: &Classification,
 ) -> HomeCountries {
-    let mut fold = HomeCountriesFold::new(classification);
-    drive_slice(&mut fold, summaries);
-    fold.finish()
+    let mut counts = BTreeMap::new();
+    let mut by_class = CrossTab::new();
+    for s in summaries {
+        if !s.dominant_label.is_international_inbound() {
+            continue;
+        }
+        let iso = Country::by_mcc(s.sim_plmn.mcc)
+            .map(|c| c.iso.to_owned())
+            .unwrap_or_else(|| format!("mcc{}", s.sim_plmn.mcc));
+        if let Some(class) = classification.class_of(s.user) {
+            by_class.add(class.label(), &iso, 1.0);
+        }
+        *counts.entry(iso).or_insert(0.0) += 1.0;
+    }
+    HomeCountries {
+        overall: shares(counts),
+        by_class,
+    }
 }
 
 /// The Fig. 6 heatmaps (E10): device class × roaming label, both
@@ -192,56 +151,18 @@ impl ClassLabelBreakdown {
     }
 }
 
-/// Streaming accumulator for [`class_label_breakdown`]: integer-valued
-/// cross-tab counts, exact under chunked folding.
-#[derive(Debug, Clone)]
-pub struct ClassLabelFold<'a> {
-    classification: &'a Classification,
-    table: CrossTab,
-}
-
-impl<'a> ClassLabelFold<'a> {
-    /// An empty accumulator resolving classes through `classification`.
-    pub fn new(classification: &'a Classification) -> Self {
-        ClassLabelFold {
-            classification,
-            table: CrossTab::new(),
-        }
-    }
-
-    /// Finalizes into the Fig. 6 table.
-    pub fn finish(self) -> ClassLabelBreakdown {
-        ClassLabelBreakdown { table: self.table }
-    }
-}
-
-impl ChunkFold<DeviceSummary> for ClassLabelFold<'_> {
-    fn zero(&self) -> Self {
-        ClassLabelFold::new(self.classification)
-    }
-
-    fn fold_chunk(&mut self, chunk: &[DeviceSummary]) {
-        for s in chunk {
-            if let Some(class) = self.classification.class_of(s.user) {
-                self.table
-                    .add(class.label(), &s.dominant_label.to_string(), 1.0);
-            }
-        }
-    }
-
-    fn absorb(&mut self, later: Self) {
-        self.table.merge(later.table);
-    }
-}
-
 /// Builds the class × label table from device summaries.
 pub fn class_label_breakdown(
     summaries: &[DeviceSummary],
     classification: &Classification,
 ) -> ClassLabelBreakdown {
-    let mut fold = ClassLabelFold::new(classification);
-    drive_slice(&mut fold, summaries);
-    fold.finish()
+    let mut table = CrossTab::new();
+    for s in summaries {
+        if let Some(class) = classification.class_of(s.user) {
+            table.add(class.label(), &s.dominant_label.to_string(), 1.0);
+        }
+    }
+    ClassLabelBreakdown { table }
 }
 
 #[cfg(test)]

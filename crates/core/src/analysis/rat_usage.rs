@@ -11,7 +11,6 @@ use crate::summary::DeviceSummary;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use wtr_model::rat::RatSet;
-use wtr_sim::stream::{drive_slice, ChunkFold};
 
 /// Which service plane a Fig. 9 panel looks at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -65,101 +64,42 @@ impl RatUsage {
     }
 }
 
-/// Streaming accumulator for [`rat_usage`]: one pass over the summaries
-/// counts every requested class at once (the old code re-scanned the
-/// population per class). Counts are integer-valued, so chunked folding
-/// and absorbing is exact at any thread count.
-#[derive(Debug, Clone)]
-pub struct RatUsageFold<'a> {
-    classification: &'a Classification,
-    classes: &'a [DeviceClass],
-    plane: Plane,
-    devices: Vec<usize>,
-    counts: Vec<BTreeMap<String, f64>>,
-}
-
-impl<'a> RatUsageFold<'a> {
-    /// An empty accumulator for `classes` on `plane`.
-    pub fn new(
-        classification: &'a Classification,
-        classes: &'a [DeviceClass],
-        plane: Plane,
-    ) -> Self {
-        RatUsageFold {
-            classification,
-            classes,
-            plane,
-            devices: vec![0; classes.len()],
-            counts: vec![BTreeMap::new(); classes.len()],
-        }
-    }
-
-    /// Normalizes counts into the Fig. 9 shares, one entry per class in
-    /// the order requested at construction.
-    pub fn finish(self) -> Vec<RatUsage> {
-        self.classes
-            .iter()
-            .zip(self.devices)
-            .zip(self.counts)
-            .map(|((class, devices), counts)| {
-                let total = devices.max(1) as f64;
-                RatUsage {
-                    class: *class,
-                    plane: self.plane,
-                    devices,
-                    shares: counts.into_iter().map(|(k, v)| (k, v / total)).collect(),
-                }
-            })
-            .collect()
-    }
-}
-
-impl ChunkFold<DeviceSummary> for RatUsageFold<'_> {
-    fn zero(&self) -> Self {
-        RatUsageFold::new(self.classification, self.classes, self.plane)
-    }
-
-    fn fold_chunk(&mut self, chunk: &[DeviceSummary]) {
-        for s in chunk {
-            let Some(class) = self.classification.class_of(s.user) else {
-                continue;
-            };
-            for (i, wanted) in self.classes.iter().enumerate() {
-                if *wanted == class {
-                    self.devices[i] += 1;
-                    let set = self.plane.of(s);
-                    *self.counts[i]
-                        .entry(set.category_label().to_owned())
-                        .or_insert(0.0) += 1.0;
-                }
-            }
-        }
-    }
-
-    fn absorb(&mut self, later: Self) {
-        for (mine, theirs) in self.devices.iter_mut().zip(later.devices) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(later.counts) {
-            for (k, v) in theirs {
-                *mine.entry(k).or_insert(0.0) += v;
-            }
-        }
-    }
-}
-
 /// Computes the Fig. 9 category shares for every requested class, on one
-/// plane, in a single chunk-parallel pass (`wtr_sim::stream`). Ordered
-/// maps and integer counts keep the shares identical at any thread count.
+/// plane, in one pass over the summaries.
 pub fn rat_usage(
     summaries: &[DeviceSummary],
     classification: &Classification,
     classes: &[DeviceClass],
     plane: Plane,
 ) -> Vec<RatUsage> {
-    let mut fold = RatUsageFold::new(classification, classes, plane);
-    drive_slice(&mut fold, summaries);
-    fold.finish()
+    // `shares` holds device counts until the normalization below.
+    let mut usage: Vec<RatUsage> = classes
+        .iter()
+        .map(|&class| RatUsage {
+            class,
+            plane,
+            devices: 0,
+            shares: BTreeMap::new(),
+        })
+        .collect();
+    for s in summaries {
+        let Some(class) = classification.class_of(s.user) else {
+            continue;
+        };
+        for u in usage.iter_mut().filter(|u| u.class == class) {
+            u.devices += 1;
+            *u.shares
+                .entry(plane.of(s).category_label().to_owned())
+                .or_insert(0.0) += 1.0;
+        }
+    }
+    for u in &mut usage {
+        let total = u.devices.max(1) as f64;
+        for share in u.shares.values_mut() {
+            *share /= total;
+        }
+    }
+    usage
 }
 
 #[cfg(test)]

@@ -15,7 +15,6 @@ use crate::classify::{Classification, DeviceClass};
 use crate::summary::DeviceSummary;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use wtr_sim::stream::{drive_slice, ChunkFold};
 
 /// Wholesale rate card for inbound roaming (inter-operator tariffs).
 ///
@@ -92,120 +91,76 @@ impl ClassEconomics {
     }
 }
 
-/// Streaming accumulator for [`inbound_economics`].
-///
-/// Per-class load is a sum of integer-valued event counts (exact under
-/// any regrouping while totals stay below 2⁵³); per-device revenues are
-/// *collected*, not summed, during folding — `finish` sorts each class's
-/// revenue vector with a total order and sums in sorted order, and
-/// derives the grand totals from the per-class figures in class order.
-/// Every reported number is therefore a pure function of the input
-/// multiset, identical at any thread count or chunking.
-#[derive(Debug, Clone)]
-pub struct RevenueFold<'a> {
-    classification: &'a Classification,
-    rates: RateCard,
-    per_class: BTreeMap<DeviceClass, (f64, Vec<f64>)>,
-}
-
-impl<'a> RevenueFold<'a> {
-    /// An empty accumulator billing at `rates`.
-    pub fn new(classification: &'a Classification, rates: RateCard) -> Self {
-        RevenueFold {
-            classification,
-            rates,
-            per_class: BTreeMap::new(),
-        }
-    }
-
-    /// Finalizes into per-class economics, ordered by class.
-    pub fn finish(self) -> Vec<ClassEconomics> {
-        // Reduce each class first (sorted revenue sums), then derive the
-        // totals from the per-class figures in class order.
-        let reduced: Vec<(DeviceClass, f64, Vec<f64>, f64)> = self
-            .per_class
-            .into_iter()
-            .map(|(class, (load, mut revenues))| {
-                revenues.sort_by(f64::total_cmp);
-                let revenue: f64 = revenues.iter().sum();
-                (class, load, revenues, revenue)
-            })
-            .collect();
-        let total_load: f64 = reduced.iter().map(|(_, load, _, _)| load).sum();
-        let total_revenue: f64 = reduced.iter().map(|(_, _, _, revenue)| revenue).sum();
-        reduced
-            .into_iter()
-            .map(|(class, load, revenues, revenue)| {
-                let devices = revenues.len();
-                let median = if devices == 0 {
-                    0.0
-                } else {
-                    revenues[devices / 2]
-                };
-                ClassEconomics {
-                    class,
-                    devices,
-                    load_share: if total_load > 0.0 {
-                        load / total_load
-                    } else {
-                        0.0
-                    },
-                    revenue_share: if total_revenue > 0.0 {
-                        revenue / total_revenue
-                    } else {
-                        0.0
-                    },
-                    revenue,
-                    revenue_per_device: if devices > 0 {
-                        revenue / devices as f64
-                    } else {
-                        0.0
-                    },
-                    revenue_median_per_device: median,
-                }
-            })
-            .collect()
-    }
-}
-
-impl ChunkFold<DeviceSummary> for RevenueFold<'_> {
-    fn zero(&self) -> Self {
-        RevenueFold::new(self.classification, self.rates)
-    }
-
-    fn fold_chunk(&mut self, chunk: &[DeviceSummary]) {
-        for s in chunk {
-            if StatusGroup::of(s) != Some(StatusGroup::InboundRoaming) {
-                continue;
-            }
-            let Some(class) = self.classification.class_of(s.user) else {
-                continue;
-            };
-            let entry = self.per_class.entry(class).or_insert((0.0, Vec::new()));
-            entry.0 += s.events as f64;
-            entry.1.push(self.rates.revenue_of(s));
-        }
-    }
-
-    fn absorb(&mut self, later: Self) {
-        for (class, (load, revenues)) in later.per_class {
-            let entry = self.per_class.entry(class).or_insert((0.0, Vec::new()));
-            entry.0 += load;
-            entry.1.extend(revenues);
-        }
-    }
-}
-
 /// Computes load-vs-revenue over the *international inbound* population —
 /// the devices whose traffic the studied MNO bills to roaming partners.
+///
+/// Per-class load is a sum of integer-valued event counts (exact while
+/// totals stay below 2⁵³). Per-device revenues are collected, then each
+/// class's revenue vector is sorted with a total order and summed in
+/// sorted order, and the grand totals come from the per-class figures in
+/// class order. Every reported number is therefore a pure function of
+/// the input multiset, whatever order the summaries arrive in.
 pub fn inbound_economics(
     summaries: &[DeviceSummary],
     classification: &Classification,
     rates: RateCard,
 ) -> Vec<ClassEconomics> {
-    let mut fold = RevenueFold::new(classification, rates);
-    drive_slice(&mut fold, summaries);
-    fold.finish()
+    let mut per_class: BTreeMap<DeviceClass, (f64, Vec<f64>)> = BTreeMap::new();
+    for s in summaries {
+        if StatusGroup::of(s) != Some(StatusGroup::InboundRoaming) {
+            continue;
+        }
+        let Some(class) = classification.class_of(s.user) else {
+            continue;
+        };
+        let entry = per_class.entry(class).or_insert((0.0, Vec::new()));
+        entry.0 += s.events as f64;
+        entry.1.push(rates.revenue_of(s));
+    }
+    // Reduce each class first (sorted revenue sums), then derive the
+    // totals from the per-class figures in class order.
+    let reduced: Vec<(DeviceClass, f64, Vec<f64>, f64)> = per_class
+        .into_iter()
+        .map(|(class, (load, mut revenues))| {
+            revenues.sort_by(f64::total_cmp);
+            let revenue: f64 = revenues.iter().sum();
+            (class, load, revenues, revenue)
+        })
+        .collect();
+    let total_load: f64 = reduced.iter().map(|(_, load, _, _)| load).sum();
+    let total_revenue: f64 = reduced.iter().map(|(_, _, _, revenue)| revenue).sum();
+    reduced
+        .into_iter()
+        .map(|(class, load, revenues, revenue)| {
+            let devices = revenues.len();
+            let median = if devices == 0 {
+                0.0
+            } else {
+                revenues[devices / 2]
+            };
+            ClassEconomics {
+                class,
+                devices,
+                load_share: if total_load > 0.0 {
+                    load / total_load
+                } else {
+                    0.0
+                },
+                revenue_share: if total_revenue > 0.0 {
+                    revenue / total_revenue
+                } else {
+                    0.0
+                },
+                revenue,
+                revenue_per_device: if devices > 0 {
+                    revenue / devices as f64
+                } else {
+                    0.0
+                },
+                revenue_median_per_device: median,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

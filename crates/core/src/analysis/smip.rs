@@ -19,10 +19,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use wtr_model::intern::ApnTable;
 use wtr_model::tacdb::TacDatabase;
-use wtr_sim::stream::{drive_slice, ChunkFold};
 
 /// The identified SMIP populations, with the §4.4 verification evidence.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SmipPopulation {
     /// Device IDs of SMIP-native meters.
     pub native: BTreeSet<u64>,
@@ -37,109 +36,43 @@ pub struct SmipPopulation {
     pub matched_patterns: BTreeMap<String, usize>,
 }
 
-/// Streaming accumulator for [`identify`]: set unions and integer
-/// counts, exact under chunked folding. The energy-keyword verdict is
-/// memoized per distinct symbol at construction (one scan per APN, not
-/// per device × APN).
-#[derive(Debug, Clone)]
-pub struct SmipFold<'a> {
-    tacdb: &'a TacDatabase,
-    energy_kw: Vec<Option<&'static str>>,
-    pop: SmipPopulation,
-}
-
-impl<'a> SmipFold<'a> {
-    /// An empty accumulator; `apns` is the intern table the summaries'
-    /// symbols resolve through.
-    pub fn new(tacdb: &'a TacDatabase, apns: &ApnTable) -> Self {
-        let energy_kw = apns
-            .strings()
-            .iter()
-            .map(|apn| {
-                match_m2m_keyword(apn)
-                    .filter(|(_, hint)| *hint == VerticalHint::Energy)
-                    .map(|(kw, _)| kw)
-            })
-            .collect();
-        SmipFold {
-            tacdb,
-            energy_kw,
-            pop: SmipPopulation {
-                native: BTreeSet::new(),
-                roaming: BTreeSet::new(),
-                roaming_home_plmns: BTreeSet::new(),
-                roaming_vendors: BTreeSet::new(),
-                matched_patterns: BTreeMap::new(),
-            },
-        }
-    }
-
-    /// The identified populations.
-    pub fn finish(self) -> SmipPopulation {
-        self.pop
-    }
-}
-
-impl ChunkFold<DeviceSummary> for SmipFold<'_> {
-    fn zero(&self) -> Self {
-        SmipFold {
-            tacdb: self.tacdb,
-            energy_kw: self.energy_kw.clone(),
-            pop: SmipPopulation {
-                native: BTreeSet::new(),
-                roaming: BTreeSet::new(),
-                roaming_home_plmns: BTreeSet::new(),
-                roaming_vendors: BTreeSet::new(),
-                matched_patterns: BTreeMap::new(),
-            },
-        }
-    }
-
-    fn fold_chunk(&mut self, chunk: &[DeviceSummary]) {
-        for s in chunk {
-            if s.in_designated_range && s.dominant_label.is_native_attached() {
-                self.pop.native.insert(s.user);
-                continue;
-            }
-            if !s.dominant_label.is_international_inbound() {
-                continue;
-            }
-            let energy_match = s.apns.iter().find_map(|sym| self.energy_kw[sym.index()]);
-            if let Some(kw) = energy_match {
-                self.pop.roaming.insert(s.user);
-                self.pop.roaming_home_plmns.insert(s.sim_plmn.packed());
-                *self.pop.matched_patterns.entry(kw.to_owned()).or_insert(0) += 1;
-                if let Some(info) = self.tacdb.get(s.tac) {
-                    self.pop.roaming_vendors.insert(info.vendor.clone());
-                }
-            }
-        }
-    }
-
-    fn absorb(&mut self, later: Self) {
-        self.pop.native.extend(later.pop.native);
-        self.pop.roaming.extend(later.pop.roaming);
-        self.pop
-            .roaming_home_plmns
-            .extend(later.pop.roaming_home_plmns);
-        self.pop.roaming_vendors.extend(later.pop.roaming_vendors);
-        for (kw, n) in later.pop.matched_patterns {
-            *self.pop.matched_patterns.entry(kw).or_insert(0) += n;
-        }
-    }
-}
-
 /// Identifies SMIP-native and SMIP-roaming meters from device summaries.
 /// `apns` is the intern table the summaries' symbols resolve through; the
-/// energy-keyword verdict is memoized per distinct symbol.
+/// energy-keyword verdict is memoized per distinct symbol (one scan per
+/// APN, not per device × APN).
 pub fn identify(
     summaries: &[DeviceSummary],
     tacdb: &TacDatabase,
     apns: &ApnTable,
 ) -> SmipPopulation {
-    let mut fold = SmipFold::new(tacdb, apns);
-    drive_slice(&mut fold, summaries);
-    fold.finish()
+    let energy_kw: Vec<Option<&'static str>> = apns
+        .strings()
+        .iter()
+        .map(|apn| {
+            match_m2m_keyword(apn)
+                .filter(|(_, hint)| *hint == VerticalHint::Energy)
+                .map(|(kw, _)| kw)
+        })
+        .collect();
+    let mut pop = SmipPopulation::default();
+    for s in summaries {
+        if s.in_designated_range && s.dominant_label.is_native_attached() {
+            pop.native.insert(s.user);
+            continue;
+        }
+        if !s.dominant_label.is_international_inbound() {
+            continue;
+        }
+        if let Some(kw) = s.apns.iter().find_map(|sym| energy_kw[sym.index()]) {
+            pop.roaming.insert(s.user);
+            pop.roaming_home_plmns.insert(s.sim_plmn.packed());
+            *pop.matched_patterns.entry(kw.to_owned()).or_insert(0) += 1;
+            if let Some(info) = tacdb.get(s.tac) {
+                pop.roaming_vendors.insert(info.vendor.clone());
+            }
+        }
+    }
+    pop
 }
 
 /// Fig. 11 + §7.1 statistics for one SMIP group.
@@ -163,109 +96,42 @@ pub struct SmipGroupStats {
     pub rat_categories: BTreeMap<String, f64>,
 }
 
-/// Streaming accumulator for [`group_stats`]: integer counts plus
-/// order-preserving sample vectors, exact under chunked folding. Runs
-/// after [`identify`] (it needs the member set), so a streamed analysis
-/// drives it in a short second pass over the summaries.
-#[derive(Debug, Clone)]
-pub struct GroupStatsFold<'a> {
-    members: &'a BTreeSet<u64>,
-    window_days: u32,
-    devices: usize,
-    active_days: Vec<f64>,
-    day1_cohort: Vec<f64>,
-    full: usize,
-    failed: usize,
-    signaling: Vec<f64>,
-    rat_counts: BTreeMap<String, f64>,
-}
-
-impl<'a> GroupStatsFold<'a> {
-    /// An empty accumulator over `members` for a `window_days` window.
-    pub fn new(members: &'a BTreeSet<u64>, window_days: u32) -> Self {
-        GroupStatsFold {
-            members,
-            window_days,
-            devices: 0,
-            active_days: Vec::new(),
-            day1_cohort: Vec::new(),
-            full: 0,
-            failed: 0,
-            signaling: Vec::new(),
-            rat_counts: BTreeMap::new(),
-        }
-    }
-
-    /// Finalizes into the Fig. 11 statistics.
-    pub fn finish(self) -> SmipGroupStats {
-        let n = self.devices.max(1) as f64;
-        SmipGroupStats {
-            devices: self.devices,
-            active_days: Ecdf::new(self.active_days),
-            active_days_day1_cohort: Ecdf::new(self.day1_cohort),
-            full_period_fraction: self.full as f64 / n,
-            signaling_per_day: Ecdf::new(self.signaling),
-            failed_device_fraction: self.failed as f64 / n,
-            rat_categories: self
-                .rat_counts
-                .into_iter()
-                .map(|(k, v)| (k, v / n))
-                .collect(),
-        }
-    }
-}
-
-impl ChunkFold<DeviceSummary> for GroupStatsFold<'_> {
-    fn zero(&self) -> Self {
-        GroupStatsFold::new(self.members, self.window_days)
-    }
-
-    fn fold_chunk(&mut self, chunk: &[DeviceSummary]) {
-        for s in chunk {
-            if !self.members.contains(&s.user) {
-                continue;
-            }
-            self.devices += 1;
-            self.active_days.push(s.active_days as f64);
-            if s.first_day == 0 {
-                self.day1_cohort.push(s.active_days as f64);
-            }
-            if s.active_days >= self.window_days {
-                self.full += 1;
-            }
-            if s.had_failures() {
-                self.failed += 1;
-            }
-            self.signaling.push(s.events_per_active_day());
-            *self
-                .rat_counts
-                .entry(s.radio_flags.any.category_label().to_owned())
-                .or_insert(0.0) += 1.0;
-        }
-    }
-
-    fn absorb(&mut self, later: Self) {
-        self.devices += later.devices;
-        self.active_days.extend(later.active_days);
-        self.day1_cohort.extend(later.day1_cohort);
-        self.full += later.full;
-        self.failed += later.failed;
-        self.signaling.extend(later.signaling);
-        for (k, v) in later.rat_counts {
-            *self.rat_counts.entry(k).or_insert(0.0) += v;
-        }
-    }
-}
-
 /// Computes Fig. 11 statistics for a set of device IDs.
 pub fn group_stats(
     summaries: &[DeviceSummary],
     members: &BTreeSet<u64>,
     window_days: u32,
 ) -> SmipGroupStats {
-    let mut fold = GroupStatsFold::new(members, window_days);
-    drive_slice(&mut fold, summaries);
-    fold.finish()
+    let group: Vec<&DeviceSummary> = summaries
+        .iter()
+        .filter(|s| members.contains(&s.user))
+        .collect();
+    let n = group.len().max(1) as f64;
+    let mut rat_counts: BTreeMap<String, f64> = BTreeMap::new();
+    for s in &group {
+        *rat_counts
+            .entry(s.radio_flags.any.category_label().to_owned())
+            .or_insert(0.0) += 1.0;
+    }
+    SmipGroupStats {
+        devices: group.len(),
+        active_days: Ecdf::new(group.iter().map(|s| s.active_days as f64).collect()),
+        active_days_day1_cohort: Ecdf::new(
+            group
+                .iter()
+                .filter(|s| s.first_day == 0)
+                .map(|s| s.active_days as f64)
+                .collect(),
+        ),
+        full_period_fraction: group
+            .iter()
+            .filter(|s| s.active_days >= window_days)
+            .count() as f64
+            / n,
+        signaling_per_day: Ecdf::new(group.iter().map(|s| s.events_per_active_day()).collect()),
+        failed_device_fraction: group.iter().filter(|s| s.had_failures()).count() as f64 / n,
+        rat_categories: rat_counts.into_iter().map(|(k, v)| (k, v / n)).collect(),
+    }
 }
 
 #[cfg(test)]

@@ -7,12 +7,11 @@
 //! no data; inbound smartphones move visibly less data than native ones
 //! ("bill shock").
 
-use crate::analysis::activity::StatusGroup;
+use crate::analysis::activity::{pair_ecdfs, StatusGroup};
 use crate::classify::{Classification, DeviceClass};
 use crate::metrics::Ecdf;
 use crate::summary::DeviceSummary;
 use serde::{Deserialize, Serialize};
-use wtr_sim::stream::{drive_slice, ChunkFold};
 
 /// The three Fig. 10 panels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -58,87 +57,23 @@ pub struct TrafficDist {
     pub dist: Ecdf,
 }
 
-/// Streaming accumulator for [`traffic_dist`]: one pass extracts the
-/// samples for every requested (class, status) pair at once (the old
-/// code re-scanned the population per pair). Chunk sample vectors
-/// concatenate in input order, and [`Ecdf::new`] sorts with a total
-/// order, so the distributions are identical at any thread count.
-#[derive(Debug, Clone)]
-pub struct TrafficFold<'a> {
-    classification: &'a Classification,
-    pairs: &'a [(DeviceClass, StatusGroup)],
-    metric: TrafficMetric,
-    samples: Vec<Vec<f64>>,
-}
-
-impl<'a> TrafficFold<'a> {
-    /// An empty accumulator for `pairs` on `metric`.
-    pub fn new(
-        classification: &'a Classification,
-        pairs: &'a [(DeviceClass, StatusGroup)],
-        metric: TrafficMetric,
-    ) -> Self {
-        TrafficFold {
-            classification,
-            pairs,
-            metric,
-            samples: vec![Vec::new(); pairs.len()],
-        }
-    }
-
-    /// Builds the Fig. 10 distributions, one per pair in the order
-    /// requested at construction.
-    pub fn finish(self) -> Vec<TrafficDist> {
-        self.pairs
-            .iter()
-            .zip(self.samples)
-            .map(|((class, status), samples)| TrafficDist {
-                class: *class,
-                status: *status,
-                metric: self.metric,
-                dist: Ecdf::new(samples),
-            })
-            .collect()
-    }
-}
-
-impl ChunkFold<DeviceSummary> for TrafficFold<'_> {
-    fn zero(&self) -> Self {
-        TrafficFold::new(self.classification, self.pairs, self.metric)
-    }
-
-    fn fold_chunk(&mut self, chunk: &[DeviceSummary]) {
-        for s in chunk {
-            let class = self.classification.class_of(s.user);
-            let status = StatusGroup::of(s);
-            for (i, (wc, ws)) in self.pairs.iter().enumerate() {
-                if class == Some(*wc) && status == Some(*ws) {
-                    self.samples[i].push(self.metric.of(s));
-                }
-            }
-        }
-    }
-
-    fn absorb(&mut self, later: Self) {
-        for (mine, theirs) in self.samples.iter_mut().zip(later.samples) {
-            mine.extend(theirs);
-        }
-    }
-}
-
-/// Computes one Fig. 10 panel for the requested (class, status) pairs in
-/// a single chunk-parallel pass (`wtr_sim::stream`); chunk results
-/// concatenate in input order, so the resulting distributions are
-/// identical at any thread count.
+/// Computes one Fig. 10 panel for the requested (class, status) pairs
+/// in one pass over the summaries.
 pub fn traffic_dist(
     summaries: &[DeviceSummary],
     classification: &Classification,
     pairs: &[(DeviceClass, StatusGroup)],
     metric: TrafficMetric,
 ) -> Vec<TrafficDist> {
-    let mut fold = TrafficFold::new(classification, pairs, metric);
-    drive_slice(&mut fold, summaries);
-    fold.finish()
+    pair_ecdfs(summaries, classification, pairs, |s| Some(metric.of(s)))
+        .into_iter()
+        .map(|(class, status, dist)| TrafficDist {
+            class,
+            status,
+            metric,
+            dist,
+        })
+        .collect()
 }
 
 /// Fraction of a population with a zero value for `metric` — e.g. "for the

@@ -12,7 +12,6 @@ use crate::metrics::Ecdf;
 use crate::summary::DeviceSummary;
 use serde::{Deserialize, Serialize};
 use wtr_model::intern::ApnTable;
-use wtr_sim::stream::{drive_slice, ChunkFold};
 
 /// Traffic/mobility profile of one identified vertical.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -29,115 +28,42 @@ pub struct VerticalProfile {
     pub bytes_per_day: Ecdf,
 }
 
-/// Order-preserving sample accumulator for one vertical's profile.
-#[derive(Debug, Clone, Default)]
-struct ProfileAcc {
-    devices: usize,
-    gyration: Vec<f64>,
-    signaling: Vec<f64>,
-    bytes: Vec<f64>,
-}
-
-impl ProfileAcc {
-    fn add(&mut self, s: &DeviceSummary) {
-        self.devices += 1;
-        if let Some(g) = s.gyration_km() {
-            self.gyration.push(g);
-        }
-        self.signaling.push(s.events_per_active_day());
-        self.bytes.push(s.bytes_per_active_day());
-    }
-
-    fn extend(&mut self, later: ProfileAcc) {
-        self.devices += later.devices;
-        self.gyration.extend(later.gyration);
-        self.signaling.extend(later.signaling);
-        self.bytes.extend(later.bytes);
-    }
-
-    fn finish(self, name: &str) -> VerticalProfile {
-        VerticalProfile {
-            name: name.to_owned(),
-            devices: self.devices,
-            gyration_km: Ecdf::new(self.gyration),
-            signaling_per_day: Ecdf::new(self.signaling),
-            bytes_per_day: Ecdf::new(self.bytes),
-        }
-    }
-}
-
-/// Streaming accumulator for [`compare`]: one pass splits inbound
-/// roamers into the two Fig. 12 verticals. The per-symbol vertical hint
-/// is memoized at construction; chunk sample vectors concatenate in
-/// input order, so the profiles are identical at any thread count.
-#[derive(Debug, Clone)]
-pub struct VerticalsFold {
-    hints: Vec<Option<VerticalHint>>,
-    cars: ProfileAcc,
-    meters: ProfileAcc,
-}
-
-impl VerticalsFold {
-    /// An empty accumulator; `apns` is the intern table the summaries'
-    /// symbols resolve through.
-    pub fn new(apns: &ApnTable) -> Self {
-        let hints = apns
-            .strings()
-            .iter()
-            .map(|a| match_m2m_keyword(a).map(|(_, h)| h))
-            .collect();
-        VerticalsFold {
-            hints,
-            cars: ProfileAcc::default(),
-            meters: ProfileAcc::default(),
-        }
-    }
-
-    /// Builds the (connected-cars, smart-meters) profile pair.
-    pub fn finish(self) -> (VerticalProfile, VerticalProfile) {
-        (
-            self.cars.finish("connected-cars"),
-            self.meters.finish("smart-meters"),
-        )
-    }
-}
-
-impl ChunkFold<DeviceSummary> for VerticalsFold {
-    fn zero(&self) -> Self {
-        VerticalsFold {
-            hints: self.hints.clone(),
-            cars: ProfileAcc::default(),
-            meters: ProfileAcc::default(),
-        }
-    }
-
-    fn fold_chunk(&mut self, chunk: &[DeviceSummary]) {
-        for s in chunk {
-            if !s.dominant_label.is_international_inbound() {
-                continue;
-            }
-            match s.apns.iter().find_map(|sym| self.hints[sym.index()]) {
-                Some(VerticalHint::Automotive) => self.cars.add(s),
-                Some(VerticalHint::Energy) => self.meters.add(s),
-                _ => {}
-            }
-        }
-    }
-
-    fn absorb(&mut self, later: Self) {
-        self.cars.extend(later.cars);
-        self.meters.extend(later.meters);
+/// Profiles one vertical's devices, sampled in input order.
+fn profile(name: &str, devices: &[&DeviceSummary]) -> VerticalProfile {
+    VerticalProfile {
+        name: name.to_owned(),
+        devices: devices.len(),
+        gyration_km: Ecdf::new(devices.iter().filter_map(|s| s.gyration_km()).collect()),
+        signaling_per_day: Ecdf::new(devices.iter().map(|s| s.events_per_active_day()).collect()),
+        bytes_per_day: Ecdf::new(devices.iter().map(|s| s.bytes_per_active_day()).collect()),
     }
 }
 
 /// Splits inbound-roaming devices into verticals by APN hint and profiles
-/// the two Fig. 12 groups in a single chunk-parallel pass. `apns` is the
-/// intern table the summaries' symbols resolve through; the vertical hint
-/// is memoized per distinct symbol.
+/// the two Fig. 12 groups. `apns` is the intern table the summaries'
+/// symbols resolve through; the vertical hint is memoized per distinct
+/// symbol, and a device takes the hint of its first APN that has one.
 pub fn compare(summaries: &[DeviceSummary], apns: &ApnTable) -> (VerticalProfile, VerticalProfile) {
-    let mut fold = VerticalsFold::new(apns);
-    drive_slice(&mut fold, summaries);
-    fold.finish()
+    let hints: Vec<Option<VerticalHint>> = apns
+        .strings()
+        .iter()
+        .map(|a| match_m2m_keyword(a).map(|(_, h)| h))
+        .collect();
+    let (mut cars, mut meters) = (Vec::new(), Vec::new());
+    for s in summaries {
+        if !s.dominant_label.is_international_inbound() {
+            continue;
+        }
+        match s.apns.iter().find_map(|sym| hints[sym.index()]) {
+            Some(VerticalHint::Automotive) => cars.push(s),
+            Some(VerticalHint::Energy) => meters.push(s),
+            _ => {}
+        }
+    }
+    (
+        profile("connected-cars", &cars),
+        profile("smart-meters", &meters),
+    )
 }
 
 #[cfg(test)]

@@ -29,7 +29,6 @@ use std::fmt;
 use wtr_model::intern::ApnTable;
 use wtr_model::tacdb::{GsmaClass, TacDatabase};
 use wtr_sim::par;
-use wtr_sim::stream::{drive_slice, ChunkFold};
 
 /// The classifier's output classes (§4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -133,50 +132,6 @@ struct Verdict {
     consumer: bool,
 }
 
-/// Streaming accumulator for the classifier's step-1 APN inventory:
-/// which distinct interned symbols were actually *observed* in the
-/// summaries. Boolean ORs are exact under any chunking, so the fold is
-/// byte-identical to the serial scan at every thread count.
-#[derive(Debug, Clone)]
-pub struct ObservedApnsFold {
-    observed: Vec<bool>,
-}
-
-impl ObservedApnsFold {
-    /// An empty accumulator sized for an `apn_count`-symbol intern table.
-    pub fn new(apn_count: usize) -> Self {
-        ObservedApnsFold {
-            observed: vec![false; apn_count],
-        }
-    }
-
-    /// The observed-symbol bitmap, indexed by symbol index.
-    pub fn into_observed(self) -> Vec<bool> {
-        self.observed
-    }
-}
-
-impl ChunkFold<DeviceSummary> for ObservedApnsFold {
-    fn zero(&self) -> Self {
-        ObservedApnsFold::new(self.observed.len())
-    }
-
-    fn fold_chunk(&mut self, chunk: &[DeviceSummary]) {
-        for s in chunk {
-            for sym in &s.apns {
-                self.observed[sym.index()] = true;
-            }
-        }
-    }
-
-    fn absorb(&mut self, later: Self) {
-        debug_assert_eq!(self.observed.len(), later.observed.len());
-        for (mine, theirs) in self.observed.iter_mut().zip(later.observed) {
-            *mine |= theirs;
-        }
-    }
-}
-
 /// The §4.3 classifier. Borrows the GSMA-like TAC catalog for device
 /// properties.
 #[derive(Debug, Clone, Copy)]
@@ -209,9 +164,12 @@ impl<'a> Classifier<'a> {
         // symbol. Only symbols actually observed in the summaries form
         // the inventory (the table may intern more than this population
         // used, e.g. after catalog merges).
-        let mut observed_fold = ObservedApnsFold::new(apns.len());
-        drive_slice(&mut observed_fold, summaries);
-        let observed = observed_fold.into_observed();
+        let mut observed = vec![false; apns.len()];
+        for s in summaries {
+            for sym in &s.apns {
+                observed[sym.index()] = true;
+            }
+        }
         let mut verdicts = vec![Verdict::default(); apns.len()];
         for (sym, apn) in apns.iter() {
             if !observed[sym.index()] {

@@ -6,7 +6,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use wtr_sim::par;
 
 /// An empirical cumulative distribution function over `f64` samples.
 ///
@@ -25,24 +24,14 @@ pub struct Ecdf {
 
 impl Ecdf {
     /// Builds from samples (NaNs are rejected with a debug assertion and
-    /// dropped in release builds).
-    ///
-    /// Sorting is sharded over worker threads (`wtr_sim::par`): fixed
-    /// chunks are sorted independently and merged with `total_cmp`.
-    /// Since `total_cmp` is a total order (equal keys are bit-identical),
-    /// the merged vector equals the serial sort exactly at any thread
-    /// count.
+    /// dropped in release builds), sorted in place with `f64::total_cmp`.
+    /// Under that total order equal keys are bit-identical, so the sorted
+    /// vector is a pure function of the sample multiset.
     pub fn new(mut samples: Vec<f64>) -> Self {
         debug_assert!(samples.iter().all(|x| !x.is_nan()), "NaN sample");
         samples.retain(|x| !x.is_nan());
-        let runs = par::chunked_map(&samples, |chunk| {
-            let mut v = chunk.to_vec();
-            v.sort_by(f64::total_cmp);
-            v
-        });
-        Ecdf {
-            sorted: merge_sorted_runs(runs),
-        }
+        samples.sort_by(f64::total_cmp);
+        Ecdf { sorted: samples }
     }
 
     /// Number of samples.
@@ -125,49 +114,6 @@ impl Ecdf {
     }
 }
 
-/// Merges pre-sorted runs (ordered by `f64::total_cmp`) into one sorted
-/// vector — the reduce step of the parallel ECDF build.
-fn merge_sorted_runs(mut runs: Vec<Vec<f64>>) -> Vec<f64> {
-    runs.retain(|r| !r.is_empty());
-    match runs.len() {
-        0 => return Vec::new(),
-        1 => return runs.pop().expect("one run"),
-        _ => {}
-    }
-    // Repeatedly merge pairs; with at most 64 runs this is at most six
-    // passes over the data.
-    while runs.len() > 1 {
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_two(a, b)),
-                None => next.push(a),
-            }
-        }
-        runs = next;
-    }
-    runs.pop().expect("one run")
-}
-
-/// Merges two sorted vectors under `total_cmp`.
-fn merge_two(a: Vec<f64>, b: Vec<f64>) -> Vec<f64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut ia, mut ib) = (0, 0);
-    while ia < a.len() && ib < b.len() {
-        if a[ia].total_cmp(&b[ib]).is_le() {
-            out.push(a[ia]);
-            ia += 1;
-        } else {
-            out.push(b[ib]);
-            ib += 1;
-        }
-    }
-    out.extend_from_slice(&a[ia..]);
-    out.extend_from_slice(&b[ib..]);
-    out
-}
-
 /// A labeled contingency table with row/column normalization — the shape
 /// of Fig. 2, Fig. 5-bottom and Fig. 6.
 ///
@@ -196,14 +142,6 @@ impl CrossTab {
             .cells
             .entry((row.to_owned(), col.to_owned()))
             .or_insert(0.0) += weight;
-    }
-
-    /// Adds every cell of `other` into this table — the reduce step when
-    /// tables are built from chunks of a population in parallel.
-    pub fn merge(&mut self, other: CrossTab) {
-        for ((row, col), v) in other.cells {
-            *self.cells.entry((row, col)).or_insert(0.0) += v;
-        }
     }
 
     /// Raw cell value.
@@ -363,8 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn ecdf_parallel_sort_matches_serial() {
-        // Pseudo-random samples, long enough to span many chunks.
+    fn ecdf_sort_matches_total_order() {
         let samples: Vec<f64> = (0..40_000u64)
             .map(|i| {
                 let x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
@@ -373,15 +310,11 @@ mod tests {
             .collect();
         let mut expected = samples.clone();
         expected.sort_by(f64::total_cmp);
-        for t in [1usize, 2, 8] {
-            par::set_threads(Some(t));
-            let e = Ecdf::new(samples.clone());
-            assert_eq!(e.len(), expected.len());
-            assert_eq!(e.min(), expected.first().copied());
-            assert_eq!(e.median(), Some(expected[expected.len() / 2 - 1]));
-            assert_eq!(e.max(), expected.last().copied());
-        }
-        par::set_threads(None);
+        let e = Ecdf::new(samples);
+        assert_eq!(e.len(), expected.len());
+        assert_eq!(e.min(), expected.first().copied());
+        assert_eq!(e.median(), Some(expected[expected.len() / 2 - 1]));
+        assert_eq!(e.max(), expected.last().copied());
     }
 
     #[test]

@@ -1,47 +1,37 @@
-//! Single-pass streaming front end for the visited-MNO pipeline.
-//!
-//! The materialized pipeline loads a whole [`DevicesCatalog`] into
-//! memory, then re-scans it (and the summary vector) once per analysis.
-//! This module collapses that into two bounded passes:
+//! Front end of the visited-MNO analysis pipeline: catalog in, every
+//! table out.
 //!
 //! 1. **File pass** ([`stream_catalog`]) — a chunked
-//!    [`CatalogStream`](wtr_probes::io::CatalogStream) feeds a broadcast
-//!    of [`ChunkFold`] sinks: device-summary accumulation
-//!    ([`SummaryFold`]) and per-day label shares ([`LabelSharesFold`])
-//!    ride the same chunks. Peak memory is O(devices + chunk window) —
-//!    catalog rows are dropped as soon as each chunk is folded, and no
-//!    `DevicesCatalog` ever exists.
-//! 2. **Summary pass** ([`analyze`]) — after classification, *every*
-//!    per-summary analysis table folds in one broadcast
-//!    [`drive_slice`] over the summaries (plus one short follow-up pass
-//!    for the SMIP group statistics, which need the identified member
-//!    sets). The 6+ independent re-scans of the materialized path
-//!    become one.
+//!    [`CatalogStream`](wtr_probes::io::CatalogStream) feeds a pair of
+//!    [`ChunkFold`](wtr_sim::stream::ChunkFold) sinks: device-summary
+//!    accumulation ([`SummaryFold`]) and per-day label shares
+//!    ([`LabelSharesFold`]) ride the same chunks. Peak memory is
+//!    O(devices + chunk window) — catalog rows are dropped as soon as
+//!    each chunk is folded, and no `DevicesCatalog` ever exists.
+//!    [`materialize_catalog`] builds the same [`StreamedCatalog`] from a
+//!    resident catalog.
+//! 2. **Tables** ([`analyze`]) — classification, then each per-summary
+//!    analysis table as a plain call over the O(devices) summaries.
 //!
 //! # Equivalence
 //!
-//! Every fold here is exact under regrouping — [`SummaryFold`] folds
-//! each device's rows in row order wherever the chunks are cut — so
-//! every number is byte-identical to the materialized pipeline at any
-//! thread count, whatever chunking either side used. The
-//! `stream_equivalence` test suite serializes both sides and compares
-//! bytes.
+//! [`SummaryFold`] folds each device's rows in row order wherever the
+//! chunks are cut, and the label-share counts are integers, so every
+//! number is byte-identical to the materialized pipeline at any thread
+//! count, whatever chunking either side used. The `stream_equivalence`
+//! test suite serializes both sides and compares bytes.
 
-use crate::analysis::activity::{
-    active_days, gyration, ActiveDays, ActiveDaysFold, Gyration, GyrationFold, StatusGroup,
-};
-use crate::analysis::diurnal::{profiles, DiurnalFold, DiurnalProfile};
+use crate::analysis::activity::{active_days, gyration, ActiveDays, Gyration, StatusGroup};
+use crate::analysis::diurnal::{profiles, DiurnalProfile};
 use crate::analysis::population::{
-    class_label_breakdown, home_countries, ClassLabelBreakdown, ClassLabelFold, HomeCountries,
-    HomeCountriesFold, LabelShares, LabelSharesFold,
+    class_label_breakdown, home_countries, ClassLabelBreakdown, HomeCountries, LabelShares,
+    LabelSharesFold,
 };
-use crate::analysis::rat_usage::{rat_usage, Plane, RatUsage, RatUsageFold};
-use crate::analysis::revenue::{inbound_economics, ClassEconomics, RateCard, RevenueFold};
-use crate::analysis::smip::{
-    group_stats, identify, GroupStatsFold, SmipFold, SmipGroupStats, SmipPopulation,
-};
-use crate::analysis::traffic::{traffic_dist, TrafficDist, TrafficFold, TrafficMetric};
-use crate::analysis::verticals::{compare, VerticalProfile, VerticalsFold};
+use crate::analysis::rat_usage::{rat_usage, Plane, RatUsage};
+use crate::analysis::revenue::{inbound_economics, ClassEconomics, RateCard};
+use crate::analysis::smip::{group_stats, identify, SmipGroupStats, SmipPopulation};
+use crate::analysis::traffic::{traffic_dist, TrafficDist, TrafficMetric};
+use crate::analysis::verticals::{compare, VerticalProfile};
 use crate::classify::{Classification, Classifier, DeviceClass};
 use crate::summary::{DeviceSummary, SummaryFold};
 use std::io::BufRead;
@@ -49,7 +39,7 @@ use wtr_model::intern::ApnTable;
 use wtr_model::tacdb::TacDatabase;
 use wtr_probes::catalog::DevicesCatalog;
 use wtr_probes::io::{CatalogStream, IoError};
-use wtr_sim::stream::{drive, drive_slice};
+use wtr_sim::stream::drive;
 
 /// The canonical classes the reporting pipeline profiles (Fig. 9,
 /// diurnal shapes): the populations the paper actually contrasts.
@@ -154,7 +144,7 @@ fn canonical_symbols(
 }
 
 /// Every per-summary analysis table of the reporting pipeline, computed
-/// by [`analyze`] in one broadcast pass.
+/// by [`analyze`].
 #[derive(Debug, Clone)]
 pub struct AnalysisSuite {
     /// The §4.3 classification.
@@ -187,87 +177,11 @@ pub struct AnalysisSuite {
     pub revenue: Vec<ClassEconomics>,
 }
 
-/// Runs classification, then folds **all** analysis tables in one
-/// broadcast [`drive_slice`] over the summaries (nested
-/// [`ChunkFold`] tuples + `Vec` broadcast), plus one short follow-up
-/// pass for the SMIP group statistics (they need the member sets
-/// [`identify`] produces).
-///
-/// Byte-identical to calling each analysis function separately — the
-/// broadcast shares chunk boundaries with the standalone drivers — and
-/// thread-count invariant.
+/// Runs classification, then every analysis table over the summaries,
+/// one plain call per table. Thread-count invariant: only the
+/// classifier's per-device step runs on worker threads, and its output
+/// lands in an ordered map.
 pub fn analyze(
-    summaries: &[DeviceSummary],
-    apns: &ApnTable,
-    window_days: u32,
-    tacdb: &TacDatabase,
-) -> AnalysisSuite {
-    let classification = Classifier::new(tacdb).classify(summaries, apns);
-
-    let rat_folds: Vec<RatUsageFold> = PLANES
-        .iter()
-        .map(|plane| RatUsageFold::new(&classification, &CLASSES, *plane))
-        .collect();
-    let traffic_folds: Vec<TrafficFold> = METRICS
-        .iter()
-        .map(|metric| TrafficFold::new(&classification, &TRAFFIC_PAIRS, *metric))
-        .collect();
-    let mut sinks = (
-        HomeCountriesFold::new(&classification),
-        ClassLabelFold::new(&classification),
-        rat_folds,
-        traffic_folds,
-        (
-            ActiveDaysFold::new(&classification, &ACTIVE_PAIRS),
-            GyrationFold::new(&classification, &ACTIVE_PAIRS),
-            SmipFold::new(tacdb, apns),
-            VerticalsFold::new(apns),
-            (
-                DiurnalFold::new(&classification, &CLASSES),
-                RevenueFold::new(&classification, RateCard::default()),
-            ),
-        ),
-    );
-    drive_slice(&mut sinks, summaries);
-    let (
-        home_fold,
-        class_label_fold,
-        rat_folds,
-        traffic_folds,
-        (active_fold, gyration_fold, smip_fold, verticals_fold, (diurnal_fold, revenue_fold)),
-    ) = sinks;
-
-    let smip = smip_fold.finish();
-    // Second (short) pass: the Fig. 11 group statistics depend on the
-    // member sets identified above, so they cannot ride the first
-    // broadcast. Both groups fold in one pass here.
-    let mut group_sinks = (
-        GroupStatsFold::new(&smip.native, window_days),
-        GroupStatsFold::new(&smip.roaming, window_days),
-    );
-    drive_slice(&mut group_sinks, summaries);
-    let (native_fold, roaming_fold) = group_sinks;
-
-    AnalysisSuite {
-        home: home_fold.finish(),
-        class_label: class_label_fold.finish(),
-        rat: rat_folds.into_iter().map(RatUsageFold::finish).collect(),
-        traffic: traffic_folds.into_iter().map(TrafficFold::finish).collect(),
-        active: active_fold.finish(),
-        gyration: gyration_fold.finish(),
-        smip_native: native_fold.finish(),
-        smip_roaming: roaming_fold.finish(),
-        smip,
-        verticals: verticals_fold.finish(),
-        diurnal: diurnal_fold.finish(),
-        revenue: revenue_fold.finish(),
-        classification,
-    }
-}
-
-/// The same suite via the standalone per-table functions — the
-/// reference the equivalence tests compare [`analyze`] against.
-pub fn analyze_rescan(
     summaries: &[DeviceSummary],
     apns: &ApnTable,
     window_days: u32,
@@ -349,38 +263,5 @@ mod tests {
                 serde_json::to_string(&materialized.label_shares).unwrap()
             );
         }
-    }
-
-    #[test]
-    fn broadcast_suite_matches_rescans() {
-        let cat = catalog();
-        let data = materialize_catalog(&cat);
-        let tacdb = TacDatabase::standard();
-        let one_pass = analyze(&data.summaries, &data.apns, data.window_days, &tacdb);
-        let rescan = analyze_rescan(&data.summaries, &data.apns, data.window_days, &tacdb);
-        assert_eq!(
-            serde_json::to_string(&one_pass.classification).unwrap(),
-            serde_json::to_string(&rescan.classification).unwrap()
-        );
-        assert_eq!(
-            serde_json::to_string(&one_pass.home).unwrap(),
-            serde_json::to_string(&rescan.home).unwrap()
-        );
-        assert_eq!(
-            serde_json::to_string(&one_pass.rat).unwrap(),
-            serde_json::to_string(&rescan.rat).unwrap()
-        );
-        assert_eq!(
-            serde_json::to_string(&one_pass.traffic).unwrap(),
-            serde_json::to_string(&rescan.traffic).unwrap()
-        );
-        assert_eq!(
-            serde_json::to_string(&one_pass.smip).unwrap(),
-            serde_json::to_string(&rescan.smip).unwrap()
-        );
-        assert_eq!(
-            serde_json::to_string(&one_pass.revenue).unwrap(),
-            serde_json::to_string(&rescan.revenue).unwrap()
-        );
     }
 }

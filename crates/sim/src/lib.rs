@@ -36,7 +36,7 @@
 //! * [`shard`] — sharded simulation: K independent per-shard event
 //!   loops over a contiguously partitioned agent population.
 //! * [`stream`] — chunked record streams and mergeable chunk-fold
-//!   sinks: the bounded-memory single-pass pipeline core.
+//!   sinks: the core of the bounded-memory pass over a catalog file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

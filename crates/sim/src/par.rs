@@ -103,7 +103,7 @@ where
 ///
 /// The boundaries are a pure function of `(n, k)`: range `w` is
 /// `[w*per, min((w+1)*per, n))` with `per = n.div_ceil(k)` — the same
-/// contiguous assignment [`par_each`] and [`chunked_map`] use for their
+/// contiguous assignment [`par_each`] and [`par_map`] use for their
 /// workers. This is the partitioning used by [`crate::shard`] to split
 /// an agent population into per-shard event loops: contiguity preserves
 /// the relative agent order inside every shard, which the shard-stable
@@ -168,14 +168,13 @@ where
 /// Applies `f` to each fixed-size chunk of `items`, returning the
 /// per-chunk results in chunk-index order.
 ///
-/// This is the engine behind [`par_map`] and
-/// [`crate::stream::drive_slice`]: chunk boundaries are a pure function
-/// of `items.len()`, and chunks are assigned to scoped worker threads in
-/// contiguous runs.
+/// This is the engine behind [`par_map`]: chunk boundaries are a pure
+/// function of `items.len()`, and chunks are assigned to scoped worker
+/// threads in contiguous runs.
 /// Each worker returns `(chunk_index, result)` pairs which are sorted
 /// back into chunk order before returning, so callers observe a
 /// deterministic sequence regardless of scheduling.
-pub fn chunked_map<T, U, F>(items: &[T], f: F) -> Vec<U>
+fn chunked_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
@@ -256,7 +255,7 @@ where
 /// left operand always covering strictly earlier input than the right,
 /// and an unpaired tail element passes through unchanged. `merge` may
 /// therefore rely on left-covers-earlier ("first wins") semantics, like
-/// [`chunked_map`]'s ordered results — but unlike the serial left fold
+/// [`par_map`]'s ordered results — but unlike the serial left fold
 /// it is *regrouped*: `merge` must be associative for the result to
 /// equal a left fold. Each level's pair merges run on scoped worker
 /// threads, turning an O(k) serial merge tail into O(log k) levels.

@@ -1,10 +1,9 @@
-//! Streaming single-pass pipeline core: chunked record streams and
-//! mergeable chunk-fold sinks.
+//! Streaming catalog-pass core: chunked record streams and mergeable
+//! chunk-fold sinks.
 //!
-//! At paper scale (~39.6M devices over 22 days, §4) no stage of the
-//! pipeline may materialize "all the events" or walk the same data six
-//! times. This module provides the two abstractions every stage is built
-//! on instead:
+//! At paper scale (~39.6M devices over 22 days, §4) the pass over a
+//! catalog file may not materialize "all the rows". This module provides
+//! the two abstractions that pass is built on instead:
 //!
 //! * [`RecordStream`] — a deterministic, *chunked* producer of records:
 //!   the JSONL catalog reader and the chunk-at-a-time `WTRCAT` reader
@@ -12,15 +11,12 @@
 //!   one giant `Vec`.
 //! * [`ChunkFold`] — a sink that folds chunks into bounded state and can
 //!   merge ("absorb") a sink built from a *later* part of the same
-//!   stream, mirroring the intern table's `absorb` discipline.
-//!   Device-summary accumulation, label shares, the classifier's
-//!   observed-APN pass and every analysis table implement it.
+//!   stream, mirroring the intern table's `absorb` discipline. The
+//!   device-summary fold and the per-day label shares implement it.
 //!
-//! The drivers ([`drive`], [`drive_slice`], [`drive_iter`]) connect the
-//! two, and a *broadcast* composition (tuples of sinks, or `Vec<F>`)
-//! lets one pass over the stream feed many sinks simultaneously — the
-//! 6+ re-scans of the materialized pipeline collapse into one pass with
-//! O(state + chunk) peak memory.
+//! The drivers ([`drive`], [`drive_iter`]) connect the two, and a pair
+//! of sinks is itself a sink, so one pass over the stream feeds both the
+//! summaries and the label shares with O(state + chunk) peak memory.
 //!
 //! # Determinism
 //!
@@ -79,46 +75,20 @@ pub trait ChunkFold<T>: Send + Sized {
     fn absorb(&mut self, later: Self);
 }
 
-macro_rules! tuple_chunk_fold {
-    ($($name:ident : $idx:tt),+) => {
-        impl<T, $($name: ChunkFold<T>),+> ChunkFold<T> for ($($name,)+) {
-            fn zero(&self) -> Self {
-                ($(self.$idx.zero(),)+)
-            }
-            fn fold_chunk(&mut self, chunk: &[T]) {
-                $(self.$idx.fold_chunk(chunk);)+
-            }
-            fn absorb(&mut self, later: Self) {
-                $(self.$idx.absorb(later.$idx);)+
-            }
-        }
-    };
-}
-
-tuple_chunk_fold!(A: 0, B: 1);
-tuple_chunk_fold!(A: 0, B: 1, C: 2);
-tuple_chunk_fold!(A: 0, B: 1, C: 2, D: 3);
-tuple_chunk_fold!(A: 0, B: 1, C: 2, D: 3, E: 4);
-
-/// Broadcast over a homogeneous sink list: one pass feeds every element.
-/// Combine with the tuple impls (tuples nest) to feed arbitrarily many
-/// heterogeneous sinks in a single pass.
-impl<T, F: ChunkFold<T>> ChunkFold<T> for Vec<F> {
+/// Broadcast over a pair of sinks: one pass feeds both.
+impl<T, A: ChunkFold<T>, B: ChunkFold<T>> ChunkFold<T> for (A, B) {
     fn zero(&self) -> Self {
-        self.iter().map(F::zero).collect()
+        (self.0.zero(), self.1.zero())
     }
 
     fn fold_chunk(&mut self, chunk: &[T]) {
-        for f in self.iter_mut() {
-            f.fold_chunk(chunk);
-        }
+        self.0.fold_chunk(chunk);
+        self.1.fold_chunk(chunk);
     }
 
     fn absorb(&mut self, later: Self) {
-        assert_eq!(self.len(), later.len(), "broadcast absorb arity mismatch");
-        for (f, l) in self.iter_mut().zip(later) {
-            f.absorb(l);
-        }
+        self.0.absorb(later.0);
+        self.1.absorb(later.1);
     }
 }
 
@@ -148,29 +118,6 @@ where
     F: ChunkFold<T> + Sync,
 {
     let partials = par::par_each(window, |chunk| {
-        let mut z = sink.zero();
-        z.fold_chunk(chunk);
-        z
-    });
-    for p in partials {
-        sink.absorb(p);
-    }
-}
-
-/// Drives every record of `items` into `sink` with chunk-parallel
-/// folding, absorbing partials in chunk order.
-///
-/// Chunk boundaries come from [`par::chunked_map`] — a pure function of
-/// `items.len()` — so output is byte-identical at any thread count.
-pub fn drive_slice<T, F>(sink: &mut F, items: &[T])
-where
-    T: Sync,
-    F: ChunkFold<T> + Sync,
-{
-    if items.is_empty() {
-        return;
-    }
-    let partials = par::chunked_map(items, |chunk| {
         let mut z = sink.zero();
         z.fold_chunk(chunk);
         z
@@ -316,21 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn drive_slice_matches_serial_fold_at_any_thread_count() {
-        let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        let items: Vec<u64> = (5..4000).collect();
-        let mut serial = Probe::new();
-        serial.fold_chunk(&items);
-        for t in [1usize, 2, 8] {
-            par::set_threads(Some(t));
-            let mut sink = Probe::new();
-            drive_slice(&mut sink, &items);
-            assert_eq!(sink, serial, "drive_slice at {t} threads");
-        }
-        par::set_threads(None);
-    }
-
-    #[test]
     fn drive_iter_never_materializes_and_matches_slice() {
         let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let items: Vec<u64> = (0..10_000).collect();
@@ -374,12 +306,11 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_tuple_and_vec_feed_all_sinks() {
+    fn broadcast_pair_feeds_both_sinks() {
         let items: Vec<u64> = (1..=100).collect();
-        let mut sink = (Probe::new(), vec![Probe::new(), Probe::new()]);
-        drive_slice(&mut sink, &items);
+        let mut sink = (Probe::new(), Probe::new());
+        drive_iter(&mut sink, items);
         assert_eq!(sink.0.sum, 5050);
-        assert_eq!(sink.1[0], sink.1[1]);
-        assert_eq!(sink.1[0], sink.0);
+        assert_eq!(sink.0, sink.1);
     }
 }

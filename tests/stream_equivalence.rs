@@ -6,30 +6,28 @@
 //!    catalog and ground truth at every thread count, including under
 //!    record loss.
 //! 2. **File ingest**: `stream_catalog` (chunk-at-a-time JSONL/WTRCAT
-//!    reader feeding a broadcast of folds, no `DevicesCatalog` ever
-//!    built) produces the exact summaries + label shares the
-//!    materialized `read → summarize → label_shares` path does.
-//! 3. **Analysis**: the one-broadcast-pass [`analyze`] suite equals the
-//!    per-table re-scan reference [`analyze_rescan`] on every table.
+//!    reader feeding the summary and label-share folds, no
+//!    `DevicesCatalog` ever built) produces the exact summaries + label
+//!    shares the materialized `read → summarize → label_shares` path
+//!    does.
+//! 3. **Analysis**: the [`analyze`] suite is byte-identical at every
+//!    thread count.
 //! 4. **Resident snapshot**: `materialize_catalog` over an in-memory
 //!    catalog equals a `stream_catalog` replay of its JSONL export, down
 //!    to the mobility bits and every rendered table, and a `Tenant` fed
 //!    the same rows serves exactly those tables.
 //!
-//! Plus `ChunkFold::absorb` associativity checks (proptest): for any
-//! 3-way split of the input, folding the parts and absorbing equals
-//! folding the whole — the algebraic property the chunked drivers rely
-//! on.
+//! Plus `ChunkFold::absorb` associativity checks (proptest) for the two
+//! row folds of the catalog pass: for any 3-way split of the input,
+//! folding the parts and absorbing equals folding the whole — the
+//! algebraic property the chunked drivers rely on.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use where_things_roam::core::analysis::diurnal::DiurnalFold;
 use where_things_roam::core::analysis::population::LabelSharesFold;
-use where_things_roam::core::analysis::revenue::{RateCard, RevenueFold};
-use where_things_roam::core::classify::{Classification, DeviceClass, ObservedApnsFold};
 use where_things_roam::core::report::{render_analysis, render_classify, ANALYSES};
 use where_things_roam::core::stream::{
-    analyze, analyze_rescan, materialize_catalog, stream_catalog, AnalysisSuite, StreamedCatalog,
+    analyze, materialize_catalog, stream_catalog, AnalysisSuite, StreamedCatalog,
 };
 use where_things_roam::core::summary::{summarize, SummaryFold};
 use where_things_roam::model::hash::mix64;
@@ -201,7 +199,7 @@ fn fast_scanner_read_matches_serde_read() {
 }
 
 #[test]
-fn broadcast_analysis_matches_rescans() {
+fn analysis_suite_is_thread_count_invariant() {
     let output = MnoScenario::new(scenario_config()).run();
     let summaries = summarize(&output.catalog);
     let apns = output.catalog.apn_table();
@@ -211,12 +209,10 @@ fn broadcast_analysis_matches_rescans() {
     let mut reference: Option<Vec<u8>> = None;
     for &t in &MATRIX {
         par::set_threads(Some(t));
-        let broadcast = suite_bytes(&analyze(&summaries, apns, days, &output.tacdb));
-        let rescans = suite_bytes(&analyze_rescan(&summaries, apns, days, &output.tacdb));
-        assert_eq!(broadcast, rescans, "broadcast vs rescans at {t} threads");
+        let suite = suite_bytes(&analyze(&summaries, apns, days, &output.tacdb));
         match &reference {
-            None => reference = Some(broadcast),
-            Some(r) => assert_eq!(r, &broadcast, "{t} threads vs 1"),
+            None => reference = Some(suite),
+            Some(r) => assert_eq!(r, &suite, "{t} threads vs 1"),
         }
     }
     par::set_threads(None);
@@ -433,20 +429,6 @@ fn build_catalog(rows: &[(u8, u8, u8, u16)]) -> DevicesCatalog {
     cat
 }
 
-/// Tiny classification covering the generated users.
-fn toy_classification(users: impl Iterator<Item = u64>) -> Classification {
-    let mut c = Classification::default();
-    for u in users {
-        let class = match u % 3 {
-            0 => DeviceClass::M2m,
-            1 => DeviceClass::Smart,
-            _ => DeviceClass::Feat,
-        };
-        c.classes.insert(u, class);
-    }
-    c
-}
-
 /// Folds `items` whole vs. as three absorbed parts, asserts the outputs
 /// match and returns the three-part one.
 fn assert_associative<T, F, O, Fin>(
@@ -513,43 +495,5 @@ proptest! {
         assert_associative(&LabelSharesFold::new(5), &entries, c1, c2, |f| {
             serde_json::to_string(&f.finish()).unwrap()
         });
-    }
-
-    #[test]
-    fn summary_sinks_absorb_is_associative(
-        rows in prop::collection::vec((0u8..40, 0u8..5, 0u8..6, 1u16..500), 1..80),
-        cuts in (0usize..2000, 0usize..2000),
-    ) {
-        let cat = build_catalog(&rows);
-        let summaries = summarize(&cat);
-        let classification = toy_classification(summaries.iter().map(|s| s.user));
-        let n = summaries.len();
-        let (c1, c2) = (cuts.0 % (n + 1), cuts.1 % (n + 1));
-        let (c1, c2) = (c1.min(c2), c1.max(c2));
-        // Three distinct per-summary sinks: boolean OR (observed APNs),
-        // integer histograms (diurnal), sample collection + sorted
-        // reduction (revenue).
-        assert_associative(
-            &ObservedApnsFold::new(cat.apn_table().len()),
-            &summaries,
-            c1,
-            c2,
-            |f| f.into_observed(),
-        );
-        let classes = [DeviceClass::M2m, DeviceClass::Smart, DeviceClass::Feat];
-        assert_associative(
-            &DiurnalFold::new(&classification, &classes),
-            &summaries,
-            c1,
-            c2,
-            |f| serde_json::to_string(&f.finish()).unwrap(),
-        );
-        assert_associative(
-            &RevenueFold::new(&classification, RateCard::default()),
-            &summaries,
-            c1,
-            c2,
-            |f| serde_json::to_string(&f.finish()).unwrap(),
-        );
     }
 }
