@@ -73,11 +73,11 @@ pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Req
 
     let mut head_bytes = 0usize;
     let mut read_line = |reader: &mut BufReader<TcpStream>| -> Result<String, HttpError> {
-        let mut line = String::new();
+        let mut line = Vec::new();
         // One byte past the budget is enough to refuse: a line with no
         // newline is cut there instead of buffered until the timeout.
         let budget = (MAX_HEAD_BYTES - head_bytes + 1) as u64;
-        let n = reader.by_ref().take(budget).read_line(&mut line)?;
+        let n = reader.by_ref().take(budget).read_until(b'\n', &mut line)?;
         head_bytes += n;
         if head_bytes > MAX_HEAD_BYTES {
             return Err(bad(431, "request head too large"));
@@ -88,6 +88,9 @@ pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Req
                 "connection closed mid-request",
             )));
         }
+        // Read as bytes: `read_line` would fail a non-UTF-8 line as an
+        // I/O error, and the client would get no answer at all.
+        let line = String::from_utf8(line).map_err(|_| bad(400, "request head is not UTF-8"))?;
         Ok(line.trim_end_matches(['\r', '\n']).to_owned())
     };
 

@@ -380,6 +380,20 @@ fn hostile_bodies_bounce_without_state_change() {
     });
 }
 
+/// Writes `bytes` raw on a fresh connection, write side left open, and
+/// returns the status line the server answers with (empty if it closes
+/// without one).
+fn raw_status_line(addr: SocketAddr, bytes: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(bytes).unwrap();
+    let mut status_line = String::new();
+    BufReader::new(&stream).read_line(&mut status_line).unwrap();
+    status_line
+}
+
 #[test]
 fn oversized_bodies_are_refused_with_413() {
     let server = Server::bind(ServerConfig {
@@ -397,14 +411,21 @@ fn oversized_bodies_are_refused_with_413() {
     assert_eq!(reply.status, 413);
     // A head over the 16 KiB cap with no newline, write side left open:
     // refused at the cap, not held until the socket timeout.
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
-        .unwrap();
-    stream.write_all(&vec![b'x'; 20 * 1024]).unwrap();
-    let mut status_line = String::new();
-    BufReader::new(&stream).read_line(&mut status_line).unwrap();
+    let status_line = raw_status_line(addr, &vec![b'x'; 20 * 1024]);
     assert!(status_line.starts_with("HTTP/1.1 431 "), "{status_line:?}");
+    // A head that is not UTF-8, in the request line or in a header
+    // value: answered with 400, not a silently closed socket.
+    for head in [
+        &b"GET /healthz\xff HTTP/1.1\r\n\r\n"[..],
+        b"GET /healthz HTTP/1.1\r\nx-a: \xfe\xff\r\n\r\n",
+    ] {
+        let status_line = raw_status_line(addr, head);
+        assert!(
+            status_line.starts_with("HTTP/1.1 400 "),
+            "{status_line:?} for {}",
+            head.escape_ascii()
+        );
+    }
     handle.shutdown();
     runner.join().unwrap();
 }
