@@ -405,24 +405,6 @@ impl DevicesCatalog {
         users.dedup();
         users.len()
     }
-
-    /// Groups rows per device, days sorted ascending. The returned map
-    /// iterates in device-ID order (deterministic report paths).
-    pub fn by_device(&self) -> BTreeMap<u64, Vec<&CatalogEntry>> {
-        let mut out: BTreeMap<u64, Vec<&CatalogEntry>> = BTreeMap::new();
-        for entry in self.rows.values() {
-            out.entry(entry.user).or_default().push(entry);
-        }
-        for rows in out.values_mut() {
-            rows.sort_by_key(|e| e.day);
-        }
-        out
-    }
-
-    /// Rows of one day.
-    pub fn day_rows(&self, day: Day) -> impl Iterator<Item = &CatalogEntry> {
-        self.rows.values().filter(move |e| e.day == day)
-    }
 }
 
 #[cfg(test)]
@@ -452,18 +434,12 @@ mod tests {
     }
 
     #[test]
-    fn device_and_day_grouping() {
+    fn device_count_counts_distinct_users() {
         let mut cat = DevicesCatalog::new(22);
         cat.row_mut(1, Day(0), plmn(), tac(), RoamingLabel::HH);
         cat.row_mut(1, Day(3), plmn(), tac(), RoamingLabel::HH);
         cat.row_mut(2, Day(0), plmn(), tac(), RoamingLabel::IH);
         assert_eq!(cat.device_count(), 2);
-        let per_dev = cat.by_device();
-        assert_eq!(per_dev[&1].len(), 2);
-        assert_eq!(per_dev[&1][0].day, Day(0));
-        assert_eq!(per_dev[&1][1].day, Day(3));
-        assert_eq!(cat.day_rows(Day(0)).count(), 2);
-        assert_eq!(cat.day_rows(Day(1)).count(), 0);
     }
 
     #[test]

@@ -333,7 +333,8 @@ impl CatalogRowWire {
 }
 
 /// Writes a devices-catalog as JSONL: a header line, then one row per line
-/// in a stable (user, day) order so exports are diffable.
+/// in the (user, day) order [`DevicesCatalog::iter`] yields, so exports
+/// are diffable.
 pub fn write_catalog<W: Write>(mut out: W, catalog: &DevicesCatalog) -> Result<(), IoError> {
     let header = CatalogHeader {
         format: CATALOG_FORMAT.to_owned(),
@@ -345,9 +346,7 @@ pub fn write_catalog<W: Write>(mut out: W, catalog: &DevicesCatalog) -> Result<(
         message: e.to_string(),
     })?;
     out.write_all(b"\n")?;
-    let mut rows: Vec<&CatalogEntry> = catalog.iter().collect();
-    rows.sort_by_key(|r| (r.user, r.day));
-    for (idx, row) in rows.into_iter().enumerate() {
+    for (idx, row) in catalog.iter().enumerate() {
         let wire = CatalogRowWire::from_entry(row, catalog);
         serde_json::to_writer(&mut out, &wire).map_err(|e| IoError::Parse {
             // 1-based: the header is line 1, row `idx` lands on idx + 2.
