@@ -1,11 +1,10 @@
 //! Front end of the visited-MNO analysis pipeline: catalog in, every
 //! table out.
 //!
-//! 1. **File pass** ([`stream_catalog`]) — a chunked
-//!    [`CatalogStream`](wtr_probes::io::CatalogStream) feeds a pair of
-//!    [`ChunkFold`](wtr_sim::stream::ChunkFold) sinks: device-summary
-//!    accumulation ([`SummaryFold`]) and per-day label shares
-//!    ([`LabelSharesFold`]) ride the same chunks. Peak memory is
+//! 1. **File pass** ([`stream_catalog`]) — a chunked [`CatalogStream`]
+//!    feeds a pair of [`ChunkFold`](wtr_sim::stream::ChunkFold) sinks:
+//!    device-summary accumulation ([`SummaryFold`]) and per-day label
+//!    shares ([`LabelSharesFold`]) ride the same chunks. Peak memory is
 //!    O(devices + chunk window) — catalog rows are dropped as soon as
 //!    each chunk is folded, and no `DevicesCatalog` ever exists.
 //!    [`materialize_catalog`] builds the same [`StreamedCatalog`] from a
