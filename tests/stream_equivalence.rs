@@ -270,9 +270,10 @@ fn materialized_snapshot_matches_text_replay() {
     // The resident route (`materialize_catalog`) and the text route
     // (`write_catalog` then `stream_catalog`) must agree bit for bit:
     // floats that survived a trip through JSON text are the one thing
-    // that could differ. Golden pins of the resident route then hold the
-    // analysis code itself still: the whole suite, and the 13 rendered
-    // tables concatenated in `TABLES` order, as (digest, byte count).
+    // that could differ. A change to the analysis code moves both routes
+    // alike, so golden pins of the resident route catch it: the whole
+    // suite, and the 13 rendered tables concatenated in `TABLES` order,
+    // each as (digest, byte count).
     let tacdb = TacDatabase::standard();
     for (loss, suite_pin, tables_pin) in [
         (
