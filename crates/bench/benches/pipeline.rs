@@ -51,14 +51,6 @@ fn bench(c: &mut Criterion) {
     let art = bench_mno();
     let mut g = c.benchmark_group("par_vs_serial");
     g.sample_size(10);
-    g.bench_function("summarize_t1", |b| {
-        par::set_threads(Some(1));
-        b.iter(|| summarize(black_box(&art.output.catalog)));
-        par::set_threads(None);
-    });
-    g.bench_function("summarize_tN", |b| {
-        b.iter(|| summarize(black_box(&art.output.catalog)));
-    });
     g.bench_function("classify_t1", |b| {
         par::set_threads(Some(1));
         b.iter(|| {

@@ -4,12 +4,10 @@ use crate::classify::{Classification, DeviceClass};
 use crate::metrics::{shares, CrossTab};
 use crate::summary::DeviceSummary;
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use wtr_model::country::Country;
 use wtr_model::roaming::RoamingLabel;
 use wtr_probes::catalog::{CatalogEntry, DevicesCatalog};
-use wtr_sim::stream::{drive_iter, ChunkFold};
 
 /// Per-day roaming-label shares (E6). The paper reports H:H ≈ 48%,
 /// V:H ≈ 33%, I:H ≈ 18% per day, "stable across the 22 days".
@@ -21,10 +19,9 @@ pub struct LabelShares {
     pub overall: BTreeMap<RoamingLabel, f64>,
 }
 
-/// Streaming accumulator for [`label_shares`]: integer-valued counts per
-/// (day, label), so chunked folding and absorbing is exact. State is
-/// O(days × labels); rides along in the single-pass catalog pipeline
-/// next to the summary fold.
+/// In-order accumulator for [`label_shares`]: counts per (day, label).
+/// State is O(days × labels); rides along in the catalog pass next to
+/// the summary fold.
 #[derive(Debug, Clone)]
 pub struct LabelSharesFold {
     per_day: Vec<BTreeMap<RoamingLabel, f64>>,
@@ -38,6 +35,14 @@ impl LabelSharesFold {
             per_day: vec![BTreeMap::new(); window_days as usize],
             overall: BTreeMap::new(),
         }
+    }
+
+    /// Counts one row.
+    pub fn push(&mut self, row: &CatalogEntry) {
+        if let Some(day) = self.per_day.get_mut(row.day.0 as usize) {
+            *day.entry(row.label).or_insert(0.0) += 1.0;
+        }
+        *self.overall.entry(row.label).or_insert(0.0) += 1.0;
     }
 
     /// Normalizes counts into shares.
@@ -56,42 +61,11 @@ impl LabelSharesFold {
     }
 }
 
-impl<T: Borrow<CatalogEntry>> ChunkFold<T> for LabelSharesFold {
-    fn zero(&self) -> Self {
-        LabelSharesFold::new(self.per_day.len() as u32)
-    }
-
-    fn fold_chunk(&mut self, chunk: &[T]) {
-        for row in chunk {
-            let row = row.borrow();
-            if (row.day.0 as usize) < self.per_day.len() {
-                *self.per_day[row.day.0 as usize]
-                    .entry(row.label)
-                    .or_insert(0.0) += 1.0;
-            }
-            *self.overall.entry(row.label).or_insert(0.0) += 1.0;
-        }
-    }
-
-    fn absorb(&mut self, later: Self) {
-        for (day, counts) in later.per_day.into_iter().enumerate() {
-            for (label, n) in counts {
-                *self.per_day[day].entry(label).or_insert(0.0) += n;
-            }
-        }
-        for (label, n) in later.overall {
-            *self.overall.entry(label).or_insert(0.0) += n;
-        }
-    }
-}
-
-/// Computes daily roaming-label shares from the catalog. The count pass
-/// folds directly over the catalog's row iterator — no intermediate
-/// `Vec` of references — sharded over worker threads (`wtr_sim::par`)
-/// into ordered maps, keeping the result thread-count-invariant.
+/// Computes daily roaming-label shares from the catalog: one in-order
+/// pass of [`LabelSharesFold`] over its rows.
 pub fn label_shares(catalog: &DevicesCatalog) -> LabelShares {
     let mut fold = LabelSharesFold::new(catalog.window_days());
-    drive_iter(&mut fold, catalog.iter());
+    catalog.iter().for_each(|row| fold.push(row));
     fold.finish()
 }
 

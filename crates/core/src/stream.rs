@@ -1,24 +1,25 @@
 //! Front end of the visited-MNO analysis pipeline: catalog in, every
 //! table out.
 //!
-//! 1. **File pass** ([`stream_catalog`]) — a chunked [`CatalogStream`]
-//!    feeds a pair of [`ChunkFold`](wtr_sim::stream::ChunkFold) sinks:
-//!    device-summary accumulation ([`SummaryFold`]) and per-day label
-//!    shares ([`LabelSharesFold`]) ride the same chunks. Peak memory is
-//!    O(devices + chunk window) — catalog rows are dropped as soon as
-//!    each chunk is folded, and no `DevicesCatalog` ever exists.
-//!    [`materialize_catalog`] builds the same [`StreamedCatalog`] from a
-//!    resident catalog.
+//! 1. **Catalog pass** ([`stream_catalog`]) — a chunked [`CatalogStream`]
+//!    parses the file (in parallel inside the stream), and every row
+//!    then feeds two in-order folds: device-summary accumulation
+//!    ([`SummaryFold`]) and per-day label shares ([`LabelSharesFold`]).
+//!    Peak memory is O(devices + chunk window) — catalog rows are
+//!    dropped as soon as each chunk is folded, and no `DevicesCatalog`
+//!    ever exists.
+//!    [`materialize_catalog`] runs the same two folds over a resident
+//!    catalog's rows.
 //! 2. **Tables** ([`analyze`]) — classification, then each per-summary
 //!    analysis table as a plain call over the O(devices) summaries.
 //!
 //! # Equivalence
 //!
-//! [`SummaryFold`] folds each device's rows in row order wherever the
-//! chunks are cut, and the label-share counts are integers, so every
-//! number is byte-identical to the materialized pipeline at any thread
-//! count, whatever chunking either side used. The `stream_equivalence`
-//! test suite serializes both sides and compares bytes.
+//! Both folds take the rows one by one in row order, so no number
+//! depends on where a reader cut its chunks: every result is
+//! byte-identical to the materialized pipeline at any thread count. The
+//! `stream_equivalence` test suite serializes both sides and compares
+//! bytes.
 
 use crate::analysis::activity::{active_days, gyration, ActiveDays, Gyration, StatusGroup};
 use crate::analysis::diurnal::{profiles, DiurnalProfile};
@@ -36,9 +37,9 @@ use crate::summary::{DeviceSummary, SummaryFold};
 use std::io::BufRead;
 use wtr_model::intern::ApnTable;
 use wtr_model::tacdb::TacDatabase;
-use wtr_probes::catalog::DevicesCatalog;
+use wtr_probes::catalog::{CatalogEntry, DevicesCatalog};
 use wtr_probes::io::{CatalogStream, IoError};
-use wtr_sim::stream::drive;
+use wtr_sim::stream::RecordStream;
 
 /// The canonical classes the reporting pipeline profiles (Fig. 9,
 /// diurnal shapes): the populations the paper actually contrasts.
@@ -90,43 +91,67 @@ pub struct StreamedCatalog {
     pub label_shares: LabelShares,
 }
 
+/// The two row folds of the catalog pass, fed the same rows in row
+/// order.
+struct RowFolds {
+    summaries: SummaryFold,
+    labels: LabelSharesFold,
+    window_days: u32,
+    rows: u64,
+}
+
+impl RowFolds {
+    fn new(window_days: u32) -> Self {
+        RowFolds {
+            summaries: SummaryFold::new(),
+            labels: LabelSharesFold::new(window_days),
+            window_days,
+            rows: 0,
+        }
+    }
+
+    fn push(&mut self, row: &CatalogEntry) {
+        self.summaries.push(row);
+        self.labels.push(row);
+        self.rows += 1;
+    }
+
+    /// Finishes both folds; `apns` is the table the rows' symbols
+    /// resolve through.
+    fn finish(self, apns: &ApnTable) -> StreamedCatalog {
+        let (summaries, apns) = canonical_symbols(self.summaries.finish(), apns);
+        StreamedCatalog {
+            summaries,
+            apns,
+            window_days: self.window_days,
+            rows: self.rows,
+            label_shares: self.labels.finish(),
+        }
+    }
+}
+
 /// Reads a catalog file (JSONL or `WTRCAT`, auto-sniffed) in bounded
 /// memory: one chunked pass feeds summary accumulation and the label
 /// shares simultaneously; rows are dropped chunk by chunk.
 ///
 /// Byte-identical to [`materialize_catalog`] over the catalog
-/// `read_catalog_auto` returns for the same file, although the two
-/// routes cut their chunks in different places.
+/// `read_catalog_auto` returns for the same file.
 pub fn stream_catalog<R: BufRead>(input: R) -> Result<StreamedCatalog, IoError> {
     let mut stream = CatalogStream::new(input)?;
-    let window_days = stream.window_days();
-    let mut sinks = (SummaryFold::new(), LabelSharesFold::new(window_days));
-    let rows = drive(&mut stream, &mut sinks)?;
-    let apns = stream.finish()?;
-    let (summary_fold, label_fold) = sinks;
-    let (summaries, apns) = canonical_symbols(summary_fold.finish(), &apns);
-    Ok(StreamedCatalog {
-        summaries,
-        apns,
-        window_days,
-        rows,
-        label_shares: label_fold.finish(),
-    })
+    let mut folds = RowFolds::new(stream.window_days());
+    while let Some(chunk) = stream.next_chunk()? {
+        chunk.iter().for_each(|row| folds.push(row));
+    }
+    Ok(folds.finish(&stream.finish()?))
 }
 
 /// [`StreamedCatalog`] built from an in-memory catalog — the resident
 /// entry point to the same downstream [`analyze`] call (`wtr_serve`
 /// reports, and the batch reference of the equivalence tests).
 pub fn materialize_catalog(catalog: &DevicesCatalog) -> StreamedCatalog {
-    let (summaries, apns) =
-        canonical_symbols(crate::summary::summarize(catalog), catalog.apn_table());
-    StreamedCatalog {
-        summaries,
-        apns,
-        window_days: catalog.window_days(),
-        rows: catalog.len() as u64,
-        label_shares: crate::analysis::population::label_shares(catalog),
-    }
+    let mut folds = RowFolds::new(catalog.window_days());
+    catalog.iter().for_each(|row| folds.push(row));
+    folds.finish(catalog.apn_table())
 }
 
 /// Renumbers the summaries' APN symbols into canonical form: returns

@@ -5,14 +5,12 @@
 //! anonymized device across the observation window.
 
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use wtr_model::ids::{Plmn, Tac};
 use wtr_model::intern::ApnSym;
 use wtr_model::rat::RadioFlags;
 use wtr_model::roaming::RoamingLabel;
 use wtr_probes::catalog::{CatalogEntry, DevicesCatalog, MobilityAccum};
-use wtr_sim::stream::{drive_iter, ChunkFold};
 
 /// One device, aggregated over the whole observation window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -180,26 +178,20 @@ fn fold_row((s, counts): &mut Open, row: &CatalogEntry) {
     *counts.entry(row.label).or_insert(0) += 1;
 }
 
-/// Streaming accumulator for per-device summaries: the [`ChunkFold`]
-/// behind [`summarize`] and the single-pass catalog pipeline
-/// (`wtr_core::stream`).
+/// In-order accumulator for per-device summaries: the fold behind
+/// [`summarize`] and the catalog pass of `wtr_core::stream`.
 ///
 /// Rows must arrive in the catalog's canonical (user, day) order — both
 /// the JSONL and WTRCAT writers emit that order, and `CatalogStream`
 /// rejects a file that breaks it. Each summary is then the in-order
-/// fold of its own device's rows, however the rows were chunked: a
-/// chunk's first device is the only one an earlier chunk can hold rows
-/// of, so its rows wait in `head`, unfolded, until
-/// [`absorb`](ChunkFold::absorb) or [`SummaryFold::finish`] meets the
-/// rows before them. The f64 mobility sums therefore never regroup, and
-/// a summary depends on nothing but its device's rows. State is
-/// O(devices) plus one device's rows, never O(rows): this is what lets
-/// a visited-MNO-scale catalog stream through without materializing.
+/// fold of its own device's rows: the f64 mobility sums never regroup,
+/// and a summary depends on nothing but its device's rows, however the
+/// rows were chunked on their way in. State is O(devices), never
+/// O(rows): this is what lets a visited-MNO-scale catalog stream through
+/// without materializing.
 #[derive(Debug, Default, Clone)]
 pub struct SummaryFold {
-    /// Rows of the first device this fold saw, cloned and not yet folded.
-    head: Vec<CatalogEntry>,
-    /// Every later device, in row order.
+    /// Every device seen so far, in row order.
     devices: Vec<Open>,
 }
 
@@ -209,29 +201,19 @@ impl SummaryFold {
         SummaryFold::default()
     }
 
-    /// Adds one row: into `head` until a second device appears, then
-    /// onto the last device or as the next one.
-    fn push(&mut self, row: &CatalogEntry) {
+    /// Adds the next row: onto the last device, or as the next one.
+    pub fn push(&mut self, row: &CatalogEntry) {
         match self.devices.last_mut() {
             Some(last) if last.0.user == row.user => fold_row(last, row),
-            None if self.head.first().is_none_or(|r| r.user == row.user) => {
-                self.head.push(row.clone());
-            }
             _ => self.devices.push(open(row)),
         }
     }
 
-    /// Folds `head` in front of the other devices, resolves dominant
-    /// labels and returns the summaries in row order (device-ID order).
+    /// Resolves dominant labels and returns the summaries in row order
+    /// (device-ID order).
     pub fn finish(self) -> Vec<DeviceSummary> {
-        let head = self.head.split_first().map(|(first, rest)| {
-            rest.iter().fold(open(first), |mut device, row| {
-                fold_row(&mut device, row);
-                device
-            })
-        });
-        head.into_iter()
-            .chain(self.devices)
+        self.devices
+            .into_iter()
             .map(|(mut s, counts)| {
                 if let Some((label, _)) = counts
                     .iter()
@@ -245,35 +227,14 @@ impl SummaryFold {
     }
 }
 
-impl<T: Borrow<CatalogEntry>> ChunkFold<T> for SummaryFold {
-    fn zero(&self) -> Self {
-        SummaryFold::new()
-    }
-
-    fn fold_chunk(&mut self, chunk: &[T]) {
-        for row in chunk {
-            self.push(row.borrow());
-        }
-    }
-
-    fn absorb(&mut self, later: Self) {
-        for row in &later.head {
-            self.push(row);
-        }
-        self.devices.extend(later.devices);
-    }
-}
-
 /// Folds a devices-catalog into per-device summaries, sorted by device ID.
 ///
-/// The fold is sharded over worker threads (`wtr_sim::par`) through
-/// [`SummaryFold`] without collecting the rows first. Because each
-/// summary is the in-order fold of its device's rows, the result is
-/// identical — byte for byte once serialized — at any thread count, and
-/// bit-identical to streaming the same rows from a catalog file.
+/// One in-order pass of [`SummaryFold`] over the catalog's rows, so the
+/// result is bit-identical to streaming the same rows from a catalog
+/// file.
 pub fn summarize(catalog: &DevicesCatalog) -> Vec<DeviceSummary> {
     let mut fold = SummaryFold::new();
-    drive_iter(&mut fold, catalog.iter());
+    catalog.iter().for_each(|row| fold.push(row));
     fold.finish()
 }
 

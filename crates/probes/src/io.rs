@@ -527,9 +527,9 @@ enum StreamBackend<R> {
 /// # Determinism and equivalence
 ///
 /// * Chunk boundaries follow the file's bytes, never the thread count.
-///   The workspace's folds are exact under regrouping, so a fold driven
-///   from this stream equals the same fold over the materialized rows,
-///   floating-point bits included.
+///   Rows come out in file order, so a fold that takes them one by one
+///   equals the same fold over the materialized rows, floating-point
+///   bits included, wherever the chunks were cut.
 /// * APN symbols: JSONL interns in row order (first occurrence),
 ///   `WTRCAT` uses the file's canonical table. Resolve the emitted rows'
 ///   symbols through the table [`CatalogStream::finish`] returns.

@@ -19,8 +19,7 @@
 //! rows within the watermark absorb into their open day, older rows
 //! land directly in the sealed archive, and days that fall out of the
 //! watermark are sealed — merged into the archive ascending
-//! ([`wtr_probes::catalog::DevicesCatalog::merge`], the `ChunkFold`
-//! absorb operator "folded forever").
+//! ([`wtr_probes::catalog::DevicesCatalog::merge`]).
 //!
 //! ## Query
 //!

@@ -35,8 +35,8 @@
 //! * [`par`] — deterministic order-stable parallel map-reduce.
 //! * [`shard`] — sharded simulation: K independent per-shard event
 //!   loops over a contiguously partitioned agent population.
-//! * [`stream`] — chunked record streams and mergeable chunk-fold
-//!   sinks: the core of the bounded-memory pass over a catalog file.
+//! * [`stream`] — chunked record streams: the shape of the
+//!   bounded-memory pass over a catalog file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -66,6 +66,6 @@ pub use events::{
 pub use mobility::MobilityModel;
 pub use par::par_map;
 pub use rng::SubstreamRng;
-pub use stream::{ChunkFold, RecordStream};
+pub use stream::RecordStream;
 pub use traffic::TrafficProfile;
 pub use world::{AccessDecision, AccessPolicy, AllowAllPolicy, NetworkDirectory, RoamingWorld};

@@ -130,9 +130,10 @@ pub fn split_ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
 /// Unlike [`par_map`], which shards into chunks of at least `MIN_CHUNK`
 /// items (and therefore runs serially for fewer than that), this
 /// spreads the items themselves across workers in contiguous index
-/// ranges. It exists for the streaming drivers in [`crate::stream`],
-/// where each "item" is already a whole chunk of records and the
-/// per-item cost is large enough to dwarf dispatch overhead.
+/// ranges. Its caller is the `WTRCAT` reader (`wtr_probes::io`), which
+/// decodes a window of row groups at once: each "item" is already a
+/// whole chunk of records, and the per-item cost is large enough to
+/// dwarf dispatch overhead.
 ///
 /// Output order is the input order regardless of worker count: workers
 /// return `(first_index, results)` pairs that are sorted back before

@@ -1,6 +1,7 @@
 //! Streaming == materialized, byte for byte (the PR-3 contract).
 //!
-//! Three equivalences, each across the 1/2/8 thread matrix:
+//! Four equivalences, each across the 1/2/3/8 thread matrix where
+//! threads could matter:
 //!
 //! 1. **Simulation**: `MnoScenario::run()` produces the exact same
 //!    catalog and ground truth at every thread count, including under
@@ -8,8 +9,9 @@
 //! 2. **File ingest**: `stream_catalog` (chunk-at-a-time JSONL/WTRCAT
 //!    reader feeding the summary and label-share folds, no
 //!    `DevicesCatalog` ever built) produces the exact summaries + label
-//!    shares the materialized `read → summarize → label_shares` path
-//!    does.
+//!    shares `materialize_catalog` does over the resident catalog, on a
+//!    simulated catalog and on one whose devices straddle the readers'
+//!    chunk cuts.
 //! 3. **Analysis**: the [`analyze`] suite is byte-identical at every
 //!    thread count.
 //! 4. **Resident snapshot**: `materialize_catalog` over an in-memory
@@ -17,19 +19,16 @@
 //!    to the mobility bits and every rendered table, and a `Tenant` fed
 //!    the same rows serves exactly those tables.
 //!
-//! Plus `ChunkFold::absorb` associativity checks (proptest) for the two
-//! row folds of the catalog pass: for any 3-way split of the input,
-//! folding the parts and absorbing equals folding the whole — the
-//! algebraic property the chunked drivers rely on.
+//! Plus a proptest that each device summary is the fold of its own
+//! device's rows alone, whatever other devices share the catalog.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use where_things_roam::core::analysis::population::LabelSharesFold;
 use where_things_roam::core::report::{render_analysis, render_classify, ANALYSES};
 use where_things_roam::core::stream::{
     analyze, materialize_catalog, stream_catalog, AnalysisSuite, StreamedCatalog,
 };
-use where_things_roam::core::summary::{summarize, SummaryFold};
+use where_things_roam::core::summary::summarize;
 use where_things_roam::model::hash::mix64;
 use where_things_roam::model::ids::{Plmn, Tac};
 use where_things_roam::model::roaming::RoamingLabel;
@@ -37,11 +36,11 @@ use where_things_roam::model::tacdb::TacDatabase;
 use where_things_roam::model::time::Day;
 use where_things_roam::probes::catalog::DevicesCatalog;
 use where_things_roam::probes::io;
+use where_things_roam::probes::wire::CAT_CHUNK_ROWS;
 use where_things_roam::radio::geo::GeoPoint;
 use where_things_roam::scenarios::{MnoScenario, MnoScenarioConfig};
 use where_things_roam::serve::{Tenant, TABLES};
 use where_things_roam::sim::par;
-use where_things_roam::sim::stream::ChunkFold;
 
 /// Thread counts in the matrix (serial reference + uneven assignments;
 /// 3 exercises unpaired tails in the tree-shaped reductions).
@@ -142,30 +141,77 @@ fn streaming_simulation_matches_materialized() {
     par::set_threads(None);
 }
 
+/// The raw mobility accumulator bits of every summary.
+fn mobility_bits(data: &StreamedCatalog) -> Vec<[u64; 5]> {
+    data.summaries
+        .iter()
+        .map(|s| s.mobility.to_parts().map(f64::to_bits))
+        .collect()
+}
+
+/// More than two reader chunks of rows (JSONL line blocks and WTRCAT
+/// row groups are both `CAT_CHUNK_ROWS` rows), with 3–7 days per device
+/// so devices straddle the cuts, and fractional mobility so a regrouped
+/// f64 sum would change bits.
+fn straddling_catalog() -> DevicesCatalog {
+    let rows = (0..1800u64).flat_map(|user| (0..3 + user % 5).map(move |day| (user, day)));
+    let mut cat = DevicesCatalog::new(7);
+    let meter = cat.intern_apn("smhp.centricaplc.com.mnc004.mcc204.gprs");
+    let tac = Tac::new(35_000_000).unwrap();
+    for (user, day) in rows {
+        let (plmn, label) = if user % 3 == 0 {
+            (Plmn::of(204, 4), RoamingLabel::IH)
+        } else {
+            (Plmn::of(234, 30), RoamingLabel::HH)
+        };
+        let r = cat.row_mut(user, Day(day as u32), plmn, tac, label);
+        r.events += 1 + (user * 7 + day) % 23;
+        r.mobility.add(
+            GeoPoint::new(
+                50.0 + user as f64 * 0.0131 + day as f64 * 1e-4,
+                -1.5 + day as f64 * 0.0173,
+            ),
+            r.events as f64 * 0.37,
+        );
+        if user % 3 == 0 {
+            r.apns.insert(meter);
+        }
+    }
+    cat
+}
+
 #[test]
 fn streamed_ingest_matches_materialized() {
-    let output = MnoScenario::new(scenario_config()).run();
-    let mut jsonl = Vec::new();
-    io::write_catalog(&mut jsonl, &output.catalog).unwrap();
-    let mut wtrcat = Vec::new();
-    io::write_catalog_bin(&mut wtrcat, &output.catalog).unwrap();
+    let scenario = MnoScenario::new(scenario_config()).run().catalog;
+    let straddling = straddling_catalog();
+    let users: Vec<u64> = straddling.iter().map(|r| r.user).collect();
+    for cut in [CAT_CHUNK_ROWS, 2 * CAT_CHUNK_ROWS] {
+        assert_eq!(users[cut - 1], users[cut], "a device straddles row {cut}");
+    }
 
     let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    // Per format: the chunked stream must equal the materialized
-    // read-then-reduce path byte for byte, at every thread count. Both
-    // hand out canonical APN symbols, so the formats agree as well.
-    let mut reference: Option<Vec<u8>> = None;
-    for (what, file) in [("JSONL", &jsonl), ("WTRCAT", &wtrcat)] {
-        for &t in &MATRIX {
-            par::set_threads(Some(t));
-            let materialized = data_bytes(&materialize_catalog(
-                &io::read_catalog_auto(file.as_slice()).unwrap(),
-            ));
-            let streamed = data_bytes(&stream_catalog(file.as_slice()).unwrap());
-            assert_eq!(materialized, streamed, "{what} stream at {t} threads");
-            match &reference {
-                None => reference = Some(streamed),
-                Some(r) => assert_eq!(r, &streamed, "{what} at {t} threads vs JSONL at 1"),
+    // Per catalog and format: the chunked stream, and the materialized
+    // read-then-reduce path, must equal the resident catalog's fold byte
+    // for byte at every thread count. Every route hands out canonical
+    // APN symbols, so the formats agree as well.
+    for (name, catalog) in [("scenario", &scenario), ("straddling", &straddling)] {
+        let resident = materialize_catalog(catalog);
+        let (want, want_bits) = (data_bytes(&resident), mobility_bits(&resident));
+        let mut jsonl = Vec::new();
+        io::write_catalog(&mut jsonl, catalog).unwrap();
+        let mut wtrcat = Vec::new();
+        io::write_catalog_bin(&mut wtrcat, catalog).unwrap();
+        for (what, file) in [("JSONL", &jsonl), ("WTRCAT", &wtrcat)] {
+            for &t in &MATRIX {
+                par::set_threads(Some(t));
+                let materialized =
+                    materialize_catalog(&io::read_catalog_auto(file.as_slice()).unwrap());
+                let streamed = stream_catalog(file.as_slice()).unwrap();
+                for (route, data) in [("read", &materialized), ("stream", &streamed)] {
+                    let at = format!("{name} {what} {route} at {t} threads");
+                    assert_eq!(want, data_bytes(data), "{at}");
+                    assert_eq!(want_bits, mobility_bits(data), "{at}");
+                }
             }
         }
     }
@@ -307,12 +353,6 @@ fn materialized_snapshot_matches_text_replay() {
             serde_json::to_string(&replayed.label_shares).unwrap(),
             "label shares, loss {loss}"
         );
-        let mobility_bits = |data: &StreamedCatalog| -> Vec<[u64; 5]> {
-            data.summaries
-                .iter()
-                .map(|s| s.mobility.to_parts().map(f64::to_bits))
-                .collect()
-        };
         assert_eq!(
             mobility_bits(&resident),
             mobility_bits(&replayed),
@@ -394,7 +434,7 @@ fn apn_intern_order_does_not_reach_reports() {
 }
 
 // ---------------------------------------------------------------------
-// ChunkFold associativity: fold(a ++ b ++ c) == fold(a) ⊕ fold(b) ⊕ fold(c)
+// Per-device summaries
 // ---------------------------------------------------------------------
 
 /// A small deterministic catalog parameterized by proptest input rows.
@@ -430,71 +470,18 @@ fn build_catalog(rows: &[(u8, u8, u8, u16)]) -> DevicesCatalog {
     cat
 }
 
-/// Folds `items` whole vs. as three absorbed parts, asserts the outputs
-/// match and returns the three-part one.
-fn assert_associative<T, F, O, Fin>(
-    sink: &F,
-    items: &[T],
-    cut1: usize,
-    cut2: usize,
-    finish: Fin,
-) -> O
-where
-    F: ChunkFold<T>,
-    O: PartialEq + std::fmt::Debug,
-    Fin: Fn(F) -> O,
-{
-    let cut1 = cut1.min(items.len());
-    let cut2 = cut2.clamp(cut1, items.len());
-    let mut whole = sink.zero();
-    whole.fold_chunk(items);
-    let (mut a, mut b, mut c) = (sink.zero(), sink.zero(), sink.zero());
-    a.fold_chunk(&items[..cut1]);
-    b.fold_chunk(&items[cut1..cut2]);
-    c.fold_chunk(&items[cut2..]);
-    a.absorb(b);
-    a.absorb(c);
-    let parts = finish(a);
-    assert_eq!(finish(whole), parts);
-    parts
-}
-
 proptest! {
     #[test]
-    fn summary_fold_absorb_is_associative(
+    fn summary_depends_only_on_its_device_rows(
         rows in prop::collection::vec((0u8..40, 0u8..5, 0u8..6, 1u16..500), 1..80),
-        cuts in (0usize..2000, 0usize..2000),
     ) {
         let cat = build_catalog(&rows);
-        let entries: Vec<_> = cat.iter().collect();
-        let n = entries.len();
-        let (c1, c2) = (cuts.0 % (n + 1), cuts.1 % (n + 1));
-        let (c1, c2) = (c1.min(c2), c1.max(c2));
-        // SummaryFold requires canonical order, which any order-preserving
-        // split of the canonical iterator respects.
-        let summaries = assert_associative(&SummaryFold::new(), &entries, c1, c2, |f| f.finish());
-        // Each summary depends on its own device's rows only.
-        for summary in summaries {
+        for summary in summarize(&cat) {
             let mut own = DevicesCatalog::new(cat.window_days());
             for row in cat.iter().filter(|r| r.user == summary.user) {
                 own.insert_entry(row.clone());
             }
             prop_assert_eq!(summarize(&own), vec![summary]);
         }
-    }
-
-    #[test]
-    fn label_shares_fold_absorb_is_associative(
-        rows in prop::collection::vec((0u8..40, 0u8..5, 0u8..6, 1u16..500), 1..80),
-        cuts in (0usize..2000, 0usize..2000),
-    ) {
-        let cat = build_catalog(&rows);
-        let entries: Vec<_> = cat.iter().collect();
-        let n = entries.len();
-        let (c1, c2) = (cuts.0 % (n + 1), cuts.1 % (n + 1));
-        let (c1, c2) = (c1.min(c2), c1.max(c2));
-        assert_associative(&LabelSharesFold::new(5), &entries, c1, c2, |f| {
-            serde_json::to_string(&f.finish()).unwrap()
-        });
     }
 }
