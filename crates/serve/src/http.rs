@@ -105,7 +105,7 @@ pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Req
         .map_or(target.as_str(), |(p, _)| p)
         .to_owned();
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut expect_continue = false;
     loop {
         let line = read_line(&mut reader)?;
@@ -118,9 +118,16 @@ pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Req
         let (name, value) = (name.trim().to_ascii_lowercase(), value.trim());
         match name.as_str() {
             "content-length" => {
-                content_length = value
-                    .parse()
-                    .map_err(|_| bad(400, format!("bad content-length {value:?}")))?;
+                // RFC 9112 §6.3: digits only (no sign, no list), and a
+                // repeat must agree, or the body's framing is unknown.
+                let length = match value.parse::<usize>() {
+                    Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => n,
+                    _ => return Err(bad(400, format!("bad content-length {value:?}"))),
+                };
+                if content_length.is_some_and(|seen| seen != length) {
+                    return Err(bad(400, "conflicting content-length headers"));
+                }
+                content_length = Some(length);
             }
             "transfer-encoding" => {
                 return Err(bad(
@@ -133,6 +140,7 @@ pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Req
         }
     }
 
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body_bytes {
         return Err(bad(
             413,
