@@ -9,7 +9,7 @@
 use crate::country::Country;
 use crate::error::ParseError;
 use crate::hash::mix64;
-use crate::ids::{Mcc, Mnc, Plmn};
+use crate::ids::{Mnc, Plmn};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -243,11 +243,6 @@ pub mod well_known {
         (Plmn::of(234, 31), "Albion Virtual One"),
         (Plmn::of(234, 32), "Albion Virtual Two"),
     ];
-}
-
-/// Convenience: the studied MNO's country MCC (used by roaming labeling).
-pub fn uk_mcc() -> Mcc {
-    well_known::UK_STUDIED_MNO.mcc
 }
 
 #[cfg(test)]

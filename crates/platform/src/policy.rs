@@ -50,11 +50,6 @@ impl PlatformPolicy {
         &self.agreements
     }
 
-    /// Mutable access to the agreement graph (scenario construction).
-    pub fn agreements_mut(&mut self) -> &mut AgreementGraph {
-        &mut self.agreements
-    }
-
     /// Bars a (home, visited) pair.
     pub fn bar(&mut self, home: Plmn, visited: Plmn) {
         self.barred.insert((home.packed(), visited.packed()));

@@ -50,14 +50,6 @@ impl<S: EventSink> LossySink<S> {
         }
     }
 
-    /// Merges the loss counters of another sink into this one (the
-    /// shard-merge path; shard sinks observe disjoint device
-    /// populations, so the counters are simply additive).
-    pub fn absorb_counters<T>(&mut self, other: &LossySink<T>) {
-        self.seen += other.seen;
-        self.dropped += other.dropped;
-    }
-
     /// The wrapped sink.
     pub fn into_inner(self) -> S {
         self.inner

@@ -19,7 +19,7 @@
 
 use crate::records::{M2mMessageType, M2mTransaction};
 use wtr_model::hash::{anonymize_u64, AnonKey};
-use wtr_model::ids::{ImsiRange, Plmn};
+use wtr_model::ids::ImsiRange;
 use wtr_sim::events::SimEvent;
 use wtr_sim::world::EventSink;
 
@@ -44,11 +44,6 @@ impl M2mProbe {
             dropped_rat: 0,
             dropped_unwatched: 0,
         }
-    }
-
-    /// The HMNO PLMNs under watch.
-    pub fn watched_hmnos(&self) -> impl Iterator<Item = Plmn> + '_ {
-        self.watched.iter().map(|r| r.plmn)
     }
 
     /// Events skipped because they were not on 4G.
@@ -95,7 +90,7 @@ impl EventSink for M2mProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wtr_model::ids::{Imei, Imsi, Tac};
+    use wtr_model::ids::{Imei, Imsi, Plmn, Tac};
     use wtr_model::rat::Rat;
     use wtr_model::time::SimTime;
     use wtr_sim::events::{ProcedureResult, ProcedureType, SignalingEvent};

@@ -27,7 +27,7 @@ use wtr_platform::platform::M2mPlatform;
 use wtr_probes::m2m::M2mProbe;
 use wtr_probes::records::M2mTransaction;
 use wtr_radio::network::CoverageFaults;
-use wtr_sim::behavior::{profile_matrix, BehaviorMatrix, BehaviorOptions};
+use wtr_sim::behavior::BehaviorMatrix;
 use wtr_sim::device::{DeviceAgent, DeviceSpec, ItineraryLeg, PresenceModel};
 use wtr_sim::events::ProcedureResult;
 use wtr_sim::mobility::MobilityModel;
@@ -132,24 +132,6 @@ fn platform_profile(signaling_per_day: f64, sigma: f64) -> TrafficProfile {
         diurnal: DiurnalShape::Flat,
         reauth_fraction: 0.7,
     }
-}
-
-/// The platform IoT device class as a declarative [`BehaviorMatrix`]:
-/// [`platform_profile`]'s rates compiled with data and voice planes
-/// disabled — exactly what `DeviceAgent` compiles internally for a
-/// platform spec with the same knobs. Exported so tooling can serialize
-/// platform classes alongside `Universe::standard_behaviors`.
-pub fn platform_behavior(
-    signaling_per_day: f64,
-    sigma: f64,
-    opts: &BehaviorOptions,
-) -> BehaviorMatrix {
-    let opts = BehaviorOptions {
-        data_enabled: false,
-        voice_enabled: false,
-        ..*opts
-    };
-    profile_matrix(&platform_profile(signaling_per_day, sigma), &opts)
 }
 
 impl M2mScenario {

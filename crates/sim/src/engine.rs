@@ -229,11 +229,6 @@ impl<W, A: Agent<W>> Engine<W, A> {
         self.agents.extend(agents);
     }
 
-    /// Number of agents.
-    pub fn agent_count(&self) -> usize {
-        self.agents.len()
-    }
-
     /// Total wake-ups dispatched so far.
     pub fn dispatched(&self) -> u64 {
         self.dispatched

@@ -14,7 +14,6 @@
 //!   continuous movement across the whole deployment geometry ("high
 //!   mobility patterns", Fig. 12).
 
-use crate::rng::SubstreamRng;
 use serde::{Deserialize, Serialize};
 use wtr_model::hash::mix64;
 use wtr_model::time::SimTime;
@@ -119,17 +118,7 @@ impl MobilityModel {
         }
         out
     }
-
-    /// Draws a plausible random model for `vertical`-like movement inside
-    /// `geometry` (used by scenario builders).
-    pub fn jittered_stationary(geometry: &CountryGeometry, rng: &mut SubstreamRng) -> Self {
-        MobilityModel::Stationary {
-            position: geometry.point_from_hash(rng.rng().next_u64()),
-        }
-    }
 }
-
-use rand::RngCore;
 
 #[cfg(test)]
 mod tests {
