@@ -151,7 +151,7 @@ pub struct CatalogEntry {
     pub in_designated_range: bool,
     /// Whether the SIM falls in a *foreign* M2M IMSI range that the home
     /// operator published under the GSMA transparency recommendation (§1:
-    /// "home networks and carriers [should] provide transparency of their
+    /// "home networks and carriers \[should\] provide transparency of their
     /// outbound roaming M2M traffic by sharing … dedicated IMSI ranges").
     /// Tagged pre-anonymization, like `in_designated_range`.
     pub in_published_m2m_range: bool,

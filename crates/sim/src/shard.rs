@@ -14,9 +14,9 @@
 //! serial run exactly — the simulation-side twin of [`crate::par`]'s
 //! map-reduce determinism contract.
 //!
-//! Partitioning uses [`par::split_ranges`](crate::par::split_ranges):
-//! contiguous index ranges that are a pure function of `(agents, shards)`,
-//! so the shard an agent lands in never depends on thread scheduling.
+//! Partitioning uses [`par::split_ranges`]: contiguous index ranges that
+//! are a pure function of `(agents, shards)`, so the shard an agent lands
+//! in never depends on thread scheduling.
 
 use crate::engine::{Agent, Engine, EngineStats};
 use crate::par;
