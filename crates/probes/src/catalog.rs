@@ -260,6 +260,12 @@ impl DevicesCatalog {
         self.window_days
     }
 
+    /// Widens the observation window to at least `window_days` (an
+    /// upload that declares a longer window than the rows so far).
+    pub fn widen_window(&mut self, window_days: u32) {
+        self.window_days = self.window_days.max(window_days);
+    }
+
     /// Interns an APN string into this catalog's table, returning the
     /// symbol to store in a row's `apns` set.
     pub fn intern_apn(&mut self, apn: &str) -> ApnSym {
@@ -353,7 +359,7 @@ impl DevicesCatalog {
     /// in chunk order, reproduce the serial fold (and its symbol ids)
     /// exactly. This is the reduce step of parallel ingestion.
     pub fn merge(&mut self, other: DevicesCatalog) {
-        self.window_days = self.window_days.max(other.window_days);
+        self.widen_window(other.window_days);
         let remap = self.apns.absorb(&other.apns);
         for (key, mut entry) in other.rows {
             if !entry.apns.is_empty() {

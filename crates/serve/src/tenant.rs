@@ -3,34 +3,43 @@
 //! A tenant's state splits in two, each behind its own lock so that
 //! readers never block ingest:
 //!
-//! * **books** — the open per-day catalogs plus the sealed archive.
+//! * **books** — one catalog holding every accepted row, the set of
+//!   days still open under the watermark, and the absorb generation.
 //!   Ingest takes this lock for the duration of one `POST` (serial
-//!   absorb per tenant: fold order, and therefore every downstream
-//!   byte, is the arrival order). Report snapshots take it only long
-//!   enough to clone an `Arc` of the archive and the small open days.
+//!   absorb per tenant: rows adopt in arrival order). A cold rebuild
+//!   takes it only long enough to clone the catalog's `Arc` handle.
 //! * **reports** — the rendered-table cache, keyed by the absorb
 //!   generation. Ingest never touches it; it invalidates itself by
 //!   comparing generations. The lock doubles as single-flight: when a
-//!   generation misses, exactly one reader rebuilds from the snapshot
-//!   while the rest queue for the finished result.
+//!   generation misses, exactly one reader rebuilds while the rest
+//!   queue for the finished result.
+//!
+//! The watermark moves no rows. A day falls out of the open set once
+//! it is `watermark_days` behind the newest day seen, and each receipt
+//! counts the days its upload sealed; on-time rows and stragglers alike
+//! adopt into the one catalog.
 //!
 //! ## One analysis route
 //!
-//! A cold rebuild merges the snapshot into one in-memory catalog and
-//! runs it through [`wtr_core::stream::materialize_catalog`] →
-//! `analyze` → `render_analysis`; `wtr analyze` reaches the same
-//! `analyze` → `render_analysis` calls by folding the catalog file
-//! chunk by chunk. Both front ends hand `analyze` canonical APN symbols
-//! and summaries folded over rows in `(user, day)` order, so nothing of
-//! the tenant's intern history or arrival order reaches the reports:
-//! server reports are byte-identical to `wtr analyze` over the same
-//! record set, for any tap count or arrival order that keeps each
-//! catalog row within one upload (the row-partitioned tap contract;
-//! rows *split* across uploads still absorb, but f64 mobility sums then
-//! regroup in arrival order). `tests/stream_equivalence.rs` pins the
-//! resident route against a replay of its JSONL export bit for bit.
+//! A cold rebuild folds the catalog through
+//! [`wtr_core::stream::materialize_catalog`] outside the books lock,
+//! drops its handle, then runs `analyze` → `render_analysis`; `wtr
+//! analyze` reaches the same `analyze` → `render_analysis` calls by
+//! folding the catalog file chunk by chunk. The rebuild copies no rows:
+//! only an ingest that lands during the fold copies the catalog, once,
+//! through [`Arc::make_mut`]. Both front ends hand `analyze` canonical
+//! APN symbols and summaries folded over rows in `(user, day)` order,
+//! so nothing of the tenant's intern history or arrival order reaches
+//! the reports: server reports are byte-identical to `wtr analyze` over
+//! the same record set, for any tap count or arrival order that keeps
+//! each catalog row within one upload (the row-partitioned tap
+//! contract; a row *split* across uploads still absorbs, its first
+//! arrival setting the identity fields, but its f64 mobility sums then
+//! add in arrival order). `tests/stream_equivalence.rs` pins the
+//! resident route against a replay of its JSONL export bit for bit, and
+//! `tests/tenant_model.rs` checks random op sequences against a model.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use wtr_core::report::{render_analysis, render_classify, ANALYSES};
 use wtr_core::stream::{analyze, materialize_catalog};
@@ -57,27 +66,20 @@ pub const TABLES: [&str; 13] = [
     "summary",
 ];
 
-/// The ingest-side state: open days within the watermark, the sealed
-/// archive behind them, and the monotone absorb generation.
+/// The ingest-side state: every accepted row, the days still open
+/// under the watermark, and the monotone absorb generation.
 #[derive(Debug)]
 struct Books {
-    /// Observation-window length: the max declared by any upload.
-    window_days: u32,
-    /// Open per-day catalogs, keyed by day index. Each holds only that
-    /// day's rows, so sealing merges exactly one day at a time.
-    open: BTreeMap<u32, DevicesCatalog>,
-    /// The sealed archive. `Arc` + copy-on-seal: snapshots clone the
-    /// handle, mutation goes through [`Arc::make_mut`], so a reader
-    /// holding a pre-seal snapshot is never perturbed.
-    archive: Arc<DevicesCatalog>,
+    /// Every accepted row, adopted in arrival order. A rebuild folds a
+    /// clone of the handle outside the lock, and ingest writes through
+    /// [`Arc::make_mut`], which copies only while such a fold holds it.
+    catalog: Arc<DevicesCatalog>,
+    /// Days within the watermark that are not sealed yet.
+    open_days: BTreeSet<u32>,
     /// Highest day index seen; the watermark hangs off this.
     max_day: Option<u32>,
     /// Bumped once per successful ingest; keys the report cache.
     generation: u64,
-    /// Total catalog rows accepted.
-    rows_ingested: u64,
-    /// Days sealed out of the open set so far.
-    days_sealed: u64,
 }
 
 /// What one successful `POST /ingest` did.
@@ -87,7 +89,7 @@ pub struct IngestReceipt {
     pub rows: u64,
     /// The tenant's absorb generation after this upload.
     pub generation: u64,
-    /// Open days sealed into the archive by this upload's watermark.
+    /// Open days this upload's watermark sealed.
     pub sealed_days: u64,
 }
 
@@ -105,8 +107,8 @@ pub struct ReportSet {
 #[derive(Debug)]
 pub struct Tenant {
     name: String,
-    /// Watermark width in days: rows at least this far behind the
-    /// newest observed day seal / bypass the open set.
+    /// Watermark width in days: a day at least this far behind the
+    /// newest observed day is sealed, or never opens.
     watermark_days: u32,
     books: Mutex<Books>,
     reports: Mutex<Option<Arc<ReportSet>>>,
@@ -119,13 +121,10 @@ impl Tenant {
             name: name.to_owned(),
             watermark_days,
             books: Mutex::new(Books {
-                window_days: 0,
-                open: BTreeMap::new(),
-                archive: Arc::new(DevicesCatalog::new(0)),
+                catalog: Arc::new(DevicesCatalog::new(0)),
+                open_days: BTreeSet::new(),
                 max_day: None,
                 generation: 0,
-                rows_ingested: 0,
-                days_sealed: 0,
             }),
             reports: Mutex::new(None),
         }
@@ -142,11 +141,11 @@ impl Tenant {
     }
 
     /// Ingests one uploaded catalog body (JSONL or `WTRCAT`,
-    /// auto-sniffed). Rows within the watermark land in their open day;
-    /// older rows absorb straight into the archive; days that fall out
-    /// of the watermark afterwards are sealed ascending. The absorb
-    /// generation bumps exactly once on success; a malformed body
-    /// changes nothing.
+    /// auto-sniffed). Every row adopts into the tenant's catalog in
+    /// arrival order; a row's day opens unless it is already behind the
+    /// watermark, and open days that fall behind it afterwards are
+    /// sealed. The absorb generation bumps exactly once on success; a
+    /// malformed body changes nothing.
     pub fn ingest(&self, body: &[u8]) -> Result<IngestReceipt, IoError> {
         // Decode fully *before* taking the books lock: a parse error on
         // line N must leave the tenant untouched, and decode is the
@@ -160,29 +159,25 @@ impl Tenant {
         }
         let table = stream.finish()?;
 
-        let mut books = self.books.lock().expect("books poisoned");
-        books.window_days = books.window_days.max(upload_window);
+        let mut guard = self.books.lock().expect("books poisoned");
+        let books = &mut *guard;
+        let catalog = Arc::make_mut(&mut books.catalog);
+        catalog.widen_window(upload_window);
         let rows = entries.len() as u64;
         for entry in entries {
             let day = entry.day.0;
-            books.max_day = Some(books.max_day.map_or(day, |m| m.max(day)));
-            let low = self.low_watermark(&books);
-            if u64::from(day) >= low {
-                let window_days = books.window_days;
-                books
-                    .open
-                    .entry(day)
-                    .or_insert_with(|| DevicesCatalog::new(window_days))
-                    .adopt_entry(entry, &table);
-            } else {
-                // Past-watermark straggler: absorb directly into the
-                // sealed archive (copy-on-seal via make_mut).
-                Arc::make_mut(&mut books.archive).adopt_entry(entry, &table);
+            let newest = books.max_day.map_or(day, |m| m.max(day));
+            books.max_day = Some(newest);
+            if day >= newest.saturating_sub(self.watermark_days) {
+                books.open_days.insert(day);
             }
+            catalog.adopt_entry(entry, &table);
         }
-        let low = self.low_watermark(&books);
-        let sealed_days = self.seal_below(&mut books, low);
-        books.rows_ingested += rows;
+        let low = books
+            .max_day
+            .map_or(0, |m| m.saturating_sub(self.watermark_days));
+        let still_open = books.open_days.split_off(&low);
+        let sealed_days = std::mem::replace(&mut books.open_days, still_open).len() as u64;
         books.generation += 1;
         Ok(IngestReceipt {
             rows,
@@ -192,57 +187,14 @@ impl Tenant {
     }
 
     /// Seals every open day: the shutdown path. Bumps the generation
-    /// if anything moved. Returns the number of days sealed.
+    /// if any day was open. Returns the number of days sealed.
     pub fn seal_all(&self) -> u64 {
         let mut books = self.books.lock().expect("books poisoned");
-        let sealed = self.seal_below(&mut books, u64::MAX);
+        let sealed = std::mem::take(&mut books.open_days).len() as u64;
         if sealed > 0 {
             books.generation += 1;
         }
         sealed
-    }
-
-    /// Lowest day index still inside the watermark (`u64` so that
-    /// [`Tenant::seal_all`] can pass an everything-seals bound even
-    /// when a hostile upload carried `day == u32::MAX`).
-    fn low_watermark(&self, books: &Books) -> u64 {
-        books
-            .max_day
-            .map_or(0, |m| u64::from(m.saturating_sub(self.watermark_days)))
-    }
-
-    /// Merges every open day strictly below `low` into the archive,
-    /// ascending (the deterministic fold order).
-    fn seal_below(&self, books: &mut Books, low: u64) -> u64 {
-        let to_seal: Vec<u32> = books
-            .open
-            .keys()
-            .copied()
-            .take_while(|day| u64::from(*day) < low)
-            .collect();
-        if to_seal.is_empty() {
-            return 0;
-        }
-        let sealed = to_seal.len() as u64;
-        for day in to_seal {
-            let day_catalog = books.open.remove(&day).expect("day listed above");
-            Arc::make_mut(&mut books.archive).merge(day_catalog);
-        }
-        books.days_sealed += sealed;
-        sealed
-    }
-
-    /// Atomically snapshots the books: generation, an `Arc` handle on
-    /// the archive and clones of the (watermark-bounded) open days.
-    /// The lock is held for the clones only — the merge happens in
-    /// [`Tenant::reports`], outside it.
-    fn snapshot(&self) -> (u64, Arc<DevicesCatalog>, Vec<DevicesCatalog>) {
-        let books = self.books.lock().expect("books poisoned");
-        (
-            books.generation,
-            Arc::clone(&books.archive),
-            books.open.values().cloned().collect(),
-        )
     }
 
     /// Returns the rendered reports for the current generation,
@@ -251,34 +203,27 @@ impl Tenant {
     /// shared `Arc` immediately, and ingest never waits on this lock).
     pub fn reports(&self) -> Result<Arc<ReportSet>, String> {
         let mut cache = self.reports.lock().expect("reports poisoned");
-        // Warm path first: comparing generations costs one short books
-        // lock, not a snapshot — cloning the open days on every cache
-        // hit would put O(open rows) on the hot read path.
-        if let Some(set) = cache.as_ref() {
-            if set.generation == self.generation() {
-                return Ok(Arc::clone(set));
+        let (generation, catalog) = {
+            let books = self.books.lock().expect("books poisoned");
+            if let Some(set) = cache.as_ref() {
+                if set.generation == books.generation {
+                    return Ok(Arc::clone(set));
+                }
             }
-        }
-        let (generation, archive, open) = self.snapshot();
-        if let Some(set) = cache.as_ref() {
-            if set.generation == generation {
-                return Ok(Arc::clone(set));
-            }
-        }
-        let mut merged = (*archive).clone();
-        for day_catalog in open {
-            merged.merge(day_catalog);
-        }
-        let set = Arc::new(build_reports(generation, &merged)?);
+            (books.generation, Arc::clone(&books.catalog))
+        };
+        let set = Arc::new(build_reports(generation, catalog)?);
         *cache = Some(Arc::clone(&set));
         Ok(set)
     }
 }
 
-/// Runs the merged snapshot through the batch analysis and renders
-/// every table once.
-fn build_reports(generation: u64, merged: &DevicesCatalog) -> Result<ReportSet, String> {
-    let data = materialize_catalog(merged);
+/// Runs the catalog through the batch analysis and renders every
+/// table once. The handle drops right after the row fold, so an ingest
+/// during analysis and render writes the catalog without copying it.
+fn build_reports(generation: u64, catalog: Arc<DevicesCatalog>) -> Result<ReportSet, String> {
+    let data = materialize_catalog(&catalog);
+    drop(catalog);
     let tacdb = TacDatabase::standard();
     let suite = analyze(&data.summaries, &data.apns, data.window_days, &tacdb);
     let mut tables: BTreeMap<&'static str, String> = BTreeMap::new();
@@ -353,8 +298,8 @@ mod tests {
         tenant.ingest(&catalog_with_days(&[0])).unwrap();
         let receipt = tenant.ingest(&catalog_with_days(&[5])).unwrap();
         assert_eq!(receipt.sealed_days, 1);
-        // A day-1 straggler is past the watermark: archived directly,
-        // nothing newly sealed, but still visible to reports.
+        // A day-1 straggler is behind the watermark: it opens no day,
+        // so nothing is newly sealed, but reports still count it.
         let receipt = tenant.ingest(&catalog_with_days(&[1])).unwrap();
         assert_eq!(receipt.sealed_days, 0);
         let set = tenant.reports().unwrap();

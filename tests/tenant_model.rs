@@ -25,7 +25,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 use where_things_roam::core::report::{render_analysis, render_classify, ANALYSES};
 use where_things_roam::core::stream::{analyze, materialize_catalog};
+use where_things_roam::model::ids::{Plmn, Tac};
+use where_things_roam::model::roaming::RoamingLabel;
 use where_things_roam::model::tacdb::TacDatabase;
+use where_things_roam::model::time::Day;
 use where_things_roam::probes::catalog::{CatalogEntry, DevicesCatalog};
 use where_things_roam::probes::io::{write_catalog, write_catalog_bin};
 use where_things_roam::scenarios::{MnoScenario, MnoScenarioConfig};
@@ -411,5 +414,46 @@ proptest! {
     fn tenant_matches_model_at_watermark_3(ops in ops()) {
         let outcome = run(3, &ops);
         prop_assert!(outcome.is_ok(), "{}\nops: {:#?}", outcome.unwrap_err(), ops);
+    }
+}
+
+/// Adds one device-day row with the given roaming label.
+fn hand_row(catalog: &mut DevicesCatalog, user: u64, day: u32, label: RoamingLabel) {
+    let tac = Tac::new(35_000_000).unwrap();
+    catalog
+        .row_mut(user, Day(day), Plmn::of(204, 4), tac, label)
+        .events = 5;
+}
+
+/// A row split across uploads keeps its first arrival's identity, even
+/// when the later upload seals the row's day. At watermark 1, upload A
+/// is row (user 1, day 3, H:H) and upload B is rows (user 0, day 10,
+/// H:H) and (user 1, day 3, I:H): B's day 10 seals day 3 while B's
+/// copy of (1, 3) is behind the watermark. First arrival makes day 3
+/// all H:H.
+#[test]
+fn split_row_keeps_its_first_arrival() {
+    let mut a = DevicesCatalog::new(22);
+    hand_row(&mut a, 1, 3, RoamingLabel::HH);
+    let mut b = DevicesCatalog::new(22);
+    hand_row(&mut b, 0, 10, RoamingLabel::HH);
+    hand_row(&mut b, 1, 3, RoamingLabel::IH);
+
+    let tenant = Tenant::new("split", 1);
+    let mut model = DevicesCatalog::new(22);
+    let mut sealed = Vec::new();
+    for upload in [&a, &b] {
+        let mut bytes = Vec::new();
+        write_catalog(&mut bytes, upload).unwrap();
+        sealed.push(tenant.ingest(&bytes).unwrap().sealed_days);
+        for row in upload.iter() {
+            model.adopt_entry(row.clone(), upload.apn_table());
+        }
+    }
+    assert_eq!(sealed, [0, 1]);
+    assert_eq!(model.get(1, Day(3)).unwrap().label, RoamingLabel::HH);
+    let set = tenant.reports().unwrap();
+    for (name, table) in render(&model) {
+        assert_eq!(set.tables[name], table, "table {name}");
     }
 }
