@@ -44,7 +44,7 @@ fn bench(c: &mut Criterion) {
     });
     g.finish();
 
-    // Serial vs parallel comparison for the order-stable map-reduce layer
+    // Serial vs parallel comparison for the order-stable parallel map layer
     // (`wtr_sim::par`): same inputs, same byte-identical outputs, the only
     // variable is the thread count. `_t1` pins one worker; `_tN` uses the
     // default (`WTR_THREADS` / available parallelism).

@@ -32,7 +32,7 @@
 //! * [`world`] — the shared environment: radio networks per operator,
 //!   roaming access policy, event sink.
 //! * [`device`] — the device agent tying it all together.
-//! * [`par`] — deterministic order-stable parallel map-reduce.
+//! * [`par`] — deterministic order-stable parallel maps.
 //! * [`shard`] — sharded simulation: K independent per-shard event
 //!   loops over a contiguously partitioned agent population.
 //! * [`stream`] — chunked record streams: the shape of the

@@ -1,24 +1,17 @@
-//! Deterministic parallel map-reduce over slices.
+//! Deterministic parallel maps over slices.
 //!
 //! The helpers here are the workspace's only concurrency layer: plain
-//! `std::thread::scope` fan-out with **order-stable** merging, so every
+//! `std::thread::scope` fan-out with **order-stable** results, so every
 //! pipeline stage produces byte-identical output at 1, 2 or N worker
 //! threads.
 //!
 //! # Determinism by construction
 //!
-//! Work is split into fixed chunks whose size is a pure function of the
-//! input length only (never of the thread count).
-//! Each chunk is folded independently into a partial accumulator, and
-//! the partials are merged **left to right in chunk-index order** — even
-//! when running serially, the same chunk boundaries are used, so the
-//! sequence of `fold`/`merge` calls (and thus any floating-point
-//! rounding) is identical regardless of how many threads executed them.
-//!
-//! Consequently callers only need `merge` to be associative *in
-//! structure*, not commutative: "first chunk wins" semantics (e.g. keep
-//! the identity fields from the earliest event) survive parallel
-//! execution unchanged.
+//! Each worker takes one contiguous index range ([`split_ranges`]) and
+//! maps or rewrites its items with a closure that is pure per item; the
+//! results concatenate in range order. The output therefore equals a
+//! serial loop at any worker count. [`tree_reduce`] is the one
+//! reduction, and its tree shape depends on the input length only.
 //!
 //! # Thread-count knob
 //!
@@ -63,39 +56,23 @@ pub fn threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Minimum number of items per chunk; below this, parallel dispatch
-/// costs more than it saves.
+/// Minimum number of items per [`par_map`] worker; below this,
+/// parallel dispatch costs more than it saves.
 const MIN_CHUNK: usize = 256;
-/// Maximum number of chunks per call; bounds per-call bookkeeping.
-const MAX_CHUNKS: usize = 64;
-
-/// Chunk size used to shard `n` items.
-///
-/// This is a pure function of `n` **only** — never of the thread count —
-/// which is the linchpin of the determinism guarantee: the partial
-/// accumulators computed per chunk are identical no matter how many
-/// threads the chunks were distributed over.
-fn chunk_size(n: usize) -> usize {
-    n.div_ceil(MAX_CHUNKS).max(MIN_CHUNK)
-}
 
 /// Maps every item through `f`, preserving input order in the output.
 ///
-/// The mapping closure must be pure with respect to item position
-/// (which it sees only via the item itself), so the concatenation of
-/// per-chunk outputs is identical to a serial map.
+/// Each worker takes at least `MIN_CHUNK` items, so inputs of fewer
+/// than twice that run serially. The mapping closure must be pure with
+/// respect to item position (which it sees only via the item itself),
+/// so the output is identical to a serial map.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    let chunks = chunked_map(items, |chunk| chunk.iter().map(&f).collect::<Vec<U>>());
-    let mut out = Vec::with_capacity(items.len());
-    for c in chunks {
-        out.extend(c);
-    }
-    out
+    map_split(items, MIN_CHUNK, f)
 }
 
 /// Splits `0..n` into at most `k` contiguous, non-empty, in-order
@@ -127,89 +104,48 @@ pub fn split_ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
 /// Maps every item through `f` with **one work unit per item**,
 /// preserving input order in the output.
 ///
-/// Unlike [`par_map`], which shards into chunks of at least `MIN_CHUNK`
-/// items (and therefore runs serially for fewer than that), this
-/// spreads the items themselves across workers in contiguous index
-/// ranges. Its caller is the `WTRCAT` reader (`wtr_probes::io`), which
-/// decodes a window of row groups at once: each "item" is already a
-/// whole chunk of records, and the per-item cost is large enough to
-/// dwarf dispatch overhead.
-///
-/// Output order is the input order regardless of worker count: workers
-/// return `(first_index, results)` pairs that are sorted back before
-/// concatenation.
+/// Unlike [`par_map`], which gives each worker at least `MIN_CHUNK`
+/// items, this spreads the items themselves across workers. Its caller
+/// is the `WTRCAT` reader (`wtr_probes::io`), which decodes a window of
+/// row groups at once: each "item" is already a whole chunk of records,
+/// and the per-item cost is large enough to dwarf dispatch overhead.
 pub fn par_each<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    let workers = threads().min(items.len());
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let ranges = split_ranges(items.len(), workers);
-    let f = &f;
-    let mut indexed: Vec<(usize, Vec<U>)> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ranges.len());
-        for r in ranges {
-            let lo = r.start;
-            let slice = &items[r];
-            handles.push(scope.spawn(move || (lo, slice.iter().map(f).collect::<Vec<U>>())));
-        }
-        for h in handles {
-            indexed.push(h.join().expect("wtr-sim::par worker panicked"));
-        }
-    });
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().flat_map(|(_, v)| v).collect()
+    map_split(items, 1, f)
 }
 
-/// Applies `f` to each fixed-size chunk of `items`, returning the
-/// per-chunk results in chunk-index order.
-///
-/// This is the engine behind [`par_map`]: chunk boundaries are a pure
-/// function of `items.len()`, and chunks are assigned to scoped worker
-/// threads in contiguous runs.
-/// Each worker returns `(chunk_index, result)` pairs which are sorted
-/// back into chunk order before returning, so callers observe a
-/// deterministic sequence regardless of scheduling.
-fn chunked_map<T, U, F>(items: &[T], f: F) -> Vec<U>
+/// The order-preserving map behind [`par_map`] and [`par_each`]: one
+/// worker per `min_per_worker` items, up to [`threads`], each mapping
+/// one [`split_ranges`] range. Joining the workers in spawn order
+/// concatenates their outputs in input order.
+fn map_split<T, U, F>(items: &[T], min_per_worker: usize, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
-    F: Fn(&[T]) -> U + Sync,
+    F: Fn(&T) -> U + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
+    let workers = threads().min(items.len() / min_per_worker);
+    if workers <= 1 {
+        return items.iter().map(&f).collect();
     }
-    let size = chunk_size(items.len());
-    let chunks: Vec<&[T]> = items.chunks(size).collect();
-    let workers = threads().min(chunks.len());
-    if workers <= 1 || chunks.len() <= 1 {
-        return chunks.into_iter().map(&f).collect();
-    }
-
-    // Contiguous chunk-range per worker; ranges are a pure function of
-    // (chunk count, worker count) so assignment is reproducible too.
-    let ranges = split_ranges(chunks.len(), workers);
     let f = &f;
-    let chunks = &chunks;
-    let mut indexed: Vec<(usize, U)> = Vec::with_capacity(chunks.len());
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ranges.len());
-        for r in ranges {
-            handles.push(
-                scope.spawn(move || r.map(|i| (i, f(chunks[i]))).collect::<Vec<(usize, U)>>()),
-            );
-        }
-        for h in handles {
-            indexed.extend(h.join().expect("wtr-sim::par worker panicked"));
-        }
-    });
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, u)| u).collect()
+        let handles: Vec<_> = split_ranges(items.len(), workers)
+            .into_iter()
+            .map(|r| {
+                let slice = &items[r];
+                scope.spawn(move || slice.iter().map(f).collect::<Vec<U>>())
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("wtr-sim::par worker panicked"))
+            .collect()
+    })
 }
 
 /// Applies `f` to every item **in place**, splitting the slice into
@@ -306,15 +242,6 @@ mod tests {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
-    fn chunk_size_is_pure_in_n() {
-        assert_eq!(chunk_size(1), MIN_CHUNK);
-        assert_eq!(chunk_size(MIN_CHUNK * MAX_CHUNKS), MIN_CHUNK);
-        // Large inputs: at most MAX_CHUNKS chunks.
-        let n: usize = 1_000_000;
-        assert!(n.div_ceil(chunk_size(n)) <= MAX_CHUNKS);
-    }
-
-    #[test]
     fn map_preserves_order_across_thread_counts() {
         let _g = LOCK.lock().unwrap();
         let items: Vec<u64> = (0..10_000).collect();
@@ -327,24 +254,6 @@ mod tests {
         assert_eq!(outputs[0], outputs[1]);
         assert_eq!(outputs[0], outputs[2]);
         assert_eq!(outputs[0][7], 22);
-    }
-
-    #[test]
-    fn reduce_is_bitwise_stable_for_floats() {
-        let _g = LOCK.lock().unwrap();
-        // Float addition is not associative, so a naive parallel sum
-        // would drift with thread count. Fixed chunking + ordered merge
-        // must keep the bits identical.
-        let items: Vec<f64> = (0..50_000).map(|i| (i as f64).sin() * 1e-3).collect();
-        let sum = |t: usize| {
-            set_threads(Some(t));
-            let partials = chunked_map(&items, |chunk| chunk.iter().sum::<f64>());
-            set_threads(None);
-            partials.into_iter().fold(0.0f64, |a, b| a + b).to_bits()
-        };
-        let s1 = sum(1);
-        assert_eq!(s1, sum(2));
-        assert_eq!(s1, sum(8));
     }
 
     #[test]

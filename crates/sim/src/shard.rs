@@ -12,7 +12,7 @@
 //! or a shard of N, so a probe that merges per-shard partials with
 //! order-insensitive (or first-shard-wins keyed) semantics reproduces the
 //! serial run exactly — the simulation-side twin of [`crate::par`]'s
-//! map-reduce determinism contract.
+//! order-stable determinism contract.
 //!
 //! Partitioning uses [`par::split_ranges`]: contiguous index ranges that
 //! are a pure function of `(agents, shards)`, so the shard an agent lands
