@@ -4,19 +4,24 @@
 //! One request per connection (`Connection: close` on every response) —
 //! taps and report clients open short-lived connections, so keep-alive
 //! buys nothing but state. The parser is deliberately strict: a bounded
-//! header section, a mandatory `Content-Length` for bodies, and an
-//! explicit cap on body size enforced *before* the body is read, so an
-//! oversized upload is rejected with `413` without buffering it.
+//! header section, a mandatory `Content-Length` for bodies, an explicit
+//! cap on body size enforced *before* the body is read, so an oversized
+//! upload is rejected with `413` without buffering it, and one deadline
+//! for the whole request, so a client that stalls or drips bytes gets
+//! `408` instead of holding its worker.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Upper bound on the request line + headers, in bytes.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 
-/// Per-connection socket timeout: a stalled peer frees its worker.
-const SOCKET_TIMEOUT: Duration = Duration::from_secs(30);
+/// Time a client has from accept to finish sending its request.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
+
+/// Socket write timeout: a peer that stops reading frees its worker.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A parsed request: method, percent-free path, and the (possibly
 /// empty) body.
@@ -35,10 +40,11 @@ pub struct Request {
 pub enum HttpError {
     /// Socket-level failure (including timeouts).
     Io(io::Error),
-    /// The head or body violated a protocol bound; the server answers
-    /// with this status and message.
+    /// The head or body violated a protocol bound, or missed the
+    /// request deadline; the server answers with this status and
+    /// message.
     Bad {
-        /// Response status to send (400, 413, 431).
+        /// Response status to send (400, 408, 413, 431).
         status: u16,
         /// Human-readable reason, sent as the response body.
         message: String,
@@ -47,7 +53,37 @@ pub enum HttpError {
 
 impl From<io::Error> for HttpError {
     fn from(e: io::Error) -> Self {
-        HttpError::Io(e)
+        if e.kind() == io::ErrorKind::TimedOut {
+            bad(408, "request not complete within the deadline")
+        } else {
+            HttpError::Io(e)
+        }
+    }
+}
+
+/// The read side of a connection. Before every read it sets the socket
+/// timeout to the time left until the request deadline, and once none
+/// is left it fails with `TimedOut`, so no pattern of partial reads
+/// outlasts the deadline.
+struct DeadlineReader {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            let left = self.deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            self.stream.set_read_timeout(Some(left))?;
+            match self.stream.read(buf) {
+                // The socket timeout fired: check the deadline again.
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => continue,
+                other => return other,
+            }
+        }
     }
 }
 
@@ -58,21 +94,29 @@ fn bad(status: u16, message: impl Into<String>) -> HttpError {
     }
 }
 
-/// Reads one request from `stream`, enforcing `max_body_bytes`.
+/// Reads one request from `stream`, enforcing `max_body_bytes`. A
+/// request whose head and body have not both arrived by `deadline`
+/// fails with `408`, however its bytes trickle in.
 ///
 /// `Expect: 100-continue` is honored (curl sends it for any body over
 /// ~1 KiB): the interim `100 Continue` goes out after the head passes
 /// validation, so an oversized declared length is refused before the
 /// client transmits a single body byte.
-pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Request, HttpError> {
-    stream.set_read_timeout(Some(SOCKET_TIMEOUT))?;
-    stream.set_write_timeout(Some(SOCKET_TIMEOUT))?;
+pub fn read_request(
+    stream: &mut TcpStream,
+    max_body_bytes: usize,
+    deadline: Instant,
+) -> Result<Request, HttpError> {
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     // One-shot request/response: Nagle only adds the delayed-ACK stall.
     stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(DeadlineReader {
+        stream: stream.try_clone()?,
+        deadline,
+    });
 
     let mut head_bytes = 0usize;
-    let mut read_line = |reader: &mut BufReader<TcpStream>| -> Result<String, HttpError> {
+    let mut read_line = |reader: &mut BufReader<DeadlineReader>| -> Result<String, HttpError> {
         let mut line = Vec::new();
         // One byte past the budget is enough to refuse: a line with no
         // newline is cut there instead of buffered until the timeout.
@@ -150,6 +194,7 @@ pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Req
     if expect_continue {
         reader
             .get_mut()
+            .stream
             .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")?;
     }
     let mut body = vec![0u8; content_length];
@@ -171,6 +216,7 @@ pub fn write_response(
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
@@ -192,4 +238,85 @@ pub fn write_response(
     frame.extend_from_slice(body);
     stream.write_all(&frame)?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::thread;
+
+    /// Serves one loopback connection whose request deadline is 300 ms
+    /// away while `client` sends on it. Returns the status line the
+    /// client reads back and how long the server took to answer.
+    fn answer_to(client: impl FnOnce(&mut TcpStream) + Send + 'static) -> (String, Duration) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            client(&mut stream);
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut status = String::new();
+            let _ = BufReader::new(stream).read_line(&mut status);
+            status
+        });
+        let (mut conn, _) = listener.accept().unwrap();
+        let start = Instant::now();
+        let (status, message) =
+            match read_request(&mut conn, 1 << 20, start + Duration::from_millis(300)) {
+                Err(HttpError::Bad { status, message }) => (status, message),
+                other => panic!("expected a refusal, got {other:?}"),
+            };
+        let elapsed = start.elapsed();
+        write_response(&mut conn, status, &[], message.as_bytes()).unwrap();
+        // Keep the connection open until the client has read the
+        // answer: closing with unread bytes would reset it.
+        let line = peer.join().unwrap();
+        (line, elapsed)
+    }
+
+    fn assert_timed_out((status, elapsed): (String, Duration)) {
+        assert!(status.starts_with("HTTP/1.1 408 "), "got {status:?}");
+        assert!(
+            elapsed >= Duration::from_millis(300) && elapsed < Duration::from_secs(2),
+            "answered after {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn body_cut_short_gets_408() {
+        assert_timed_out(answer_to(|stream| {
+            stream
+                .write_all(b"POST /ingest/t HTTP/1.1\r\ncontent-length: 100\r\n\r\n0123456789")
+                .unwrap();
+        }));
+    }
+
+    #[test]
+    fn head_cut_short_gets_408() {
+        assert_timed_out(answer_to(|stream| {
+            stream
+                .write_all(b"POST /ingest/t HTTP/1.1\r\ncontent-le")
+                .unwrap();
+        }));
+    }
+
+    #[test]
+    fn dripped_body_gets_408() {
+        assert_timed_out(answer_to(|stream| {
+            stream
+                .write_all(b"POST /ingest/t HTTP/1.1\r\ncontent-length: 100\r\n\r\n")
+                .unwrap();
+            // One byte per 100 ms for a second: every read makes
+            // progress, yet the request misses its deadline.
+            for _ in 0..10 {
+                thread::sleep(Duration::from_millis(100));
+                if stream.write_all(b"x").is_err() {
+                    break;
+                }
+            }
+        }));
+    }
 }

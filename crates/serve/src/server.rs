@@ -15,8 +15,11 @@
 //!   This is the sanctioned clean-stop path: the workspace forbids
 //!   `unsafe`, so no OS signal handler can be installed — `SIGTERM`
 //!   keeps its default disposition and skips the seal.
+//!
+//! A request not fully received within [`REQUEST_DEADLINE`] of accept,
+//! on any route, gets `408`.
 
-use crate::http::{read_request, write_response, HttpError, Request};
+use crate::http::{read_request, write_response, HttpError, Request, REQUEST_DEADLINE};
 use crate::pool::Pool;
 use crate::tenant::{Tenant, TABLES};
 use std::collections::BTreeMap;
@@ -24,6 +27,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
+use std::time::Instant;
 
 /// Server configuration, as validated from `wtr serve` flags.
 #[derive(Debug, Clone)]
@@ -157,8 +161,9 @@ impl Server {
     }
 
     /// Accepts connections until shutdown, dispatching each to the
-    /// worker pool. On shutdown: stops accepting, drains in-flight
-    /// requests, seals every tenant's open days, and returns `Ok(())`.
+    /// worker pool with a request deadline of [`REQUEST_DEADLINE`] from
+    /// accept. On shutdown: stops accepting, drains in-flight requests,
+    /// seals every tenant's open days, and returns `Ok(())`.
     pub fn run(self) -> io::Result<()> {
         let mut pool = Pool::new(self.workers);
         for conn in self.listener.incoming() {
@@ -167,8 +172,9 @@ impl Server {
             }
             match conn {
                 Ok(stream) => {
+                    let deadline = Instant::now() + REQUEST_DEADLINE;
                     let state = Arc::clone(&self.state);
-                    pool.execute(move || handle_connection(stream, &state));
+                    pool.execute(move || handle_connection(stream, deadline, &state));
                 }
                 // Transient accept errors (aborted handshakes) are not
                 // fatal to a resident server.
@@ -221,8 +227,8 @@ fn reply(status: u16, body: impl Into<Vec<u8>>) -> Reply {
     (status, Vec::new(), body.into())
 }
 
-fn handle_connection(mut stream: TcpStream, state: &State) {
-    let request = match read_request(&mut stream, state.max_body_bytes) {
+fn handle_connection(mut stream: TcpStream, deadline: Instant, state: &State) {
+    let request = match read_request(&mut stream, state.max_body_bytes, deadline) {
         Ok(request) => request,
         Err(HttpError::Bad { status, message }) => {
             let _ = write_response(&mut stream, status, &[], format!("{message}\n").as_bytes());
