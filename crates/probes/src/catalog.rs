@@ -204,10 +204,12 @@ impl CatalogEntry {
     /// Counters add, sets union, hour-of-day and mobility accumulators
     /// merge; identity fields (`sim_plmn`, `tac`, `label`) keep `self`'s
     /// values — the same first-touch-wins rule [`DevicesCatalog::row_mut`]
-    /// applies when a probe builds a row incrementally. This is the merge
-    /// step of the parallel ingest path: when `self` holds the earlier
-    /// chunk of the event stream, the combined row is identical to what a
-    /// serial fold would have produced.
+    /// applies when a probe builds a row incrementally. Its callers are
+    /// [`DevicesCatalog::insert_entry`] (a tenant adopting a row it
+    /// already holds, in arrival order) and [`DevicesCatalog::merge`]:
+    /// when `self` holds the earlier part of the event stream, the
+    /// combined row is identical to what a serial fold would have
+    /// produced.
     pub fn absorb(&mut self, other: &CatalogEntry) {
         debug_assert_eq!((self.user, self.day), (other.user, other.day));
         self.events += other.events;
@@ -355,9 +357,11 @@ impl DevicesCatalog {
     /// `self`'s identity fields win), new rows are inserted. `other`'s APN
     /// symbols are remapped through [`ApnTable::absorb`] first, so the
     /// merged table keeps first-occurrence symbol assignment — partial
-    /// catalogs built from consecutive chunks of an event stream, merged
-    /// in chunk order, reproduce the serial fold (and its symbol ids)
-    /// exactly. This is the reduce step of parallel ingestion.
+    /// catalogs built from disjoint or consecutive parts of an event
+    /// stream, merged in order, reproduce the serial fold (and its
+    /// symbol ids) exactly. Its callers are the sharded simulation's
+    /// probe merge (one partial catalog per shard) and perfbench's
+    /// traced tenant replica.
     pub fn merge(&mut self, other: DevicesCatalog) {
         self.widen_window(other.window_days);
         let remap = self.apns.absorb(&other.apns);

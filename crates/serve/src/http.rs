@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Time a client has from accept to finish sending its request.
-pub const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
+pub(crate) const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Socket write timeout: a peer that stops reading frees its worker.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
@@ -38,7 +38,7 @@ pub struct Request {
 /// Why a request could not be turned into a [`Request`].
 #[derive(Debug)]
 pub enum HttpError {
-    /// Socket-level failure (including timeouts).
+    /// Socket-level failure, such as a connection closed mid-request.
     Io(io::Error),
     /// The head or body violated a protocol bound, or missed the
     /// request deadline; the server answers with this status and
@@ -119,7 +119,7 @@ pub fn read_request(
     let mut read_line = |reader: &mut BufReader<DeadlineReader>| -> Result<String, HttpError> {
         let mut line = Vec::new();
         // One byte past the budget is enough to refuse: a line with no
-        // newline is cut there instead of buffered until the timeout.
+        // newline is cut there instead of buffered until the deadline.
         let budget = (MAX_HEAD_BYTES - head_bytes + 1) as u64;
         let n = reader.by_ref().take(budget).read_until(b'\n', &mut line)?;
         head_bytes += n;

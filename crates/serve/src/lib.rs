@@ -15,25 +15,26 @@
 //! `POST /ingest/{tenant}` accepts a catalog body in either on-disk
 //! format (JSONL or `WTRCAT`, auto-sniffed — the same
 //! [`wtr_probes::io::CatalogStream`] zero-copy scanner as the batch
-//! pipeline). Rows route into per-day open catalogs under a watermark:
-//! rows within the watermark absorb into their open day, older rows
-//! land directly in the sealed archive, and days that fall out of the
-//! watermark are sealed — merged into the archive ascending
-//! ([`wtr_probes::catalog::DevicesCatalog::merge`]).
+//! pipeline). Every row adopts into the tenant's one in-memory catalog
+//! in arrival order
+//! ([`wtr_probes::catalog::DevicesCatalog::adopt_entry`]). A watermark
+//! tracks which days are still open: a row's day opens unless it is
+//! already behind the watermark, days that fall behind it are sealed,
+//! and the receipt counts them. Sealing moves no rows.
 //!
 //! ## Query
 //!
 //! `GET /report/{tenant}/{table}` serves all 11 analysis tables plus
 //! `classify` and `summary` from a response cache keyed by the tenant's
 //! **absorb generation**: every successful ingest bumps the generation,
-//! invalidating cached renders precisely. A rebuild runs the merged
-//! in-memory snapshot through `materialize_catalog` → `analyze` →
+//! invalidating cached renders precisely. A rebuild runs the tenant's
+//! catalog through `materialize_catalog` → `analyze` →
 //! `render_analysis`, the analysis route `wtr analyze` also ends in, so
 //! server reports are byte-identical to `wtr analyze` over the same
-//! record set, at any tap count or arrival order within the watermark
-//! (see [`tenant`]). Readers never block ingest: the tenant books lock
-//! is held only long enough to clone an `Arc` of the archive and the
-//! (small) open days; the rebuild runs outside it.
+//! record set, at any tap count or arrival order (see [`tenant`]).
+//! Readers never block ingest: the tenant books lock is held only long
+//! enough to clone the catalog's `Arc` handle, and the rebuild runs
+//! outside it.
 
 #![forbid(unsafe_code)]
 

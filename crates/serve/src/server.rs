@@ -16,8 +16,8 @@
 //!   `unsafe`, so no OS signal handler can be installed — `SIGTERM`
 //!   keeps its default disposition and skips the seal.
 //!
-//! A request not fully received within [`REQUEST_DEADLINE`] of accept,
-//! on any route, gets `408`.
+//! A request not fully received within 30 s of accept, on any route,
+//! gets `408`.
 
 use crate::http::{read_request, write_response, HttpError, Request, REQUEST_DEADLINE};
 use crate::pool::Pool;
@@ -161,9 +161,9 @@ impl Server {
     }
 
     /// Accepts connections until shutdown, dispatching each to the
-    /// worker pool with a request deadline of [`REQUEST_DEADLINE`] from
-    /// accept. On shutdown: stops accepting, drains in-flight requests,
-    /// seals every tenant's open days, and returns `Ok(())`.
+    /// worker pool with a request deadline 30 s after accept. On
+    /// shutdown: stops accepting, drains in-flight requests, seals every
+    /// tenant's open days, and returns `Ok(())`.
     pub fn run(self) -> io::Result<()> {
         let mut pool = Pool::new(self.workers);
         for conn in self.listener.incoming() {

@@ -7,8 +7,8 @@
 //!   renderer byte for byte.
 //! * The response cache is generation-keyed: an absorb bumps the
 //!   generation and invalidates exactly the stale renders.
-//! * Watermark-0 sealing: old days seal into the archive, stragglers
-//!   absorb past the watermark, and reports still cover every row.
+//! * Watermark-0 sealing: old days seal, stragglers behind the
+//!   watermark still absorb, and reports cover every row.
 //! * Hostile bodies (the decode-hardening shapes, plus a repeated row)
 //!   bounce with the scanner's line-numbered error and leave tenant
 //!   state untouched.
@@ -280,7 +280,7 @@ fn watermark_zero_seals_days_and_absorbs_stragglers() {
     let reference = batch_reference(&catalog);
     // Early days, then a jump to the newest days (sealing everything
     // older under watermark 0), then mid-window stragglers that arrive
-    // past the watermark and absorb straight into the archive.
+    // behind the watermark and still absorb.
     let parts = partition_by_days(&catalog, &[(0, 3), (5, 9), (3, 5)]);
     with_server(0, |addr| {
         for body in &parts {
