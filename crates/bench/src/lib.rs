@@ -1,23 +1,20 @@
-//! # wtr-bench — experiment runners shared by the `repro` binary and the
-//! Criterion benches.
+//! # wtr-bench — the reproduction harness behind the `repro` binary.
 //!
-//! Each paper figure/table has a function here that takes scenario outputs
-//! and produces the numbers the paper reports. The `repro` binary prints
-//! them next to the paper's values; the benches measure the cost of the
-//! pipeline stages that produce them.
+//! `repro` regenerates every paper figure and table and prints each
+//! number next to the paper's value with [`compare_line`].
+//! [`MnoArtifacts`] runs an MNO scenario and the classification
+//! pipeline once for the experiments on the MNO side. The cost of those
+//! stages is measured by the repository benchmark, `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 use wtr_core::analysis::activity::StatusGroup;
 use wtr_core::classify::{Classification, Classifier, DeviceClass};
 use wtr_core::summary::{summarize, DeviceSummary};
 use wtr_model::vertical::Vertical;
-use wtr_probes::records::M2mTransaction;
 use wtr_scenarios::mno::MnoScenarioOutput;
-use wtr_scenarios::{M2mScenario, M2mScenarioConfig};
 use wtr_scenarios::{MnoScenario, MnoScenarioConfig};
 
 /// Everything the MNO-side experiments need, computed once.
@@ -64,39 +61,6 @@ impl MnoArtifacts {
             (DeviceClass::Feat, StatusGroup::Native),
         ]
     }
-}
-
-/// Shared fixture for Criterion benches: one small MNO scenario built
-/// once per process (Criterion re-enters the bench body thousands of
-/// times; the scenario must stay out of the timing loop).
-pub fn bench_mno() -> &'static MnoArtifacts {
-    static CELL: OnceLock<MnoArtifacts> = OnceLock::new();
-    CELL.get_or_init(|| {
-        MnoArtifacts::build(MnoScenarioConfig {
-            devices: 2_500,
-            days: 22,
-            seed: 99,
-            nbiot_meter_fraction: 0.0,
-            sunset_2g_uk: false,
-            gsma_transparency: false,
-            record_loss_fraction: 0.0,
-        })
-    })
-}
-
-/// Shared fixture: one small M2M-platform transaction log.
-pub fn bench_m2m() -> &'static Vec<M2mTransaction> {
-    static CELL: OnceLock<Vec<M2mTransaction>> = OnceLock::new();
-    CELL.get_or_init(|| {
-        M2mScenario::new(M2mScenarioConfig {
-            devices: 2_000,
-            days: 11,
-            seed: 99,
-            g4_hole_fraction: 0.05,
-        })
-        .run()
-        .transactions
-    })
 }
 
 /// Formats a paper-vs-measured comparison line.
