@@ -6,7 +6,6 @@
 //! pipeline once for the experiments on the MNO side. The cost of those
 //! stages is measured by the repository benchmark, `perfbench/`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;

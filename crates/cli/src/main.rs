@@ -14,8 +14,6 @@
 //! external data mapped into those schemas can be classified and analyzed
 //! with the same commands.
 
-#![forbid(unsafe_code)]
-
 mod args;
 mod commands;
 

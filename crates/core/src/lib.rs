@@ -27,7 +27,6 @@
 //! truth — so the pipeline runs unchanged on real operator data shaped
 //! like the record schemas in `wtr-probes`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

@@ -29,7 +29,6 @@
 //!
 //! All types are plain data with [`serde`] support; nothing here performs IO.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod apn;

@@ -18,7 +18,6 @@
 //!
 //! [`AccessPolicy`]: wtr_sim::world::AccessPolicy
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agreements;

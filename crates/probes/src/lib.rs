@@ -29,7 +29,6 @@
 //! `wtr-core` achieves, it achieves from the same information a real
 //! operator has.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod catalog;

@@ -20,7 +20,6 @@
 //! * [`network`] — per-operator radio networks, sector selection, coverage
 //!   holes (fault injection).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod geo;

@@ -23,7 +23,6 @@
 //! The [`universe`] module builds the shared world: operator registry,
 //! country geometries, radio networks, agreement graph and steering.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod m2m;

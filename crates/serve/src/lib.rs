@@ -36,8 +36,6 @@
 //! enough to clone the catalog's `Arc` handle, and the rebuild runs
 //! outside it.
 
-#![forbid(unsafe_code)]
-
 pub mod http;
 pub mod pool;
 pub mod server;

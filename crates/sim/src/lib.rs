@@ -38,7 +38,6 @@
 //! * [`stream`] — chunked record streams: the shape of the
 //!   bounded-memory pass over a catalog file.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod behavior;

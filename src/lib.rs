@@ -1,6 +1,5 @@
 //! Umbrella crate for the Where-Things-Roam reproduction: re-exports
 //! every workspace crate under one name for examples and downstream use.
-#![forbid(unsafe_code)]
 
 pub use wtr_core as core;
 pub use wtr_model as model;
