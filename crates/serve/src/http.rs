@@ -62,9 +62,11 @@ impl From<io::Error> for HttpError {
 }
 
 /// The read side of a connection. Before every read it sets the socket
-/// timeout to the time left until the request deadline, and once none
-/// is left it fails with `TimedOut`, so no pattern of partial reads
-/// outlasts the deadline.
+/// timeout to the time left until the request deadline. Once none is
+/// left it takes only bytes that have already arrived, and fails with
+/// `TimedOut` when there are none: a client that stalls or drips bytes
+/// gets no more time, yet a request that arrived whole while it waited
+/// for a worker is still read.
 struct DeadlineReader {
     stream: TcpStream,
     deadline: Instant,
@@ -75,7 +77,17 @@ impl Read for DeadlineReader {
         loop {
             let left = self.deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                return Err(io::ErrorKind::TimedOut.into());
+                self.stream.set_nonblocking(true)?;
+                let read = self.stream.read(buf);
+                // The clone shares the socket's flags, and responses
+                // are written blocking.
+                self.stream.set_nonblocking(false)?;
+                return match read {
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        Err(io::ErrorKind::TimedOut.into())
+                    }
+                    other => other,
+                };
             }
             self.stream.set_read_timeout(Some(left))?;
             match self.stream.read(buf) {
@@ -301,6 +313,31 @@ mod tests {
                 .write_all(b"POST /ingest/t HTTP/1.1\r\ncontent-le")
                 .unwrap();
         }));
+    }
+
+    #[test]
+    fn request_that_arrived_is_read_past_its_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client
+            .write_all(b"POST /ingest/t HTTP/1.1\r\ncontent-length: 5\r\n\r\nhello")
+            .unwrap();
+        let (mut conn, _) = listener.accept().unwrap();
+        // Like a request that waited in the queue: all of it is in the
+        // socket before a worker reads it, and its deadline has passed.
+        conn.peek(&mut [0u8; 1]).unwrap();
+        let start = Instant::now();
+        let request = read_request(&mut conn, 1 << 20, start).unwrap();
+        assert!(
+            start.elapsed() < Duration::from_millis(100),
+            "read after {:?}",
+            start.elapsed()
+        );
+        assert_eq!(
+            (request.method.as_str(), request.path.as_str()),
+            ("POST", "/ingest/t")
+        );
+        assert_eq!(request.body, b"hello");
     }
 
     #[test]

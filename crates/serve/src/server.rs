@@ -17,7 +17,8 @@
 //!   keeps its default disposition and skips the seal.
 //!
 //! A request not fully received within 30 s of accept, on any route,
-//! gets `408`.
+//! gets `408`. One that arrived whole while it waited for a worker is
+//! answered, however long it waited.
 
 use crate::http::{read_request, write_response, HttpError, Request, REQUEST_DEADLINE};
 use crate::pool::Pool;
