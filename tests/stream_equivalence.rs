@@ -11,7 +11,7 @@
 //!    `DevicesCatalog` ever built) produces the exact summaries + label
 //!    shares `materialize_catalog` does over the resident catalog, on a
 //!    simulated catalog and on one whose devices straddle the readers'
-//!    chunk cuts.
+//!    chunk cuts; no reader chunk holds more than `CAT_CHUNK_ROWS` rows.
 //! 3. **Analysis**: the [`analyze`] suite is byte-identical at every
 //!    thread count.
 //! 4. **Resident snapshot**: `materialize_catalog` over an in-memory
@@ -41,6 +41,7 @@ use where_things_roam::radio::geo::GeoPoint;
 use where_things_roam::scenarios::{MnoScenario, MnoScenarioConfig};
 use where_things_roam::serve::{Tenant, TABLES};
 use where_things_roam::sim::par;
+use where_things_roam::sim::stream::RecordStream;
 
 /// Thread counts in the matrix (serial reference + uneven assignments;
 /// 3 exercises unpaired tails in the tree-shaped reductions).
@@ -194,7 +195,9 @@ fn streamed_ingest_matches_materialized() {
     // read-then-reduce path, must equal the resident catalog's fold byte
     // for byte at every thread count. Every route hands out canonical
     // APN symbols, so the formats agree as well.
-    for (name, catalog) in [("scenario", &scenario), ("straddling", &straddling)] {
+    // (name, catalog, the fewest reader chunks its files must arrive in)
+    let catalogs = [("scenario", &scenario, 1), ("straddling", &straddling, 3)];
+    for (name, catalog, min_chunks) in catalogs {
         let resident = materialize_catalog(catalog);
         let (want, want_bits) = (data_bytes(&resident), mobility_bits(&resident));
         let mut jsonl = Vec::new();
@@ -204,6 +207,22 @@ fn streamed_ingest_matches_materialized() {
         for (what, file) in [("JSONL", &jsonl), ("WTRCAT", &wtrcat)] {
             for &t in &MATRIX {
                 par::set_threads(Some(t));
+                // Streamed ingest holds one reader chunk at a time, so
+                // its memory is bounded by the chunk size.
+                let mut stream = io::CatalogStream::new(file.as_slice()).unwrap();
+                let mut chunks = 0;
+                while let Some(chunk) = stream.next_chunk().unwrap() {
+                    assert!(
+                        chunk.len() <= CAT_CHUNK_ROWS,
+                        "{name} {what} at {t} threads: a chunk of {} rows",
+                        chunk.len()
+                    );
+                    chunks += 1;
+                }
+                assert!(
+                    chunks >= min_chunks,
+                    "{name} {what} at {t} threads: {chunks} chunks"
+                );
                 let materialized =
                     materialize_catalog(&io::read_catalog_auto(file.as_slice()).unwrap());
                 let streamed = stream_catalog(file.as_slice()).unwrap();
