@@ -12,7 +12,8 @@
 //!    Cross-tenant: the acceptance gate (p99 within 5x of idle)
 //!    measures cache-hit reads racing absorbs, not rebuild cost.
 //! 3. **miss** — absorb into `warm` itself between reads, forcing a
-//!    generation miss + canonical replay per read: the worst case a
+//!    generation miss + one rebuild per read (`materialize_catalog` →
+//!    `analyze` → render over the resident catalog): the worst case a
 //!    same-tenant reader can see, reported but not gated.
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -167,9 +168,9 @@ fn main() {
         f.join().unwrap();
     }
 
-    // Phase 3: same-tenant miss cost — each read pays a full
-    // generation rebuild (canonical replay) because a tap absorbs
-    // into the read tenant between reads.
+    // Phase 3: same-tenant miss cost — each read pays one generation
+    // rebuild over the resident catalog because a tap absorbs into the
+    // read tenant between reads.
     let miss_samples = 20.min(taps.len());
     let mut miss: Vec<u64> = taps[..miss_samples]
         .iter()
@@ -197,7 +198,7 @@ fn main() {
         up99 as f64 / ip99 as f64
     );
     println!(
-        "same_tenant_miss_us: p50 {}  max {} (full canonical replay per read; not gated)",
+        "same_tenant_miss_us: p50 {}  max {} (one rebuild per read; not gated)",
         pct(&miss, 0.50),
         miss[miss.len() - 1]
     );
