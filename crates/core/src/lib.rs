@@ -17,7 +17,7 @@
 //! * **Metrics** ([`metrics`]) — empirical CDFs, shares, cross-tabulations;
 //!   mobility (centroid/gyration) comes with the catalog rows.
 //! * **Analyses** ([`analysis`]) — one module per paper figure/table,
-//!   producing plain data structs the bench harness prints.
+//!   producing plain data structs the `repro` harness prints.
 //! * **Validation** ([`validate`]) — precision/recall of any classifier
 //!   against generator ground truth (the measurement the paper's authors
 //!   could not make).

@@ -136,8 +136,8 @@ fn parse_lines<T: serde::Deserialize + scan::FastParse + Send>(
 }
 
 /// Serde-only twin of [`parse_lines`]: the reference implementation the
-/// scanner's fallback contract is checked against (equivalence tests and
-/// the `io_throughput` benches).
+/// scanner's fallback contract is checked against (`tests/decode_hardening.rs`
+/// and `tests/stream_equivalence.rs`).
 fn parse_lines_serde<T: serde::Deserialize + Send>(
     lines: &[(usize, &str)],
 ) -> Vec<Result<T, IoError>> {
@@ -162,7 +162,7 @@ pub fn read_transactions<R: BufRead>(mut input: R) -> Result<Vec<M2mTransaction>
 }
 
 /// [`read_transactions`] without the scanner fast path: the serde-only
-/// reference reader (equivalence tests and ablation benches).
+/// reference reader `tests/decode_hardening.rs` checks the scanner against.
 pub fn read_transactions_serde<R: BufRead>(mut input: R) -> Result<Vec<M2mTransaction>, IoError> {
     let mut text = String::new();
     input.read_to_string(&mut text)?;
@@ -374,9 +374,9 @@ pub fn read_catalog_auto<R: BufRead>(input: R) -> Result<DevicesCatalog, IoError
 }
 
 /// [`read_catalog_auto`] with serde parsing every JSONL row: the
-/// reference the zero-copy scanner is checked against (equivalence tests
-/// and the `io_throughput` bench). `WTRCAT` input decodes exactly as in
-/// [`read_catalog_auto`].
+/// reference the zero-copy scanner is checked against
+/// (`tests/decode_hardening.rs` and `tests/stream_equivalence.rs`).
+/// `WTRCAT` input decodes exactly as in [`read_catalog_auto`].
 pub fn read_catalog_serde<R: BufRead>(input: R) -> Result<DevicesCatalog, IoError> {
     drain(CatalogStream::with_parser(
         input,
