@@ -6,7 +6,8 @@
 //!
 //! 1. **Shard matrix**: catalog bytes (JSONL *and* WTRCAT), ground
 //!    truth, record counts and element load are identical at shards =
-//!    1/2/3/8, with and without record loss.
+//!    1/2/3/8, with and without record loss and the GSMA transparency
+//!    what-if.
 //! 2. **Golden anchors**: the dispatch-order re-anchor — from the old
 //!    `(time, global insertion seq)` tie-break to the shard-stable
 //!    `(time, agent, per-agent seq)` total order — changed *only* the
@@ -14,8 +15,8 @@
 //!    engine pin that: the event **multiset** of a small fixed world is
 //!    unchanged, and the loss-free catalog (which depends only on
 //!    per-device streams) is byte-identical. Further digests pin the
-//!    small world's raw emission order, the lossy catalog and the whole
-//!    lossy fingerprint.
+//!    small world's raw emission order, the lossy catalog, the whole
+//!    lossy fingerprint and the transparency catalog.
 //! 3. **Merge algebra** (proptest): `MnoProbe::absorb` over arbitrary
 //!    device partitions reproduces the serial fold exactly, and the
 //!    `LossySink` drop set is invariant to how devices are partitioned
@@ -71,6 +72,12 @@ const EVENT_RAW_ORDER_DIGEST: u64 = 0xdb4f2e20b9537b30;
 const LOSSY_FINGERPRINT_DIGEST: u64 = 0x2fbb477ad739efc6;
 /// Same run at loss 0.07: JSONL catalog bytes.
 const LOSSY_CATALOG_JSONL_DIGEST: u64 = 0x20840effe16a7f8c;
+/// 400 devices x 5 days, seed 7, nbiot 0.05, loss 0, with the GSMA
+/// transparency what-if on: JSONL catalog bytes. The NL meter HMNO's
+/// published block tags its SIMs' rows `in_published_m2m_range`.
+const TRANSPARENCY_CATALOG_JSONL_DIGEST: u64 = 0x7ba3674a1f3584f6;
+/// Same run: rows tagged `in_published_m2m_range`.
+const TRANSPARENCY_PUBLISHED_ROWS: usize = 58;
 
 /// Order-sensitive digest: bytes folded 8 at a time through `mix64`.
 fn digest(bytes: &[u8]) -> u64 {
@@ -95,6 +102,14 @@ fn scenario_config(loss: f64) -> MnoScenarioConfig {
     }
 }
 
+/// [`scenario_config`] with the GSMA transparency what-if on.
+fn transparency_config(loss: f64) -> MnoScenarioConfig {
+    MnoScenarioConfig {
+        gsma_transparency: true,
+        ..scenario_config(loss)
+    }
+}
+
 /// Everything the shard matrix compares, flattened to bytes.
 fn fingerprint(out: &MnoScenarioOutput) -> Vec<u8> {
     let mut bytes = Vec::new();
@@ -116,8 +131,14 @@ fn fingerprint(out: &MnoScenarioOutput) -> Vec<u8> {
 
 #[test]
 fn sharded_output_is_shard_count_invariant() {
-    for loss in [0.0, 0.07] {
-        let config = scenario_config(loss);
+    let configs = [
+        scenario_config(0.0),
+        scenario_config(0.07),
+        transparency_config(0.07),
+    ];
+    for config in configs {
+        let loss = config.record_loss_fraction;
+        let transparency = config.gsma_transparency;
         let mut reference: Option<(Vec<u8>, u64)> = None;
         for &k in &SHARDS {
             let out = MnoScenario::new(config.clone()).run_sharded(k);
@@ -130,7 +151,10 @@ fn sharded_output_is_shard_count_invariant() {
             let fp = (fingerprint(&out), total.dispatched);
             match &reference {
                 None => reference = Some(fp),
-                Some(r) => assert_eq!(r, &fp, "shards {k} loss {loss} diverged from serial"),
+                Some(r) => assert_eq!(
+                    r, &fp,
+                    "shards {k} loss {loss} transparency {transparency} diverged from serial"
+                ),
             }
         }
     }
@@ -162,6 +186,23 @@ fn lossy_fingerprint_matches_golden() {
     io::write_catalog(&mut jsonl, &out.catalog).unwrap();
     assert_eq!(digest(&jsonl), LOSSY_CATALOG_JSONL_DIGEST);
     assert_eq!(digest(&fingerprint(&out)), LOSSY_FINGERPRINT_DIGEST);
+}
+
+#[test]
+fn transparency_catalog_matches_golden() {
+    // The published-range tag is the only row field the what-if
+    // changes; nothing else pins it.
+    let out = MnoScenario::new(transparency_config(0.0)).run_sharded(1);
+    let mut jsonl = Vec::new();
+    io::write_catalog(&mut jsonl, &out.catalog).unwrap();
+    assert_eq!(out.catalog.len(), OLD_CATALOG_ROWS);
+    let published = out
+        .catalog
+        .iter()
+        .filter(|row| row.in_published_m2m_range)
+        .count();
+    assert_eq!(published, TRANSPARENCY_PUBLISHED_ROWS);
+    assert_eq!(digest(&jsonl), TRANSPARENCY_CATALOG_JSONL_DIGEST);
 }
 
 #[test]
