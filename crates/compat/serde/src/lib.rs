@@ -14,6 +14,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
@@ -380,6 +381,20 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             .iter()
             .map(T::deserialize_value)
             .collect()
+    }
+}
+
+/// A shared slice is written as a plain array, like the `Vec` it was
+/// built from.
+impl<T: Serialize> Serialize for Arc<[T]> {
+    fn serialize_value(&self) -> Value {
+        (**self).serialize_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<[T]> {
+    fn deserialize_value(v: &Value) -> Result<Self, Error> {
+        Vec::<T>::deserialize_value(v).map(Arc::from)
     }
 }
 

@@ -19,6 +19,7 @@ use crate::ids::{Mcc, Mnc, Plmn};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// A parsed, validated APN.
 ///
@@ -35,8 +36,9 @@ use std::str::FromStr;
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Apn {
     /// The Network Identifier labels, lowercase (e.g. `["smhp",
-    /// "centricaplc", "com"]`).
-    ni: Vec<String>,
+    /// "centricaplc", "com"]`). Shared, so a clone — one per simulated
+    /// data session — copies a pointer.
+    ni: Arc<[String]>,
     /// The operator the APN resolves through, when an OI is present.
     operator: Option<Plmn>,
 }
@@ -66,7 +68,7 @@ impl Apn {
             }
         });
         Ok(Apn {
-            ni: labels,
+            ni: labels.into(),
             operator,
         })
     }

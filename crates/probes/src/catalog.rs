@@ -160,7 +160,8 @@ pub struct CatalogEntry {
 }
 
 impl CatalogEntry {
-    fn new(user: u64, day: Day, sim_plmn: Plmn, tac: Tac, label: RoamingLabel) -> Self {
+    /// An empty row with its identity fields set.
+    pub(crate) fn new(user: u64, day: Day, sim_plmn: Plmn, tac: Tac, label: RoamingLabel) -> Self {
         CatalogEntry {
             user,
             day,
@@ -204,12 +205,12 @@ impl CatalogEntry {
     /// Counters add, sets union, hour-of-day and mobility accumulators
     /// merge; identity fields (`sim_plmn`, `tac`, `label`) keep `self`'s
     /// values — the same first-touch-wins rule [`DevicesCatalog::row_mut`]
-    /// applies when a probe builds a row incrementally. Its callers are
-    /// [`DevicesCatalog::insert_entry`] (a tenant adopting a row it
-    /// already holds, in arrival order) and [`DevicesCatalog::merge`]:
-    /// when `self` holds the earlier part of the event stream, the
-    /// combined row is identical to what a serial fold would have
-    /// produced.
+    /// and the MNO probe apply when they build a row incrementally. Its
+    /// callers are [`DevicesCatalog::insert_entry`] (a tenant adopting a
+    /// row it already holds, in arrival order) and
+    /// [`DevicesCatalog::merge`]: when `self` holds the earlier part of
+    /// the event stream, the combined row is identical to what a serial
+    /// fold would have produced.
     pub fn absorb(&mut self, other: &CatalogEntry) {
         debug_assert_eq!((self.user, self.day), (other.user, other.day));
         self.events += other.events;
@@ -303,9 +304,16 @@ impl DevicesCatalog {
             .or_insert_with(|| CatalogEntry::new(user, day, sim_plmn, tac, label))
     }
 
+    /// Removes and returns the row for (user, day): how the MNO probe
+    /// reopens a row it parked here, so the row stays in one place.
+    pub(crate) fn take(&mut self, user: u64, day: Day) -> Option<CatalogEntry> {
+        self.rows.remove(&(user, day.0))
+    }
+
     /// Inserts a fully-built row (how `read_catalog_auto` fills a
-    /// catalog from decoded rows). A row for an existing (user, day) key
-    /// is folded in with [`CatalogEntry::absorb`].
+    /// catalog from decoded rows, and how the MNO probe parks an open
+    /// row). A row for an existing (user, day) key is folded in with
+    /// [`CatalogEntry::absorb`].
     pub fn insert_entry(&mut self, entry: CatalogEntry) {
         match self.rows.entry((entry.user, entry.day.0)) {
             std::collections::btree_map::Entry::Vacant(v) => {

@@ -23,11 +23,12 @@ use crate::scan::{self, Scanner};
 use crate::wire;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt::Write as _;
 use std::io::{self, BufRead, Read, Write};
 use wtr_model::ids::{Plmn, Tac};
 use wtr_model::intern::{ApnSym, ApnTable};
 use wtr_model::rat::RadioFlags;
-use wtr_model::roaming::RoamingLabel;
+use wtr_model::roaming::{Presence, RoamingLabel, SimOrigin};
 use wtr_model::time::Day;
 use wtr_sim::par;
 use wtr_sim::stream::RecordStream;
@@ -174,7 +175,8 @@ pub fn read_transactions_serde<R: BufRead>(mut input: R) -> Result<Vec<M2mTransa
 /// The JSONL wire form of one catalog row: identical field names and
 /// order to [`CatalogEntry`], with `apns` spelled out as the sorted list
 /// of strings (resolved through the catalog's intern table), while the
-/// in-memory entry stores compact `ApnSym` keys.
+/// in-memory entry stores compact `ApnSym` keys. [`write_catalog_serde`]
+/// serializes it; [`write_catalog`] spells the same bytes directly.
 ///
 /// Rows of catalog schema v1 also carried the call seconds and the set
 /// of sector ids. The scanner gives up on such a line and the serde
@@ -335,17 +337,34 @@ impl CatalogRowWire {
 /// Writes a devices-catalog as JSONL: a header line, then one row per line
 /// in the (user, day) order [`DevicesCatalog::iter`] yields, so exports
 /// are diffable.
+///
+/// Each row is formatted straight into one reused line buffer, byte for
+/// byte as [`write_catalog_serde`] writes it: the wire row's keys in
+/// order, integers in decimal, APN strings sorted and escaped, floats as
+/// the compat `serde_json` writer spells them (`tests/decode_hardening.rs`
+/// checks the two writers agree).
 pub fn write_catalog<W: Write>(mut out: W, catalog: &DevicesCatalog) -> Result<(), IoError> {
-    let header = CatalogHeader {
-        format: CATALOG_FORMAT.to_owned(),
-        window_days: catalog.window_days(),
-        rows: catalog.len(),
-    };
-    serde_json::to_writer(&mut out, &header).map_err(|e| IoError::Parse {
-        line: 1,
-        message: e.to_string(),
-    })?;
-    out.write_all(b"\n")?;
+    write_catalog_header(&mut out, catalog)?;
+    let mut line = String::new();
+    let mut apns: Vec<&str> = Vec::new();
+    for row in catalog.iter() {
+        apns.clear();
+        apns.extend(row.apns.iter().map(|&sym| catalog.apn_str(sym)));
+        apns.sort_unstable();
+        line.clear();
+        push_row(&mut line, row, &apns);
+        line.push('\n');
+        out.write_all(line.as_bytes())?;
+    }
+    Ok(())
+}
+
+/// [`write_catalog`] through serde, one value tree per row: the
+/// reference the direct writer is checked against
+/// (`tests/decode_hardening.rs`), as [`read_catalog_serde`] is for the
+/// reader.
+pub fn write_catalog_serde<W: Write>(mut out: W, catalog: &DevicesCatalog) -> Result<(), IoError> {
+    write_catalog_header(&mut out, catalog)?;
     for (idx, row) in catalog.iter().enumerate() {
         let wire = CatalogRowWire::from_entry(row, catalog);
         serde_json::to_writer(&mut out, &wire).map_err(|e| IoError::Parse {
@@ -356,6 +375,140 @@ pub fn write_catalog<W: Write>(mut out: W, catalog: &DevicesCatalog) -> Result<(
         out.write_all(b"\n")?;
     }
     Ok(())
+}
+
+/// The header line both catalog JSONL writers start with.
+fn write_catalog_header<W: Write>(mut out: W, catalog: &DevicesCatalog) -> Result<(), IoError> {
+    let header = CatalogHeader {
+        format: CATALOG_FORMAT.to_owned(),
+        window_days: catalog.window_days(),
+        rows: catalog.len(),
+    };
+    serde_json::to_writer(&mut out, &header).map_err(|e| IoError::Parse {
+        line: 1,
+        message: e.to_string(),
+    })?;
+    out.write_all(b"\n")?;
+    Ok(())
+}
+
+/// Appends one catalog row as JSON, `apns` being its APN strings in
+/// sorted order. Writing into a `String` cannot fail, so the `fmt`
+/// results are dropped.
+fn push_row(line: &mut String, row: &CatalogEntry, apns: &[&str]) {
+    let plmn = row.sim_plmn;
+    let (sim, presence) = label_names(row.label);
+    let _ = write!(
+        line,
+        "{{\"user\":{},\"day\":{},\"sim_plmn\":{{\"mcc\":{},\"mnc\":{{\"value\":{},\"digits\":{}}}}},\
+         \"tac\":{},\"label\":{{\"sim\":\"{sim}\",\"presence\":\"{presence}\"}},\"events\":{},\
+         \"failed_events\":{},\"calls\":{},\"sms\":{},\"data_sessions\":{},\"bytes_up\":{},\
+         \"bytes_down\":{},\"visited\":[",
+        row.user,
+        row.day.0,
+        plmn.mcc.value(),
+        plmn.mnc.value(),
+        plmn.mnc.digits(),
+        row.tac.value(),
+        row.events,
+        row.failed_events,
+        row.calls,
+        row.sms,
+        row.data_sessions,
+        row.bytes_up,
+        row.bytes_down,
+    );
+    for (i, visited) in row.visited.iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        let _ = write!(line, "{visited}");
+    }
+    line.push_str("],\"apns\":[");
+    for (i, apn) in apns.iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        push_json_str(line, apn);
+    }
+    let flags = row.radio_flags;
+    let _ = write!(
+        line,
+        "],\"radio_flags\":{{\"any\":{},\"data\":{},\"voice\":{}}},\"hourly\":[",
+        flags.any.bits(),
+        flags.data.bits(),
+        flags.voice.bits(),
+    );
+    for (i, n) in row.hourly.iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        let _ = write!(line, "{n}");
+    }
+    let _ = write!(
+        line,
+        "],\"in_designated_range\":{},\"in_published_m2m_range\":{},\"mobility\":{{",
+        row.in_designated_range, row.in_published_m2m_range,
+    );
+    let keys = ["w", "lat_w", "lon_w", "lat2_w", "lon2_w"];
+    for (i, (key, value)) in keys.iter().zip(row.mobility.to_parts()).enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        let _ = write!(line, "\"{key}\":");
+        push_f64(line, value);
+    }
+    line.push_str("}}");
+}
+
+/// The serde names of a label's two unit variants.
+fn label_names(label: RoamingLabel) -> (&'static str, &'static str) {
+    let sim = match label.sim {
+        SimOrigin::Home => "Home",
+        SimOrigin::Virtual => "Virtual",
+        SimOrigin::National => "National",
+        SimOrigin::International => "International",
+    };
+    let presence = match label.presence {
+        Presence::Home => "Home",
+        Presence::Abroad => "Abroad",
+    };
+    (sim, presence)
+}
+
+/// Appends `f` as the compat `serde_json` writer spells it: `null` when
+/// not finite, one decimal when integral and below 1e16 in magnitude
+/// (`1.0`, not `1`), the shortest round-trip form otherwise.
+fn push_f64(line: &mut String, f: f64) {
+    if !f.is_finite() {
+        line.push_str("null");
+    } else if f == f.trunc() && f.abs() < 1e16 {
+        let _ = write!(line, "{f:.1}");
+    } else {
+        let _ = write!(line, "{f}");
+    }
+}
+
+/// Appends `s` as a JSON string, escaped as the compat `serde_json`
+/// writer escapes it.
+fn push_json_str(line: &mut String, s: &str) {
+    line.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => line.push_str("\\\""),
+            '\\' => line.push_str("\\\\"),
+            '\n' => line.push_str("\\n"),
+            '\r' => line.push_str("\\r"),
+            '\t' => line.push_str("\\t"),
+            '\u{08}' => line.push_str("\\b"),
+            '\u{0c}' => line.push_str("\\f"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(line, "\\u{:04x}", c as u32);
+            }
+            c => line.push(c),
+        }
+    }
+    line.push('"');
 }
 
 /// Writes a devices-catalog in the columnar binary `WTRCAT` format

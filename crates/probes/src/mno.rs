@@ -14,11 +14,22 @@
 //!
 //! Every visible event is folded into the daily devices-catalog on the
 //! fly and then dropped; the probe keeps only per-record counters.
+//!
+//! The fold keeps one open row per SIM: the SIM's row for the day of its
+//! latest event, held next to what the probe derives once per SIM (its
+//! anonymized ID, range tags, last label and APN symbols). An event
+//! touches the catalog only when it lands on another day than the open
+//! row's: that row goes back into the catalog, and the new day's row
+//! comes out of it or starts fresh. A row is always in exactly one place,
+//! so the fold equals a catalog lookup per event for any arrival order.
 
-use crate::catalog::DevicesCatalog;
+use crate::catalog::{CatalogEntry, DevicesCatalog};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use wtr_model::apn::Apn;
 use wtr_model::hash::{anonymize_u64, AnonKey};
-use wtr_model::ids::{ImsiRange, Plmn};
+use wtr_model::ids::{ImsiRange, Plmn, Tac};
+use wtr_model::intern::ApnSym;
 use wtr_model::operators::OperatorRegistry;
 use wtr_model::roaming::{Presence, RoamingLabel};
 use wtr_model::time::Day;
@@ -56,17 +67,78 @@ impl ElementLoad {
     }
 }
 
+/// What the probe keeps per SIM between the SIM's events.
+#[derive(Debug, Clone)]
+struct SimState {
+    /// Anonymized device ID.
+    user: u64,
+    /// Whether the SIM lies in a designated IMSI range.
+    designated: bool,
+    /// Whether the SIM lies in a published foreign M2M range.
+    published: bool,
+    /// The PLMN the SIM's latest event visited.
+    visited: Plmn,
+    /// The SIM's label on `visited` (`None`: invisible there).
+    label: Option<RoamingLabel>,
+    /// The SIM's APNs with their symbols in the probe's catalog.
+    apns: Vec<(Apn, ApnSym)>,
+    /// The SIM's row for the day of its latest event; out of the catalog
+    /// while it is open.
+    open: Option<CatalogEntry>,
+}
+
+impl SimState {
+    /// The catalog symbol of `apn`, interned on the SIM's first use.
+    fn apn_sym(&mut self, catalog: &mut DevicesCatalog, apn: &Apn) -> ApnSym {
+        if let Some(&(_, sym)) = self.apns.iter().find(|(known, _)| known == apn) {
+            return sym;
+        }
+        let sym = catalog.intern_apn(&apn.full());
+        self.apns.push((apn.clone(), sym));
+        sym
+    }
+
+    /// The SIM's row for `day`. If the open row is for another day, it
+    /// goes back into `catalog`, and the day's row comes out of it or
+    /// starts fresh with this event's identity fields.
+    fn open_row(
+        &mut self,
+        catalog: &mut DevicesCatalog,
+        day: Day,
+        sim_plmn: Plmn,
+        tac: Tac,
+        label: RoamingLabel,
+    ) -> &mut CatalogEntry {
+        if self.open.as_ref().is_none_or(|row| row.day != day) {
+            if let Some(row) = self.open.take() {
+                catalog.insert_entry(row);
+            }
+            let mut row = catalog
+                .take(self.user, day)
+                .unwrap_or_else(|| CatalogEntry::new(self.user, day, sim_plmn, tac, label));
+            // The tags are the SIM's, so setting them once per opening
+            // equals setting them on every event.
+            row.in_designated_range |= self.designated;
+            row.in_published_m2m_range |= self.published;
+            self.open = Some(row);
+        }
+        self.open.as_mut().expect("a row is open")
+    }
+}
+
 /// The studied MNO's passive measurement pipeline.
 ///
 /// # Memory contract
 ///
 /// The probe is a bounded-memory [`EventSink`] over the event stream:
 /// its steady state is **O(devices × active days)** — the
-/// devices-catalog rows plus one [`ElementLoad`] per window day — and
-/// never O(events). Events fold into catalog rows on arrival and are
-/// dropped; what survives of each record is its count
-/// ([`MnoProbe::radio_event_count`], [`MnoProbe::cdr_count`],
-/// [`MnoProbe::xdr_count`]) and its element load.
+/// devices-catalog rows plus one [`ElementLoad`] per window day, and per
+/// SIM one open row and its cached identity (anonymized ID, range tags,
+/// last label, APN symbols) — and never O(events). Events fold into
+/// catalog rows on arrival and are dropped; what survives of each record
+/// is its count ([`MnoProbe::radio_event_count`],
+/// [`MnoProbe::cdr_count`], [`MnoProbe::xdr_count`]) and its element
+/// load.
 #[derive(Debug, Clone)]
 pub struct MnoProbe {
     studied: Plmn,
@@ -74,8 +146,10 @@ pub struct MnoProbe {
     /// The studied network (to resolve sector positions for mobility).
     home_network: RadioNetwork,
     key: AnonKey,
-    /// The daily devices-catalog built so far.
-    pub catalog: DevicesCatalog,
+    /// The parked rows of the daily devices-catalog built so far.
+    catalog: DevicesCatalog,
+    /// Per-SIM state, keyed by packed IMSI.
+    sims: HashMap<u64, SimState>,
     designated_ranges: Vec<ImsiRange>,
     published_m2m_ranges: Vec<ImsiRange>,
     element_load: Vec<ElementLoad>,
@@ -100,6 +174,7 @@ impl MnoProbe {
             home_network,
             key,
             catalog: DevicesCatalog::new(window_days),
+            sims: HashMap::new(),
             designated_ranges: Vec::new(),
             published_m2m_ranges: Vec::new(),
             element_load: vec![ElementLoad::default(); window_days as usize],
@@ -146,7 +221,8 @@ impl MnoProbe {
     }
 
     /// Consumes the probe, returning the catalog.
-    pub fn into_catalog(self) -> DevicesCatalog {
+    pub fn into_catalog(mut self) -> DevicesCatalog {
+        self.park_open_rows();
         self.catalog
     }
 
@@ -155,13 +231,21 @@ impl MnoProbe {
         &self.element_load
     }
 
-    fn element_day(&mut self, day: Day) -> &mut ElementLoad {
-        let idx = (day.0 as usize).min(self.element_load.len().saturating_sub(1));
-        &mut self.element_load[idx]
-    }
-
-    fn label_for(&self, sim: Plmn, visited: Plmn) -> Option<RoamingLabel> {
-        RoamingLabel::derive(self.studied, &self.registry, sim, visited)
+    /// Puts every open row back into the catalog and drops the per-SIM
+    /// state, whose APN symbols a canonicalization or merge of the
+    /// catalog would invalidate. A SIM's next event starts its state
+    /// afresh, taking its row back out of the catalog.
+    fn park_open_rows(&mut self) {
+        // Two SIMs hold rows of one (user, day) only if their anonymized
+        // IDs collide; parking in IMSI order, not the map's, keeps the
+        // fold of such rows deterministic.
+        let mut sims: Vec<(u64, SimState)> = std::mem::take(&mut self.sims).into_iter().collect();
+        sims.sort_unstable_by_key(|&(imsi, _)| imsi);
+        for (_, sim) in sims {
+            if let Some(row) = sim.open {
+                self.catalog.insert_entry(row);
+            }
+        }
     }
 
     /// A probe with the same configuration but no accumulated state —
@@ -175,6 +259,7 @@ impl MnoProbe {
             home_network: self.home_network.clone(),
             key: self.key,
             catalog: DevicesCatalog::new(window_days),
+            sims: HashMap::new(),
             designated_ranges: self.designated_ranges.clone(),
             published_m2m_ranges: self.published_m2m_ranges.clone(),
             element_load: vec![ElementLoad::default(); self.element_load.len()],
@@ -196,8 +281,11 @@ impl MnoProbe {
     /// are concatenated — is erased by [`MnoProbe::canonicalize`]
     /// afterwards. Property-tested in `tests/shard_determinism.rs`:
     /// absorbing arbitrarily partitioned shard probes reproduces the
-    /// single-probe serial fold exactly.
-    pub fn absorb(&mut self, other: MnoProbe) {
+    /// single-probe serial fold exactly. Both probes park their open rows
+    /// in their catalogs first.
+    pub fn absorb(&mut self, mut other: MnoProbe) {
+        self.park_open_rows();
+        other.park_open_rows();
         self.catalog.merge(other.catalog);
         for (mine, theirs) in self.element_load.iter_mut().zip(other.element_load) {
             mine.merge(theirs);
@@ -212,115 +300,108 @@ impl MnoProbe {
     /// serial runs intern APNs in different first-occurrence orders
     /// (the interleaving of devices differs); canonical form is the
     /// common fixpoint both converge to, making probe state comparable
-    /// — and byte-identical once serialized — across shard counts.
+    /// — and byte-identical once serialized — across shard counts. Open
+    /// rows are parked in the catalog first.
     pub fn canonicalize(&mut self) {
+        self.park_open_rows();
         self.catalog.canonicalize();
     }
 }
 
+/// The element-load slot of `day` (the last slot for days past the
+/// window).
+fn element_day(load: &mut [ElementLoad], day: Day) -> &mut ElementLoad {
+    let idx = (day.0 as usize).min(load.len().saturating_sub(1));
+    &mut load[idx]
+}
+
 impl EventSink for MnoProbe {
     fn on_event(&mut self, event: &SimEvent) {
-        match event {
+        let (imsi, imei, visited, time) = match event {
+            // Radio events exist only on the studied network.
+            SimEvent::Signaling(sig) if sig.visited != self.studied => return,
+            SimEvent::Signaling(sig) => (sig.imsi, sig.imei, sig.visited, sig.time),
+            SimEvent::Voice(v) => (v.imsi, v.imei, v.visited, v.time),
+            SimEvent::Data(d) => (d.imsi, d.imei, d.visited, d.time),
+        };
+        let (studied, registry, key) = (self.studied, &self.registry, self.key);
+        let derive = |visited| RoamingLabel::derive(studied, registry, imsi.plmn(), visited);
+        let (designated, published) = (&self.designated_ranges, &self.published_m2m_ranges);
+        let sim = self.sims.entry(imsi.packed()).or_insert_with(|| SimState {
+            user: anonymize_u64(key, imsi.packed()),
+            designated: designated.iter().any(|r| r.contains(imsi)),
+            published: published.iter().any(|r| r.contains(imsi)),
+            visited,
+            label: derive(visited),
+            apns: Vec::new(),
+            open: None,
+        });
+        if sim.visited != visited {
+            sim.visited = visited;
+            sim.label = derive(visited);
+        }
+        let Some(label) = sim.label else {
+            return;
+        };
+        let day = Day(time.day().0);
+        let home = visited == studied;
+        let apn = match event {
+            SimEvent::Data(d) => Some(sim.apn_sym(&mut self.catalog, &d.apn)),
+            _ => None,
+        };
+        let row = sim.open_row(&mut self.catalog, day, imsi.plmn(), imei.tac(), label);
+        let load = element_day(&mut self.element_load, day);
+        row.hourly[time.hour_of_day() as usize] += 1;
+        row.visited.insert(visited.packed());
+        let sector = match event {
             SimEvent::Signaling(sig) => {
-                // Radio events exist only on the studied network.
-                if sig.visited != self.studied {
-                    return;
-                }
-                let Some(label) = self.label_for(sig.imsi.plmn(), sig.visited) else {
-                    return;
-                };
                 debug_assert_eq!(label.presence, Presence::Home);
-                let user = anonymize_u64(self.key, sig.imsi.packed());
-                let day = Day(sig.time.day().0);
-                let tac = sig.imei.tac();
                 self.radio_events += 1;
                 if sig.rat.is_lte_family() {
-                    self.element_day(day).mme += 1;
+                    load.mme += 1;
                 } else {
-                    self.element_day(day).sgsn += 1;
+                    load.sgsn += 1;
                 }
-                let designated = self.designated_ranges.iter().any(|r| r.contains(sig.imsi));
-                let published = self
-                    .published_m2m_ranges
-                    .iter()
-                    .any(|r| r.contains(sig.imsi));
-                let row = self.catalog.row_mut(user, day, sig.imsi.plmn(), tac, label);
-                row.in_designated_range |= designated;
-                row.in_published_m2m_range |= published;
-                row.hourly[sig.time.hour_of_day() as usize] += 1;
                 row.events += 1;
-                if !sig.result.is_ok() {
-                    row.failed_events += 1;
-                } else {
+                if sig.result.is_ok() {
                     row.radio_flags.record(sig.rat, false, false);
+                } else {
+                    row.failed_events += 1;
                 }
-                row.visited.insert(sig.visited.packed());
-                if let Some(sector) = sig.sector {
-                    let pos = self.home_network.sector_position(sector);
-                    row.mobility.add(pos, 1.0);
-                }
+                sig.sector
             }
             SimEvent::Voice(v) => {
-                let Some(label) = self.label_for(v.imsi.plmn(), v.visited) else {
-                    return;
-                };
-                let user = anonymize_u64(self.key, v.imsi.packed());
-                let day = Day(v.time.day().0);
-                let tac = v.imei.tac();
                 self.cdr_count += 1;
-                if v.visited == self.studied {
-                    self.element_day(day).msc += 1;
+                if home {
+                    load.msc += 1;
                 }
-                let designated = self.designated_ranges.iter().any(|r| r.contains(v.imsi));
-                let published = self.published_m2m_ranges.iter().any(|r| r.contains(v.imsi));
-                let row = self.catalog.row_mut(user, day, v.imsi.plmn(), tac, label);
-                row.in_designated_range |= designated;
-                row.in_published_m2m_range |= published;
-                row.hourly[v.time.hour_of_day() as usize] += 1;
                 match v.kind {
                     VoiceKind::Call => row.calls += 1,
                     VoiceKind::SmsLike => row.sms += 1,
                 }
                 row.radio_flags.record(v.rat, false, true);
-                row.visited.insert(v.visited.packed());
-                if v.visited == self.studied {
-                    row.mobility
-                        .add(self.home_network.sector_position(v.sector), 1.0);
-                }
+                home.then_some(v.sector)
             }
             SimEvent::Data(d) => {
-                let Some(label) = self.label_for(d.imsi.plmn(), d.visited) else {
-                    return;
-                };
-                let user = anonymize_u64(self.key, d.imsi.packed());
-                let day = Day(d.time.day().0);
-                let tac = d.imei.tac();
                 self.xdr_count += 1;
-                if d.visited == self.studied {
+                if home {
                     if d.rat.is_lte_family() {
-                        self.element_day(day).sgw += 1;
+                        load.sgw += 1;
                     } else {
-                        self.element_day(day).ggsn += 1;
+                        load.ggsn += 1;
                     }
                 }
-                let designated = self.designated_ranges.iter().any(|r| r.contains(d.imsi));
-                let published = self.published_m2m_ranges.iter().any(|r| r.contains(d.imsi));
-                let apn_sym = self.catalog.intern_apn(&d.apn.full());
-                let row = self.catalog.row_mut(user, day, d.imsi.plmn(), tac, label);
-                row.in_designated_range |= designated;
-                row.in_published_m2m_range |= published;
-                row.hourly[d.time.hour_of_day() as usize] += 1;
                 row.data_sessions += 1;
                 row.bytes_up += d.bytes_up;
                 row.bytes_down += d.bytes_down;
-                row.apns.insert(apn_sym);
+                row.apns.extend(apn);
                 row.radio_flags.record(d.rat, true, false);
-                row.visited.insert(d.visited.packed());
-                if d.visited == self.studied {
-                    row.mobility
-                        .add(self.home_network.sector_position(d.sector), 1.0);
-                }
+                home.then_some(d.sector)
             }
+        };
+        if let Some(sector) = sector {
+            row.mobility
+                .add(self.home_network.sector_position(sector), 1.0);
         }
     }
 }
@@ -413,15 +494,16 @@ mod tests {
         p.on_event(&data_event(imsi, MNO));
         assert_eq!(p.radio_event_count(), 1);
         assert_eq!(p.xdr_count(), 1);
-        assert_eq!(p.catalog.len(), 1);
-        let row = p.catalog.iter().next().unwrap();
+        let catalog = p.into_catalog();
+        assert_eq!(catalog.len(), 1);
+        let row = catalog.iter().next().unwrap();
         assert_eq!(row.label, RoamingLabel::IH);
         assert_eq!(row.events, 1);
         assert_eq!(row.data_sessions, 1);
         assert!(row
             .apns
             .iter()
-            .any(|&a| p.catalog.apn_str(a).contains("centricaplc")));
+            .any(|&a| catalog.apn_str(a).contains("centricaplc")));
         assert!(row.radio_flags.data.contains(Rat::G2));
         assert_eq!(row.mobility.weight(), 2.0, "both events placed in a sector");
         assert!(row.mobility.gyration_km().unwrap() < 1e-6);
@@ -433,9 +515,9 @@ mod tests {
         let imsi = Imsi::new(NL, 1).unwrap();
         p.on_event(&sig_event(imsi, ES, true));
         p.on_event(&data_event(imsi, ES));
-        assert!(p.catalog.is_empty());
         assert_eq!(p.radio_event_count(), 0);
         assert_eq!(p.xdr_count(), 0);
+        assert!(p.into_catalog().is_empty());
     }
 
     #[test]
@@ -448,7 +530,8 @@ mod tests {
         // Data abroad: visible via clearing.
         p.on_event(&data_event(imsi, ES));
         assert_eq!(p.xdr_count(), 1);
-        let row = p.catalog.iter().next().unwrap();
+        let catalog = p.into_catalog();
+        let row = catalog.iter().next().unwrap();
         assert_eq!(row.label, RoamingLabel::HA);
         assert_eq!(row.events, 0, "no radio events for outbound roamers");
         assert_eq!(row.mobility.weight(), 0.0, "no sector visibility abroad");
@@ -459,7 +542,8 @@ mod tests {
         let mut p = probe();
         let imsi = Imsi::new(NL, 9).unwrap();
         p.on_event(&sig_event(imsi, MNO, false));
-        let row = p.catalog.iter().next().unwrap();
+        let catalog = p.into_catalog();
+        let row = catalog.iter().next().unwrap();
         assert_eq!(row.failed_events, 1);
         assert!(row.radio_flags.any.is_empty(), "failed events set no flags");
     }
@@ -479,11 +563,12 @@ mod tests {
             kind: VoiceKind::Call,
             duration_secs: 90,
         }));
-        let row = p.catalog.iter().next().unwrap();
+        assert_eq!(p.cdr_count(), 1);
+        let catalog = p.into_catalog();
+        let row = catalog.iter().next().unwrap();
         assert_eq!(row.calls, 1);
         assert!(row.radio_flags.voice.contains(Rat::G2));
         assert!(row.used_voice() && !row.used_data());
-        assert_eq!(p.cdr_count(), 1);
     }
 
     #[test]
@@ -491,7 +576,8 @@ mod tests {
         let mut p = probe();
         let imsi = Imsi::new(Plmn::of(234, 31), 3).unwrap();
         p.on_event(&sig_event(imsi, MNO, true));
-        let row = p.catalog.iter().next().unwrap();
+        let catalog = p.into_catalog();
+        let row = catalog.iter().next().unwrap();
         assert_eq!(row.label, RoamingLabel::VH);
     }
 
@@ -505,7 +591,8 @@ mod tests {
             s.time = SimTime::from_day_and_secs(1, 10);
         }
         p.on_event(&e);
-        assert_eq!(p.catalog.len(), 2);
-        assert_eq!(p.catalog.device_count(), 1);
+        let catalog = p.into_catalog();
+        assert_eq!(catalog.len(), 2);
+        assert_eq!(catalog.device_count(), 1);
     }
 }

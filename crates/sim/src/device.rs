@@ -187,7 +187,9 @@ impl DeviceSpec {
 /// The executable agent for one device.
 #[derive(Debug, Clone)]
 pub struct DeviceAgent {
-    spec: DeviceSpec,
+    /// Behind an `Arc` so a wake can borrow the day's itinerary leg
+    /// while it steps the agent mutably.
+    spec: Arc<DeviceSpec>,
     /// The compiled behavior matrix driving the agent. Shared: every
     /// device of a class steps the same matrix.
     behavior: Arc<BehaviorMatrix>,
@@ -243,7 +245,7 @@ impl DeviceAgent {
         let multiplier = behavior.draw_multiplier(&mut rng);
         let sticky_breadth = behavior.draw_sticky_breadth(&mut rng);
         DeviceAgent {
-            spec,
+            spec: Arc::new(spec),
             behavior,
             rng,
             multiplier,
@@ -516,10 +518,13 @@ impl DeviceAgent {
         }
         let now = sched.now();
         let day = now.day();
-        let leg = self.spec.leg_at(day).clone();
+        // A second handle on the spec: the step borrows the agent
+        // mutably, the leg stays borrowed from the spec.
+        let spec = Arc::clone(&self.spec);
+        let leg = spec.leg_at(day);
         let pos = leg.mobility.position(now);
         let ctx = StepCtx {
-            present: self.spec.presence.present_on(day),
+            present: spec.presence.present_on(day),
             multiplier: self.multiplier,
         };
         let (next, emission, serving) = {
@@ -589,8 +594,8 @@ impl DeviceAgent {
                 duration_secs,
             } => {
                 if let Some((plmn, rat, sec)) = serving {
-                    if !self.spec.apns.is_empty() {
-                        let apn = self.spec.apns[apn_index as usize % self.spec.apns.len()].clone();
+                    if !spec.apns.is_empty() {
+                        let apn = spec.apns[apn_index as usize % spec.apns.len()].clone();
                         world.emit(SimEvent::Data(DataSession {
                             time: now,
                             device: self.spec.index,
@@ -636,7 +641,7 @@ impl DeviceAgent {
         // included.
         if matrix.is_plan(state) {
             let next_day = Day(day.0 + 1);
-            if next_day.0 < self.spec.presence.last_day {
+            if next_day.0 < spec.presence.last_day {
                 sched.wake_at(id, WakeTag(next.0), next_day.start());
             }
         }

@@ -50,7 +50,7 @@ impl DiurnalShape {
             DiurnalShape::Flat => rng.range_u64(0, 86_400),
             DiurnalShape::Periodic => rng.range_u64(0, 86_400),
             DiurnalShape::Human => {
-                let weights: Vec<f64> = (0..24).map(|h| self.hour_weight(h)).collect();
+                let weights: [f64; 24] = std::array::from_fn(|h| self.hour_weight(h as u32));
                 let hour = rng.weighted_index(&weights) as u64;
                 hour * 3_600 + rng.range_u64(0, 3_600)
             }
