@@ -8,14 +8,16 @@
 //! must be observationally identical to the serde-only reference
 //! readers ([`io::read_catalog_serde`] / [`io::read_transactions_serde`])
 //! — on valid input the same value, on invalid input the same error
-//! message and line number.
+//! message and line number. The direct JSONL row writer
+//! ([`io::write_catalog`]) must likewise write the bytes of the serde
+//! one ([`io::write_catalog_serde`]).
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use where_things_roam::core::stream::stream_catalog;
 use where_things_roam::model::ids::{Mcc, Mnc, Plmn, Tac};
 use where_things_roam::model::rat::{RadioFlags, RatSet};
-use where_things_roam::model::roaming::RoamingLabel;
+use where_things_roam::model::roaming::{Presence, RoamingLabel, SimOrigin};
 use where_things_roam::model::time::{Day, SimTime};
 use where_things_roam::probes::catalog::{DevicesCatalog, MobilityAccum};
 use where_things_roam::probes::io::{self, IoError};
@@ -154,7 +156,110 @@ fn assert_catalog_readers_agree(bytes: &[u8]) {
     }
 }
 
+/// Floats the row writer must spell as serde does: both zeros, either
+/// side of the 1e16 switch from `{:.1}` to the shortest form, tiny and
+/// subnormal values, and the non-finite ones written as `null`.
+const TRICKY_FLOATS: [f64; 12] = [
+    -0.0,
+    0.0,
+    1e16,
+    -1e16,
+    9_999_999_999_999_998.0,
+    0.1,
+    1e-300,
+    5e-324,
+    f64::MIN_POSITIVE / 4.0,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// Characters the row writer must escape as serde does: quotes,
+/// backslashes, control characters with and without a short escape,
+/// and DEL and non-ASCII characters, which pass through.
+const TRICKY_CHARS: [char; 14] = [
+    '"', '\\', '\n', '\r', '\t', '\u{08}', '\u{0c}', '\u{00}', '\u{1f}', '\u{7f}', 'é', '€', '😀',
+    'a',
+];
+
+/// A catalog whose every field comes from the generated bits: all six
+/// label parts, 2- and 3-digit MNCs, full-range counters, a mobility
+/// part from [`TRICKY_FLOATS`] or from raw bits, and APN strings made
+/// of [`TRICKY_CHARS`], interned in generated (not sorted) order.
+fn tricky_catalog(rows: &[(u64, u8, u64, u64)], apns: &[Vec<usize>]) -> DevicesCatalog {
+    let mut cat = DevicesCatalog::new(5);
+    let syms: Vec<_> = apns
+        .iter()
+        .map(|chars| cat.intern_apn(&chars.iter().map(|&i| TRICKY_CHARS[i]).collect::<String>()))
+        .collect();
+    let origins = [
+        SimOrigin::Home,
+        SimOrigin::Virtual,
+        SimOrigin::National,
+        SimOrigin::International,
+    ];
+    for &(user, day, a, b) in rows {
+        let label = RoamingLabel {
+            sim: origins[(a % 4) as usize],
+            presence: if a & 4 == 0 {
+                Presence::Home
+            } else {
+                Presence::Abroad
+            },
+        };
+        let plmn = if a & 8 == 0 {
+            Plmn::of(204, 4)
+        } else {
+            Plmn::new(
+                Mcc::new(310).unwrap(),
+                Mnc::new3((a % 1000) as u16).unwrap(),
+            )
+        };
+        let tac = Tac::new(35_000_000 + (b % 1000) as u32).unwrap();
+        let r = cat.row_mut(user, Day(u32::from(day)), plmn, tac, label);
+        r.events = a;
+        r.failed_events = b;
+        r.calls = a >> 7;
+        r.sms = b >> 9;
+        r.data_sessions = a ^ b;
+        r.bytes_up = a.wrapping_mul(b);
+        r.bytes_down = u64::MAX - a;
+        r.visited.extend([a as u32, b as u32, 234_030]);
+        r.apns.extend(syms.iter().skip((a % 3) as usize).step_by(2));
+        r.radio_flags = RadioFlags {
+            any: RatSet::from_bits(a as u8),
+            data: RatSet::from_bits(b as u8),
+            voice: RatSet::from_bits((a >> 4) as u8),
+        };
+        r.hourly = std::array::from_fn(|h| (a.rotate_left(h as u32 * 3) as u32) >> (h % 8));
+        r.in_designated_range = a & 16 == 0;
+        r.in_published_m2m_range = b & 16 == 0;
+        r.mobility = MobilityAccum::from_parts(std::array::from_fn(|i| {
+            if (a >> (32 + i)) & 1 == 0 {
+                TRICKY_FLOATS[((b >> (8 * i)) % 12) as usize]
+            } else {
+                f64::from_bits(b.rotate_left(13 * i as u32))
+            }
+        }));
+    }
+    cat
+}
+
 proptest! {
+    /// The direct JSONL row writer writes exactly the serde writer's
+    /// bytes.
+    #[test]
+    fn direct_writer_matches_serde_writer(
+        rows in prop::collection::vec((any::<u64>(), 0u8..5, any::<u64>(), any::<u64>()), 0..30),
+        apns in prop::collection::vec(prop::collection::vec(0usize..14, 0..8), 1..6),
+    ) {
+        let cat = tricky_catalog(&rows, &apns);
+        let mut serde = Vec::new();
+        io::write_catalog_serde(&mut serde, &cat).unwrap();
+        let direct = jsonl_bytes(&cat);
+        prop_assert_eq!(String::from_utf8_lossy(&direct), String::from_utf8_lossy(&serde));
+    }
+
     /// Truncating a valid WTRCAT file anywhere must produce an error —
     /// promptly and panic-free.
     #[test]

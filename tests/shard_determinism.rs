@@ -18,9 +18,10 @@
 //!    small world's raw emission order, the lossy catalog, the whole
 //!    lossy fingerprint and the transparency catalog.
 //! 3. **Merge algebra** (proptest): `MnoProbe::absorb` over arbitrary
-//!    device partitions reproduces the serial fold exactly, and the
-//!    `LossySink` drop set is invariant to how devices are partitioned
-//!    into shards.
+//!    device partitions reproduces the serial fold exactly, the probe's
+//!    per-SIM open rows fold like a catalog lookup per event in any
+//!    arrival order, and the `LossySink` drop set is invariant to how
+//!    devices are partitioned into shards.
 
 use proptest::prelude::*;
 use where_things_roam::model::country::Country;
@@ -316,6 +317,7 @@ mod small_world {
 
 const MNO: Plmn = well_known::UK_STUDIED_MNO;
 const NL: Plmn = well_known::NL_SMART_METER_HMNO;
+const ES: Plmn = well_known::ES_HMNO;
 
 fn home_network() -> RadioNetwork {
     RadioNetwork::new(
@@ -339,8 +341,18 @@ fn probe_proto() -> MnoProbe {
 
 /// Builds one synthetic probe event from a proptest row. `seq` is the
 /// device's own event counter, so times are strictly increasing within
-/// each device regardless of the global interleaving.
-fn build_event(net: &RadioNetwork, device: u8, day: u8, hour: u8, kind: u8, seq: u64) -> SimEvent {
+/// each device regardless of the global interleaving. `twist` moves some
+/// events abroad (bit 0 and 1 both clear) and changes the TAC of others
+/// (bit 2); the merge-algebra test passes 1, neither.
+fn build_event(
+    net: &RadioNetwork,
+    device: u8,
+    day: u8,
+    hour: u8,
+    kind: u8,
+    seq: u64,
+    twist: u8,
+) -> SimEvent {
     let device = u64::from(device);
     let time =
         SimTime::from_secs(u64::from(day) * 86_400 + u64::from(hour) * 3_600 + (seq * 7) % 3_600);
@@ -350,7 +362,11 @@ fn build_event(net: &RadioNetwork, device: u8, day: u8, hour: u8, kind: u8, seq:
     } else {
         Imsi::new(NL, 5_000_000_000 + device).unwrap()
     };
-    let imei = Imei::new(Tac::new(35_000_000).unwrap(), device as u32).unwrap();
+    // Abroad, a native SIM shows up as H:A through clearing records and
+    // an inbound one not at all.
+    let visited = if twist % 4 == 0 { ES } else { MNO };
+    let tac = 35_000_000 + u32::from(twist & 4);
+    let imei = Imei::new(Tac::new(tac).unwrap(), device as u32).unwrap();
     let rat = if kind % 2 == 0 { Rat::G2 } else { Rat::G4 };
     let sector = net
         .grid()
@@ -361,7 +377,7 @@ fn build_event(net: &RadioNetwork, device: u8, day: u8, hour: u8, kind: u8, seq:
             device,
             imsi,
             imei,
-            visited: MNO,
+            visited,
             sector: Some(sector),
             rat,
             procedure: if kind % 4 == 0 {
@@ -380,7 +396,7 @@ fn build_event(net: &RadioNetwork, device: u8, day: u8, hour: u8, kind: u8, seq:
             device,
             imsi,
             imei,
-            visited: MNO,
+            visited,
             sector,
             rat,
             apn: if device % 2 == 0 {
@@ -397,7 +413,7 @@ fn build_event(net: &RadioNetwork, device: u8, day: u8, hour: u8, kind: u8, seq:
             device,
             imsi,
             imei,
-            visited: MNO,
+            visited,
             sector,
             rat,
             kind: if kind % 2 == 0 {
@@ -449,7 +465,7 @@ proptest! {
             .map(|&(device, day, hour, kind)| {
                 let s = seq[device as usize];
                 seq[device as usize] += 1;
-                build_event(&net, device, day, hour, kind, s)
+                build_event(&net, device, day, hour, kind, s, 1)
             })
             .collect();
 
@@ -473,6 +489,30 @@ proptest! {
         }
 
         prop_assert_eq!(probe_fingerprint(serial), probe_fingerprint(merged));
+    }
+
+    /// The probe's per-SIM open row folds exactly as a catalog lookup
+    /// per event would, whatever order events arrive in: devices' days
+    /// go back and forth, some events visit abroad, some change the
+    /// TAC. The reference probe canonicalizes after every event, which
+    /// parks every open row, so each of its events finds its row in the
+    /// catalog.
+    #[test]
+    fn open_rows_fold_like_catalog_lookups_in_any_order(
+        rows in prop::collection::vec((0u8..6, 0u8..5, 0u8..24, 0u8..30, 0u8..8), 1..80),
+    ) {
+        let net = home_network();
+        let proto = probe_proto();
+        let mut straight = proto.fork_empty();
+        let mut parked = proto.fork_empty();
+        for (seq, &(device, day, hour, kind, twist)) in rows.iter().enumerate() {
+            let event = build_event(&net, device, day, hour, kind, seq as u64, twist);
+            straight.on_event(&event);
+            parked.on_event(&event);
+            parked.canonicalize();
+        }
+        let (straight, parked) = (probe_fingerprint(straight), probe_fingerprint(parked));
+        prop_assert_eq!(String::from_utf8_lossy(&straight), String::from_utf8_lossy(&parked));
     }
 
     /// The LossySink drop coin is a pure function of (salt, device,
