@@ -6,12 +6,12 @@
 //! repro [--devices N] [--days D] [--seed S] [--m2m-devices N] [exp ...]
 //! ```
 //!
-//! With no experiment arguments, all of E1–E23 run. Experiment ids map to
+//! With no experiment arguments, all of E1–E24 run. Experiment ids map to
 //! paper artifacts per DESIGN.md §4 (e.g. `e2` = Fig. 2, `e11` = Fig. 11);
-//! E20–E23 are the extension experiments motivated by the paper's §1/§8
+//! E20–E24 are the extension experiments motivated by the paper's §1/§8
 //! discussion (NB-IoT detection, roaming economics, diurnal shapes, 2G
-//! sunset). Output is paper-value vs measured-value, plus the underlying
-//! tables/CDFs rendered as text.
+//! sunset, IMSI-range transparency). Output is paper-value vs
+//! measured-value, plus the underlying tables/CDFs rendered as text.
 
 use std::collections::BTreeSet;
 use wtr_bench::{compare_line, MnoArtifacts};
