@@ -163,18 +163,13 @@ pub fn simulate_mno(argv: &[String]) -> Result<(), String> {
         None => scenario.run(),
     };
     let stats = output.engine_stats();
-    // "peak queue depth" is the deepest single event loop actually got
-    // (`peak_queue_max`); shard peaks need not coincide in time, so the
-    // parenthesized cross-shard sum is only an upper bound on the
-    // concurrent total.
     eprintln!(
         "simulated on {} shard(s): {} agents, {} wake-ups dispatched, \
-         peak queue depth {} (sum across shards {})",
+         peak queue depth {}",
         output.shard_stats.len(),
         stats.agents,
         stats.dispatched,
-        stats.peak_queue_max,
-        stats.peak_queue
+        stats.peak_queue_max
     );
     let mut out = open_out(out_path)?;
     probe_io::write_catalog(&mut out, &output.catalog).map_err(|e| e.to_string())?;
@@ -280,12 +275,11 @@ pub fn simulate_platform(argv: &[String]) -> Result<(), String> {
     let stats = output.engine_stats();
     eprintln!(
         "simulated on {} shard(s): {} agents, {} wake-ups dispatched, \
-         peak queue depth {} (sum across shards {})",
+         peak queue depth {}",
         output.shard_stats.len(),
         stats.agents,
         stats.dispatched,
-        stats.peak_queue_max,
-        stats.peak_queue
+        stats.peak_queue_max
     );
     let mut out = open_out(out_path)?;
     probe_io::write_transactions(&mut out, &output.transactions).map_err(|e| e.to_string())?;

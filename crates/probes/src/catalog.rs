@@ -23,7 +23,6 @@ use wtr_model::rat::RadioFlags;
 use wtr_model::roaming::RoamingLabel;
 use wtr_model::time::Day;
 use wtr_radio::geo::GeoPoint;
-use wtr_sim::par;
 
 /// Kilometres per degree of latitude (and of longitude at the equator).
 const KM_PER_DEG: f64 = 111.195;
@@ -402,18 +401,14 @@ impl DevicesCatalog {
     pub fn canonicalize(&mut self) {
         let (table, remap) = self.apns.canonicalized();
         self.apns = table;
-        // The remap is pure per row, so the row rewrite fans out over
-        // `par` workers. Rows are mutated in place behind their stable
-        // (user, day) keys — the map order, and therefore every
-        // downstream iteration, is untouched at any worker count.
-        let mut entries: Vec<&mut CatalogEntry> = self
-            .rows
-            .values_mut()
-            .filter(|e| !e.apns.is_empty())
-            .collect();
-        par::par_each_mut(&mut entries, |entry| {
-            entry.apns = entry.apns.iter().map(|s| remap[s.index()]).collect();
-        });
+        // Rows are rewritten in place behind their stable (user, day)
+        // keys, so the map order, and every downstream iteration, is
+        // untouched.
+        for entry in self.rows.values_mut() {
+            if !entry.apns.is_empty() {
+                entry.apns = entry.apns.iter().map(|s| remap[s.index()]).collect();
+            }
+        }
     }
 
     /// Number of distinct devices seen across the window.

@@ -86,15 +86,13 @@ pub struct M2mScenarioOutput {
     /// Window length.
     pub days: u32,
     /// Per-shard engine statistics in shard order, mirroring
-    /// `MnoScenarioOutput::shard_stats` (see that field for the
-    /// `peak_queue` sum-vs-max semantics).
+    /// `MnoScenarioOutput::shard_stats`.
     pub shard_stats: Vec<wtr_sim::engine::EngineStats>,
 }
 
 impl M2mScenarioOutput {
     /// Sum of the per-shard engine statistics ([`EngineStats::absorb`]:
-    /// counters add, queue peaks keep both the sum and the per-shard
-    /// max).
+    /// counters add, the queue peak keeps the per-shard max).
     ///
     /// [`EngineStats::absorb`]: wtr_sim::engine::EngineStats::absorb
     pub fn engine_stats(&self) -> wtr_sim::engine::EngineStats {

@@ -50,7 +50,6 @@ use wtr_sim::behavior::BehaviorMatrix;
 use wtr_sim::device::{DeviceAgent, DeviceSpec, ItineraryLeg, PresenceModel};
 use wtr_sim::engine::EngineStats;
 use wtr_sim::mobility::MobilityModel;
-use wtr_sim::par;
 use wtr_sim::rng::SubstreamRng;
 use wtr_sim::shard;
 use wtr_sim::traffic::TrafficProfile;
@@ -130,10 +129,9 @@ pub struct MnoScenarioOutput {
 
 impl MnoScenarioOutput {
     /// Sum of the per-shard engine statistics ([`EngineStats::absorb`]).
-    /// Counters are additive across shards; for the queue high-water
-    /// mark the total carries both `peak_queue` (cross-shard sum, an
-    /// upper bound on concurrent depth) and `peak_queue_max` (deepest
-    /// single event loop — the figure the CLI summary prints).
+    /// Counters are additive across shards; the queue high-water mark is
+    /// `peak_queue_max`, the deepest single event loop and the figure
+    /// the CLI summary prints.
     pub fn engine_stats(&self) -> EngineStats {
         let mut total = EngineStats::default();
         for s in &self.shard_stats {
@@ -195,10 +193,15 @@ impl MnoScenario {
     /// population splits into `shards` contiguous shards
     /// ([`wtr_sim::par::split_ranges`]), each runs its own engine with a
     /// shard-local probe behind a shard-local [`LossySink`], and the
-    /// shard probes merge in shard order — a parallel tree reduction
-    /// over `MnoProbe::absorb` (see [`merge_shard_probes`]) — followed
-    /// by APN-symbol canonicalization. `shards == 1` *is* the serial
-    /// path: one engine, inline on the calling thread.
+    /// shard probes fold left to right through `MnoProbe::absorb`,
+    /// followed by APN-symbol canonicalization. `shards == 1` *is* the
+    /// serial path: one engine, inline on the calling thread.
+    ///
+    /// The fold equals the serial run at any shard count: shard probes
+    /// tap disjoint device populations, so catalog rows never collide
+    /// across shards (no floating-point regrouping), record vectors
+    /// concatenate in shard order, counters are additive, and the
+    /// canonicalization erases the APN intern order the fold leaves.
     ///
     /// Output — catalog bytes, ground truth, record counts, element
     /// load — is byte-identical at every shard count; the shard-count
@@ -285,16 +288,18 @@ impl MnoScenario {
                 LossySink::new(probe_proto.fork_empty(), cfg.record_loss_fraction, cfg.seed);
             RoamingWorld::new(directory.clone(), Box::new(policy.clone()), lossy, cfg.seed)
         });
-        // Merge the shard probes in shard order, then canonicalize APN
+        // Fold the shard probes in shard order, then canonicalize APN
         // symbols: the only interleaving-dependent state is the intern
         // order, which canonicalization erases.
         let mut shard_stats = Vec::with_capacity(results.len());
-        let mut shard_probes = Vec::with_capacity(shard_stats.capacity());
-        for (world, stats) in results {
+        let mut shard_probes = results.into_iter().map(|(world, stats)| {
             shard_stats.push(stats);
-            shard_probes.push(world.sink.into_inner());
+            world.sink.into_inner()
+        });
+        let mut probe = shard_probes.next().expect("at least one shard");
+        for shard_probe in shard_probes {
+            probe.absorb(shard_probe);
         }
-        let mut probe = merge_shard_probes(shard_probes);
         probe.canonicalize();
         let record_counts = (
             probe.radio_event_count(),
@@ -313,27 +318,6 @@ impl MnoScenario {
             shard_stats,
         }
     }
-}
-
-/// Merges per-shard probes (in shard order) into one.
-///
-/// The merge is a balanced binary [`par::tree_reduce`] over
-/// `MnoProbe::absorb`: `O(log K)` levels of pairwise merges instead of a
-/// serial `K`-step left fold, with each level's pairs absorbed on scoped
-/// worker threads. The result is byte-identical to the serial fold at
-/// any thread count: shard probes tap disjoint device populations, so
-/// catalog rows never collide across shards (no floating-point
-/// regrouping), record vectors concatenate in shard order under any
-/// ordered tree, counters are additive, and the APN intern order any
-/// ordered tree produces is erased by the canonicalization pass that
-/// follows. `tests/shard_determinism.rs` pins the golden digests and
-/// compares the tree merge at every shard count with the single shard.
-pub fn merge_shard_probes(probes: Vec<MnoProbe>) -> MnoProbe {
-    par::tree_reduce(probes, |mut left, right| {
-        left.absorb(right);
-        left
-    })
-    .expect("at least one shard")
 }
 
 /// Internal helper assembling the device population.

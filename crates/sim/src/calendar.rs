@@ -11,7 +11,7 @@
 //! run at its key position, the pop sequence is exactly the ascending key
 //! order: bit-identical to a min-heap over the same keys, for every
 //! bucket geometry. Geometry (bucket count, width) affects only cost,
-//! never order — which is what lets the ring resize freely under load.
+//! never order — which is what lets the width change freely under load.
 //!
 //! ## Why this beats the heap on the dense horizon
 //!
@@ -26,13 +26,17 @@
 //! drained by `Vec::pop`. A same-second storm of B wake-ups costs one
 //! B·log B sort instead of B heap-sifts through a queue of depth n ≥ B.
 //!
-//! ## Self-sizing
+//! ## Geometry
 //!
-//! * **Bucket count** follows the classical load-factor rule: the ring
-//!   doubles when entries exceed twice the bucket count and halves when
-//!   they fall below an eighth of it (hysteresis so the rebuild cost
-//!   amortizes). The initial count comes from the agent population via
-//!   [`CalendarQueue::with_capacity`].
+//! * **Bucket count** is fixed for the queue's life: one bucket per
+//!   agent, rounded up to a power of two
+//!   ([`CalendarQueue::with_capacity`]). With windows steered toward
+//!   [`TARGET_OCCUPANCY`] entries, one lap of the ring holds about 32
+//!   wake-ups per bucket. Devices plan their day at midnight, so the
+//!   pending set rises to about 49 wake-ups per agent and drains by the
+//!   next midnight: 121,262 for 2,478 agents, whose 4,096 buckets hold
+//!   131,072 per lap. A window's bucket partition therefore scans
+//!   little beyond what it dispatches, even at the daily peak.
 //! * **Width** starts horizon-spanning (`horizon / nbuckets`, so nothing
 //!   wraps) and is then steered toward [`TARGET_OCCUPANCY`] entries per
 //!   opening window by a two-sided controller fed by the observed
@@ -43,8 +47,9 @@
 //!   window is cheaper to sort as one oversized chunk than to re-bucket
 //!   everything for — and a [`SPARSE_RUN_WIDEN`]-long run of windows
 //!   sparser than [`SPARSE_OCCUPANCY`] widens back the same way (at
-//!   least doubling) — so a dense init burst can't strand the geometry
-//!   at a width the steady state then pays per-window overhead for.
+//!   least doubling). With the ring fixed, widening is what recovers
+//!   when density falls after a narrowing: a narrow width over a long
+//!   pending span would otherwise make every partition scan many laps.
 //!   Width never drops below one second (`SimTime`'s resolution), so a
 //!   true same-instant burst is sorted once and dispatched linearly,
 //!   which is optimal anyway.
@@ -58,11 +63,6 @@
 //! All storage — the ring's bucket `Vec`s and the sorted `current` run —
 //! is reused across rotations (`mem::take` + put-back, `Vec::pop`), so
 //! the steady state allocates nothing.
-//!
-//! Setting `WTR_SCHED_DEBUG=1` prints per-queue geometry counters
-//! (windows opened, average occupancy, empty-window scans, min-sweeps,
-//! rebuilds by trigger, in-window splices) to stderr when the queue
-//! drops — the observability that sized the controller constants above.
 
 use wtr_model::time::SimTime;
 
@@ -132,44 +132,15 @@ pub(crate) struct CalendarQueue {
     win_opened: u64,
     /// Entries those windows held (density numerator).
     win_entries: u64,
-    dbg_windows: u64,
-    dbg_empty_scans: u64,
-    dbg_min_sweeps: u64,
-    dbg_rebuilds: u64,
-    dbg_dense: u64,
-    dbg_sparse: u64,
-    dbg_splices: u64,
-    dbg_occupancy: u64,
-}
-
-impl Drop for CalendarQueue {
-    fn drop(&mut self) {
-        if std::env::var("WTR_SCHED_DEBUG").is_ok() && self.dbg_windows > 0 {
-            eprintln!(
-                "calendar: windows={} avg_occ={:.1} empty_scans={} min_sweeps={} rebuilds={} dense={} sparse={} splices={} width={} nbuckets={}",
-                self.dbg_windows,
-                self.dbg_occupancy as f64 / self.dbg_windows as f64,
-                self.dbg_empty_scans,
-                self.dbg_min_sweeps,
-                self.dbg_rebuilds,
-                self.dbg_dense,
-                self.dbg_sparse,
-                self.dbg_splices,
-                self.width,
-                self.buckets.len(),
-            );
-        }
-    }
 }
 
 impl CalendarQueue {
-    /// A queue pre-sized for `agents` concurrently-pending wake-ups
-    /// (device populations hold steady at about one each) over a run
-    /// ending at `horizon`.
+    /// A queue for `agents` agents over a run ending at `horizon`, with
+    /// one bucket per agent rounded up to a power of two (4,096 buckets
+    /// for 2,478 agents). The ring keeps this size for the queue's life;
+    /// only the width adapts.
     pub(crate) fn with_capacity(agents: usize, horizon: SimTime) -> Self {
-        let nbuckets = (agents / 2)
-            .clamp(MIN_BUCKETS, MAX_BUCKETS)
-            .next_power_of_two();
+        let nbuckets = agents.clamp(MIN_BUCKETS, MAX_BUCKETS).next_power_of_two();
         // Horizon-spanning initial width: no wake-up can wrap the ring,
         // so the first rotations see one "year" only. The occupancy
         // feedback narrows from there if the horizon is dense.
@@ -186,14 +157,6 @@ impl CalendarQueue {
             sparse_run: 0,
             win_opened: 0,
             win_entries: 0,
-            dbg_windows: 0,
-            dbg_empty_scans: 0,
-            dbg_min_sweeps: 0,
-            dbg_rebuilds: 0,
-            dbg_dense: 0,
-            dbg_sparse: 0,
-            dbg_splices: 0,
-            dbg_occupancy: 0,
         }
     }
 
@@ -207,7 +170,7 @@ impl CalendarQueue {
         ((secs / self.width) as usize) & self.mask
     }
 
-    /// O(1) push (amortized; a load-factor resize re-buckets everything).
+    /// O(1) push.
     #[inline]
     pub(crate) fn push(&mut self, key: Key) {
         self.len += 1;
@@ -219,14 +182,10 @@ impl CalendarQueue {
             // have popped it. Keys are unique, so the position is exact.
             let pos = self.current.partition_point(|k| *k > key);
             self.current.insert(pos, key);
-            self.dbg_splices += 1;
             return;
         }
         let idx = self.bucket_index(secs);
         self.buckets[idx].push(key);
-        if self.len > self.buckets.len() * 2 {
-            self.resize_ring(self.buckets.len() * 2);
-        }
     }
 
     /// Pops the globally minimal key, or `None` when empty. Amortized
@@ -274,8 +233,6 @@ impl CalendarQueue {
                 }
                 self.buckets[idx] = bucket;
                 if !self.current.is_empty() {
-                    self.dbg_windows += 1;
-                    self.dbg_occupancy += self.current.len() as u64;
                     let occ = self.current.len();
                     self.win = win;
                     self.win_end = end;
@@ -291,9 +248,8 @@ impl CalendarQueue {
                             && self.win_entries / self.win_opened > 2 * TARGET_OCCUPANCY as u64;
                         if persistent || occ > DENSE_HARD {
                             let width = self.ideal_width().min(self.width / 2).max(1);
-                            self.dbg_dense += 1;
                             self.sparse_run = 0;
-                            self.rebuild(self.buckets.len(), width);
+                            self.rebuild(width);
                             return;
                         }
                     }
@@ -311,23 +267,12 @@ impl CalendarQueue {
                             // doubling, so a clumpy distribution that
                             // fools the estimate still makes progress).
                             let width = self.ideal_width().max(self.width * 2);
-                            self.dbg_sparse += 1;
                             self.sparse_run = 0;
-                            self.rebuild(self.buckets.len(), width);
+                            self.rebuild(width);
                             return;
                         }
                     } else {
                         self.sparse_run = 0;
-                    }
-                    if self.len < self.buckets.len() / 8 && self.buckets.len() > MIN_BUCKETS {
-                        // Load factor collapsed (drained tail): halve the
-                        // ring so empty-window scans stay proportional to
-                        // what is actually pending. Done before the sort —
-                        // the rebuild re-buckets `current` too, and the
-                        // next rotation re-partitions under the new ring.
-                        let nbuckets = (self.buckets.len() / 2).max(MIN_BUCKETS);
-                        self.resize_ring(nbuckets);
-                        return;
                     }
                     self.current.sort_unstable_by(|a, b| b.cmp(a));
                     return;
@@ -335,13 +280,11 @@ impl CalendarQueue {
             }
             win += 1;
             scanned += 1;
-            self.dbg_empty_scans += 1;
             if scanned >= SCAN_WINDOWS {
                 // Sparse stretch: jump straight to the earliest pending
                 // wake-up. One O(pending) sweep per occupied window at
                 // worst, and it fast-forwards arbitrarily far.
                 win = self.min_window();
-                self.dbg_min_sweeps += 1;
                 scanned = 0;
             }
         }
@@ -378,29 +321,18 @@ impl CalendarQueue {
         min / self.width
     }
 
-    /// Re-buckets everything under a new ring size, same width.
-    fn resize_ring(&mut self, nbuckets: usize) {
-        self.rebuild(nbuckets.clamp(MIN_BUCKETS, MAX_BUCKETS), self.width);
-    }
-
-    /// Rebuilds the ring under new geometry. Closes the open window —
+    /// Re-buckets everything under a new width. Closes the open window —
     /// entries in `current` go back through the ring and will be picked
     /// up again by the next rotation, in the same total order (dispatch
     /// order is geometry-independent; see the module docs).
-    fn rebuild(&mut self, nbuckets: usize, width: u64) {
-        self.dbg_rebuilds += 1;
+    fn rebuild(&mut self, width: u64) {
         self.win_opened = 0;
         self.win_entries = 0;
-        debug_assert!(nbuckets.is_power_of_two());
         let mut entries: Vec<Key> = Vec::with_capacity(self.len);
         for bucket in &mut self.buckets {
             entries.append(bucket);
         }
         entries.append(&mut self.current);
-        if self.buckets.len() != nbuckets {
-            self.buckets.resize(nbuckets, Vec::new());
-        }
-        self.mask = nbuckets - 1;
         self.width = width;
         self.window_open = false;
         for key in entries {
@@ -473,9 +405,10 @@ mod tests {
     }
 
     #[test]
-    fn load_factor_growth_preserves_order() {
+    fn many_entries_per_bucket_preserve_order() {
         let mut q = CalendarQueue::with_capacity(0, SimTime::from_secs(1 << 20));
-        // Far more entries than MIN_BUCKETS*2: forces ring doubling.
+        // Far more entries than MIN_BUCKETS: hundreds share each bucket
+        // across many laps of the ring.
         let mut keys: Vec<Key> = (0..10_000u64).map(|i| key(i * 97 % 50_000, 5, i)).collect();
         for &k in &keys {
             q.push(k);
@@ -485,10 +418,10 @@ mod tests {
     }
 
     #[test]
-    fn sparse_tail_and_shrink_preserve_order() {
+    fn sparse_tail_scan_cap_and_min_jump_preserve_order() {
         let mut q = CalendarQueue::with_capacity(4_096, SimTime::from_secs(10_000_000));
         // Dense head, then a handful of stragglers millions of seconds
-        // out: exercises the scan cap, the min-jump, and the shrink path.
+        // out: exercises the empty-window scan cap and the min-jump.
         let mut keys: Vec<Key> = (0..2_000u64).map(|i| key(i, 1, i)).collect();
         for j in 0..5u64 {
             keys.push(key(9_000_000 + j * 200_000, 2, j));
@@ -499,6 +432,27 @@ mod tests {
         keys.sort_unstable();
         assert_eq!(drain(&mut q), keys);
         assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn ring_keeps_its_size_under_load() {
+        let mut q = CalendarQueue::with_capacity(16, SimTime::from_secs(1 << 20));
+        let nbuckets = q.buckets.len();
+        assert_eq!(nbuckets, 16);
+        // One agent's 10,000 wake-ups: 625 per bucket, far past any
+        // load factor, and the ring still never resizes.
+        let mut keys: Vec<Key> = (0..10_000u64).map(|i| key(i * 89 % 40_000, 3, i)).collect();
+        for &k in &keys {
+            q.push(k);
+            assert_eq!(q.buckets.len(), nbuckets);
+        }
+        keys.sort_unstable();
+        let mut popped = Vec::with_capacity(keys.len());
+        while let Some(k) = q.pop() {
+            assert_eq!(q.buckets.len(), nbuckets);
+            popped.push(k);
+        }
+        assert_eq!(popped, keys);
     }
 
     #[test]

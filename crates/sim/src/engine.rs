@@ -47,10 +47,7 @@ pub struct Scheduler {
     now: SimTime,
     horizon: SimTime,
     /// Per-agent wake-up counters: `seqs[agent]` is the number of
-    /// wake-ups agent `agent` has scheduled so far. Pre-sized from the
-    /// agent population by [`Scheduler::prepare`]; the grow-on-demand
-    /// fallback in [`Scheduler::wake_at`] is a cold path kept for
-    /// robustness only.
+    /// wake-ups agent `agent` has scheduled so far.
     seqs: Vec<u64>,
     /// Pending wake-ups, keyed `(time, agent, per-agent seq, tag)`.
     queue: CalendarQueue,
@@ -61,47 +58,24 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    fn new(horizon: SimTime) -> Self {
+    /// A scheduler for `agents` agents over a run ending at `horizon`;
+    /// wake-ups at or beyond the horizon are dropped. The engine builds
+    /// it once the agent count is known, so the sequence table and the
+    /// calendar ring are sized once for the whole run.
+    fn new(agents: usize, horizon: SimTime) -> Self {
         Scheduler {
             now: SimTime::ZERO,
             horizon,
-            seqs: Vec::new(),
-            queue: CalendarQueue::with_capacity(0, horizon),
+            seqs: vec![0; agents],
+            queue: CalendarQueue::with_capacity(agents, horizon),
             scheduled: 0,
             peak_queue: 0,
         }
     }
 
-    /// Pre-sizes the per-agent sequence table and the calendar ring for
-    /// `agents` agents. Steady state for
-    /// device-style populations is about one pending wake-up per agent,
-    /// so sizing from the population avoids both the doubling
-    /// reallocations and the early calendar-ring resizes during the init
-    /// burst. Called by the engine before any agent is initialized.
-    fn prepare(&mut self, agents: usize) {
-        debug_assert_eq!(self.scheduled, 0, "prepare after wake-ups were scheduled");
-        self.seqs.clear();
-        self.seqs.resize(agents, 0);
-        if self.queue.len() == 0 {
-            self.queue = CalendarQueue::with_capacity(agents, self.horizon);
-        }
-    }
-
-    /// Cold fallback for a `wake_at` from an agent id the scheduler was
-    /// not [`prepare`](Scheduler::prepare)d for.
-    #[cold]
-    fn grow_seqs(&mut self, idx: usize) {
-        self.seqs.resize(idx + 1, 0);
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// End of the simulation window; wake-ups at or beyond it are dropped.
-    pub fn horizon(&self) -> SimTime {
-        self.horizon
     }
 
     /// Schedules a wake-up for `agent` at `at`. Wake-ups in the past are a
@@ -112,9 +86,6 @@ impl Scheduler {
             return;
         }
         let idx = agent.0 as usize;
-        if idx >= self.seqs.len() {
-            self.grow_seqs(idx);
-        }
         self.seqs[idx] += 1;
         self.scheduled += 1;
         self.queue.push((at, agent.0, self.seqs[idx], tag.0));
@@ -130,22 +101,6 @@ impl Scheduler {
             self.now = at;
         }
         key
-    }
-
-    /// Number of pending wake-ups.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Total wake-ups accepted so far (dropped past/post-horizon wake-ups
-    /// excluded).
-    pub fn scheduled(&self) -> u64 {
-        self.scheduled
-    }
-
-    /// High-water mark of the pending-queue depth.
-    pub fn peak_queue(&self) -> usize {
-        self.peak_queue
     }
 }
 
@@ -171,12 +126,6 @@ pub struct EngineStats {
     /// Total wake-ups dispatched (equals `scheduled` when the run
     /// drains the queue).
     pub dispatched: u64,
-    /// Sum of the per-shard queue high-water marks. Shard queues are
-    /// independent and their peaks need not coincide in time, so this is
-    /// an *upper bound* on the concurrent total, not a high-water mark
-    /// itself; see [`EngineStats::peak_queue_max`] for the per-loop
-    /// figure. For a single engine the two are equal.
-    pub peak_queue: u64,
     /// Largest single-shard queue high-water mark — the depth some event
     /// loop actually reached, and the number the CLI summary line
     /// reports as "peak queue depth".
@@ -186,24 +135,23 @@ pub struct EngineStats {
 impl EngineStats {
     /// Adds another engine's counters into this one (used when merging
     /// shard stats into a scenario-level total). Counters are additive;
-    /// the queue high-water mark keeps both the cross-shard sum
-    /// ([`EngineStats::peak_queue`], an upper bound) and the per-shard
-    /// maximum ([`EngineStats::peak_queue_max`], a depth actually seen).
+    /// the queue high-water mark keeps the per-shard maximum, a depth
+    /// some event loop actually reached (shard peaks need not coincide
+    /// in time, so their sum would not be one).
     pub fn absorb(&mut self, other: &EngineStats) {
         self.agents += other.agents;
         self.scheduled += other.scheduled;
         self.dispatched += other.dispatched;
-        self.peak_queue += other.peak_queue;
         self.peak_queue_max = self.peak_queue_max.max(other.peak_queue_max);
     }
 }
 
-/// The event loop: owns the agents, the world, and the queue.
+/// The event loop: owns the agents and the world, and builds the queue
+/// when it runs.
 pub struct Engine<W, A> {
     agents: Vec<A>,
     world: W,
-    sched: Scheduler,
-    dispatched: u64,
+    horizon: SimTime,
 }
 
 impl<W, A: Agent<W>> Engine<W, A> {
@@ -212,8 +160,7 @@ impl<W, A: Agent<W>> Engine<W, A> {
         Engine {
             agents: Vec::new(),
             world,
-            sched: Scheduler::new(horizon),
-            dispatched: 0,
+            horizon,
         }
     }
 
@@ -229,16 +176,6 @@ impl<W, A: Agent<W>> Engine<W, A> {
         self.agents.extend(agents);
     }
 
-    /// Total wake-ups dispatched so far.
-    pub fn dispatched(&self) -> u64 {
-        self.dispatched
-    }
-
-    /// Read access to the world.
-    pub fn world(&self) -> &W {
-        &self.world
-    }
-
     /// Runs to completion: initializes every agent, then dispatches
     /// wake-ups in `(time, agent, per-agent seq)` order until the queue
     /// drains or the horizon is reached. Returns the world (with whatever
@@ -249,25 +186,25 @@ impl<W, A: Agent<W>> Engine<W, A> {
 
     /// [`Engine::run`], additionally returning the scheduler statistics.
     pub fn run_stats(mut self) -> (W, EngineStats) {
-        self.sched.prepare(self.agents.len());
+        let mut sched = Scheduler::new(self.agents.len(), self.horizon);
         for (i, agent) in self.agents.iter_mut().enumerate() {
-            agent.init(AgentId(i as u32), &mut self.world, &mut self.sched);
+            agent.init(AgentId(i as u32), &mut self.world, &mut sched);
         }
-        while let Some((_, agent, _seq, tag)) = self.sched.pop() {
-            self.dispatched += 1;
+        let mut dispatched = 0u64;
+        while let Some((_, agent, _seq, tag)) = sched.pop() {
+            dispatched += 1;
             self.agents[agent as usize].wake(
                 AgentId(agent),
                 WakeTag(tag),
                 &mut self.world,
-                &mut self.sched,
+                &mut sched,
             );
         }
         let stats = EngineStats {
             agents: self.agents.len() as u64,
-            scheduled: self.sched.scheduled,
-            dispatched: self.dispatched,
-            peak_queue: self.sched.peak_queue as u64,
-            peak_queue_max: self.sched.peak_queue as u64,
+            scheduled: sched.scheduled,
+            dispatched,
+            peak_queue_max: sched.peak_queue as u64,
         };
         (self.world, stats)
     }
@@ -408,7 +345,7 @@ mod tests {
         assert_eq!(stats.dispatched, log.len() as u64);
         // The queue drained, so everything accepted was dispatched.
         assert_eq!(stats.scheduled, stats.dispatched);
-        assert!(stats.peak_queue >= 2, "both init wake-ups coexist");
+        assert!(stats.peak_queue_max >= 2, "both init wake-ups coexist");
     }
 
     #[test]
@@ -417,14 +354,12 @@ mod tests {
             agents: 2,
             scheduled: 10,
             dispatched: 10,
-            peak_queue: 3,
             peak_queue_max: 3,
         };
         let b = EngineStats {
             agents: 1,
             scheduled: 4,
             dispatched: 4,
-            peak_queue: 7,
             peak_queue_max: 7,
         };
         let mut total = EngineStats::default();
@@ -432,9 +367,7 @@ mod tests {
         total.absorb(&b);
         assert_eq!(total.agents, 3);
         assert_eq!(total.scheduled, 14);
-        // The sum is an upper bound on the concurrent total; the max is
-        // the depth a single loop actually reached.
-        assert_eq!(total.peak_queue, 10);
+        // The max is the depth a single loop actually reached.
         assert_eq!(total.peak_queue_max, 7);
     }
 }

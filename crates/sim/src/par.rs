@@ -8,10 +8,10 @@
 //! # Determinism by construction
 //!
 //! Each worker takes one contiguous index range ([`split_ranges`]) and
-//! maps or rewrites its items with a closure that is pure per item; the
-//! results concatenate in range order. The output therefore equals a
-//! serial loop at any worker count. [`tree_reduce`] is the one
-//! reduction, and its tree shape depends on the input length only.
+//! maps its items with a closure that is pure per item; the results
+//! concatenate in range order. The output therefore equals a serial
+//! loop at any worker count. The module has no reduction: a caller
+//! folds the ordered results itself, left to right.
 //!
 //! # Thread-count knob
 //!
@@ -148,92 +148,6 @@ where
     })
 }
 
-/// Applies `f` to every item **in place**, splitting the slice into
-/// contiguous per-worker ranges.
-///
-/// The mutation closure must be pure per item (no cross-item state), so
-/// the final slice contents are identical to a serial `for` loop at any
-/// worker count — this is the in-place sibling of [`par_each`], used by
-/// bulk rewrite passes such as the catalog's APN-symbol remap.
-pub fn par_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    let workers = threads().min(items.len());
-    if workers <= 1 || items.len() <= 1 {
-        for item in items.iter_mut() {
-            f(item);
-        }
-        return;
-    }
-    let ranges = split_ranges(items.len(), workers);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut rest = items;
-        for r in ranges {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
-            rest = tail;
-            scope.spawn(move || {
-                for item in head {
-                    f(item);
-                }
-            });
-        }
-    });
-}
-
-/// Reduces `items` by merging adjacent pairs level by level — a balanced
-/// binary tree over the input order — and returns the final value
-/// (`None` for an empty input).
-///
-/// The tree shape is a pure function of `items.len()` (never of the
-/// thread count): level `l` merges `(items[2i], items[2i+1])` with the
-/// left operand always covering strictly earlier input than the right,
-/// and an unpaired tail element passes through unchanged. `merge` may
-/// therefore rely on left-covers-earlier ("first wins") semantics, like
-/// [`par_map`]'s ordered results — but unlike the serial left fold
-/// it is *regrouped*: `merge` must be associative for the result to
-/// equal a left fold. Each level's pair merges run on scoped worker
-/// threads, turning an O(k) serial merge tail into O(log k) levels.
-pub fn tree_reduce<T, M>(items: Vec<T>, merge: M) -> Option<T>
-where
-    T: Send,
-    M: Fn(T, T) -> T + Sync,
-{
-    let mut level = items;
-    while level.len() > 1 {
-        let mut pairs: Vec<(T, Option<T>)> = Vec::with_capacity(level.len().div_ceil(2));
-        let mut iter = level.into_iter();
-        while let Some(left) = iter.next() {
-            pairs.push((left, iter.next()));
-        }
-        let workers = threads().min(pairs.len());
-        let reduce_pair = |(left, right): (T, Option<T>)| match right {
-            Some(right) => merge(left, right),
-            None => left,
-        };
-        level = if workers <= 1 || pairs.len() <= 1 {
-            pairs.into_iter().map(reduce_pair).collect()
-        } else {
-            let reduce_pair = &reduce_pair;
-            let mut indexed: Vec<(usize, T)> = Vec::with_capacity(pairs.len());
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(pairs.len());
-                for (i, pair) in pairs.into_iter().enumerate() {
-                    handles.push(scope.spawn(move || (i, reduce_pair(pair))));
-                }
-                for h in handles {
-                    indexed.push(h.join().expect("wtr-sim::par worker panicked"));
-                }
-            });
-            indexed.sort_by_key(|(i, _)| *i);
-            indexed.into_iter().map(|(_, v)| v).collect()
-        };
-    }
-    level.pop()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,79 +218,6 @@ mod tests {
         }
         assert!(split_ranges(0, 4).is_empty());
         assert_eq!(split_ranges(10, 0), split_ranges(10, 1));
-    }
-
-    #[test]
-    fn each_mut_matches_serial_across_thread_counts() {
-        let _g = LOCK.lock().unwrap();
-        let mut expected: Vec<u64> = (0..1_000).collect();
-        for x in expected.iter_mut() {
-            *x = *x * 7 + 3;
-        }
-        for t in [1usize, 2, 8, 64] {
-            set_threads(Some(t));
-            let mut items: Vec<u64> = (0..1_000).collect();
-            par_each_mut(&mut items, |x| *x = *x * 7 + 3);
-            assert_eq!(items, expected, "threads={t}");
-        }
-        set_threads(None);
-        let mut empty: Vec<u64> = Vec::new();
-        par_each_mut(&mut empty, |_| unreachable!());
-    }
-
-    #[test]
-    fn tree_reduce_concatenation_preserves_order() {
-        let _g = LOCK.lock().unwrap();
-        // Concatenation is associative but not commutative: any reorder
-        // or regrouping that broke left-covers-earlier would show up.
-        for n in [0usize, 1, 2, 3, 5, 8, 13, 64, 65] {
-            let items: Vec<Vec<u32>> = (0..n as u32).map(|i| vec![i]).collect();
-            let expected: Option<Vec<u32>> = if n == 0 {
-                None
-            } else {
-                Some((0..n as u32).collect())
-            };
-            for t in [1usize, 2, 8] {
-                set_threads(Some(t));
-                let got = tree_reduce(items.clone(), |mut a, b| {
-                    a.extend(b);
-                    a
-                });
-                assert_eq!(got, expected, "n={n} threads={t}");
-            }
-        }
-        set_threads(None);
-    }
-
-    #[test]
-    fn tree_reduce_first_occurrence_interning_matches_left_fold() {
-        let _g = LOCK.lock().unwrap();
-        // Models the APN-table merge: absorbing a table keeps the
-        // left side's entries and appends the right side's new strings
-        // in their order. Any ordered binary tree must reproduce the
-        // serial left fold's first-occurrence order exactly.
-        let tables: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i % 4, i, (i * 3) % 7, 2]).collect();
-        let absorb = |mut left: Vec<u8>, right: Vec<u8>| {
-            for s in right {
-                if !left.contains(&s) {
-                    left.push(s);
-                }
-            }
-            left
-        };
-        let mut serial = tables[0].clone();
-        for t in &tables[1..] {
-            serial = absorb(serial, t.clone());
-        }
-        for t in [1usize, 2, 8] {
-            set_threads(Some(t));
-            assert_eq!(
-                tree_reduce(tables.clone(), absorb).unwrap(),
-                serial,
-                "threads={t}"
-            );
-        }
-        set_threads(None);
     }
 
     #[test]

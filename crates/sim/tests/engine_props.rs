@@ -231,7 +231,7 @@ fn heap_oracle(
             seqs[agent as usize] += 1;
             stats.scheduled += 1;
             heap.push(Reverse((at, agent, seqs[agent as usize], tag)));
-            stats.peak_queue = stats.peak_queue.max(heap.len() as u64);
+            stats.peak_queue_max = stats.peak_queue_max.max(heap.len() as u64);
         }
     };
     let mut heap = BinaryHeap::new();
@@ -252,7 +252,6 @@ fn heap_oracle(
             push(&mut heap, &mut stats, (now + gap, agent, tag + 1));
         }
     }
-    stats.peak_queue_max = stats.peak_queue;
     (log, stats)
 }
 

@@ -43,7 +43,7 @@ use where_things_roam::sim::events::{
 use where_things_roam::sim::world::{EventSink, VecSink};
 
 /// Shard counts in the matrix (serial reference + uneven splits; 3
-/// exercises the unpaired tail of the tree-reduction merge).
+/// folds an odd number of shard probes).
 const SHARDS: [usize; 4] = [1, 2, 3, 8];
 
 // ---------------------------------------------------------------------

@@ -44,7 +44,7 @@ use where_things_roam::sim::par;
 use where_things_roam::sim::stream::RecordStream;
 
 /// Thread counts in the matrix (serial reference + uneven assignments;
-/// 3 exercises unpaired tails in the tree-shaped reductions).
+/// 3 splits the work into ranges of unequal length).
 const MATRIX: [usize; 4] = [1, 2, 3, 8];
 
 /// `par::set_threads` is process-global; serialize the tests that
