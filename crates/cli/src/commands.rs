@@ -126,6 +126,15 @@ pub fn simulate_mno(argv: &[String]) -> Result<(), String> {
     if config.days == 0 {
         return Err("--days must be at least 1".into());
     }
+    // A longer window would write catalogs whose header every reader
+    // refuses.
+    if config.days > probe_io::MAX_WINDOW_DAYS {
+        return Err(format!(
+            "--days {} exceeds the {}-day catalog window limit",
+            config.days,
+            probe_io::MAX_WINDOW_DAYS
+        ));
+    }
     eprintln!(
         "simulating {} devices over {} days (seed {})…",
         config.devices, config.days, config.seed

@@ -173,6 +173,18 @@ fn missing_required_options_fail_cleanly() {
             "--days must be at least 1",
         ),
         (
+            vec![
+                "simulate-mno",
+                "--out",
+                out,
+                "--devices",
+                "1",
+                "--days",
+                "3661",
+            ],
+            "exceeds the 3660-day catalog window limit",
+        ),
+        (
             vec!["simulate-mno", "--out", out, "--days", "1", "--shards", "0"],
             "--shards must be at least 1",
         ),
