@@ -19,9 +19,10 @@
 //! Only **six** of the eight combinations are observable: an `N` or `I` SIM
 //! that is abroad never touches the studied MNO's infrastructure (neither
 //! its radio network nor its CDR/xDR clearing), so `N:A` and `I:A` cannot
-//! appear in the dataset. The type system enforces this: [`RoamingLabel`]
-//! can only be constructed through [`RoamingLabel::derive`] or the six
-//! named constants.
+//! appear in the dataset. The type enforces this: its fields are private,
+//! so a [`RoamingLabel`] comes only from the six named constants,
+//! [`RoamingLabel::derive`], [`RoamingLabel::from_parts`] or its
+//! `Deserialize`, and the last three refuse `N:A` and `I:A`.
 
 use crate::country::Country;
 use crate::ids::Plmn;
@@ -92,12 +93,13 @@ impl Presence {
 /// assert_eq!(label, RoamingLabel::IH);
 /// assert!(label.is_international_inbound());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+///
+/// Labels order by `(sim, presence)`, which is the order of
+/// [`RoamingLabel::ALL`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct RoamingLabel {
-    /// SIM origin (`X`).
-    pub sim: SimOrigin,
-    /// Attachment location (`Y`).
-    pub presence: Presence,
+    sim: SimOrigin,
+    presence: Presence,
 }
 
 impl RoamingLabel {
@@ -142,6 +144,38 @@ impl RoamingLabel {
         RoamingLabel::IH,
     ];
 
+    /// The label with SIM origin `sim` (`X`) and attachment `presence`
+    /// (`Y`), or `None` for the unobservable `N:A` and `I:A`.
+    pub const fn from_parts(sim: SimOrigin, presence: Presence) -> Option<RoamingLabel> {
+        match (sim, presence) {
+            (SimOrigin::National | SimOrigin::International, Presence::Abroad) => None,
+            _ => Some(RoamingLabel { sim, presence }),
+        }
+    }
+
+    /// SIM origin (`X`).
+    pub const fn sim(self) -> SimOrigin {
+        self.sim
+    }
+
+    /// Attachment location (`Y`).
+    pub const fn presence(self) -> Presence {
+        self.presence
+    }
+
+    /// The label's position in [`RoamingLabel::ALL`] (`0..6`), for
+    /// per-label counters kept in arrays.
+    pub const fn index(self) -> usize {
+        match (self.sim, self.presence) {
+            (SimOrigin::Home, Presence::Home) => 0,
+            (SimOrigin::Home, Presence::Abroad) => 1,
+            (SimOrigin::Virtual, Presence::Home) => 2,
+            (SimOrigin::Virtual, Presence::Abroad) => 3,
+            (SimOrigin::National, _) => 4,
+            (SimOrigin::International, _) => 5,
+        }
+    }
+
     /// Derives the label for a device from the perspective of
     /// `studied_mno`, given the SIM's PLMN and the network the device was
     /// attached to.
@@ -180,11 +214,7 @@ impl RoamingLabel {
         } else {
             Presence::Abroad
         };
-
-        match (sim, presence) {
-            (SimOrigin::National | SimOrigin::International, Presence::Abroad) => None,
-            _ => Some(RoamingLabel { sim, presence }),
-        }
+        RoamingLabel::from_parts(sim, presence)
     }
 
     /// Whether this label marks an *inbound roamer* — a foreign SIM on the
@@ -226,6 +256,28 @@ fn same_country(a: Plmn, b: Plmn) -> bool {
     match (Country::by_mcc(a.mcc), Country::by_mcc(b.mcc)) {
         (Some(ca), Some(cb)) => std::ptr::eq(ca, cb),
         _ => a.mcc == b.mcc,
+    }
+}
+
+/// A label's serde shape, before the observability check.
+#[derive(Deserialize)]
+struct LabelParts {
+    sim: SimOrigin,
+    presence: Presence,
+}
+
+/// Reads `{"sim":…,"presence":…}` and refuses `N:A` and `I:A`, so no
+/// decoded catalog row carries an unobservable label.
+impl Deserialize for RoamingLabel {
+    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let LabelParts { sim, presence } = LabelParts::deserialize_value(v)?;
+        RoamingLabel::from_parts(sim, presence).ok_or_else(|| {
+            serde::Error::custom(format!(
+                "unobservable roaming label {}:{}",
+                sim.code(),
+                presence.code()
+            ))
+        })
     }
 }
 
@@ -310,7 +362,7 @@ mod tests {
         // MCC 235 is also GB: a SIM there is National, not International.
         let sim = Plmn::of(235, 1);
         let label = RoamingLabel::derive(MNO, &reg, sim, MNO).unwrap();
-        assert_eq!(label.sim, SimOrigin::National);
+        assert_eq!(label.sim(), SimOrigin::National);
     }
 
     #[test]
@@ -327,5 +379,36 @@ mod tests {
         assert_eq!(RoamingLabel::ALL.len(), 6);
         let unique: std::collections::HashSet<_> = RoamingLabel::ALL.iter().collect();
         assert_eq!(unique.len(), 6);
+    }
+
+    #[test]
+    fn index_is_the_position_in_all_and_in_label_order() {
+        for (i, label) in RoamingLabel::ALL.iter().enumerate() {
+            assert_eq!(label.index(), i);
+            assert_eq!(
+                RoamingLabel::from_parts(label.sim(), label.presence()),
+                Some(*label)
+            );
+        }
+        assert!(RoamingLabel::ALL.windows(2).all(|w| w[0] < w[1]));
+        for sim in [SimOrigin::National, SimOrigin::International] {
+            assert_eq!(RoamingLabel::from_parts(sim, Presence::Abroad), None);
+        }
+    }
+
+    #[test]
+    fn deserialize_refuses_unobservable_labels() {
+        for label in RoamingLabel::ALL {
+            let back = RoamingLabel::deserialize_value(&label.serialize_value()).unwrap();
+            assert_eq!(back, label);
+        }
+        for sim in [SimOrigin::National, SimOrigin::International] {
+            let v = serde::Value::Object(vec![
+                ("sim".to_owned(), sim.serialize_value()),
+                ("presence".to_owned(), Presence::Abroad.serialize_value()),
+            ]);
+            let err = RoamingLabel::deserialize_value(&v).unwrap_err();
+            assert!(err.to_string().contains(":A"), "{err}");
+        }
     }
 }

@@ -463,13 +463,13 @@ fn push_row(line: &mut String, row: &CatalogEntry, apns: &[&str]) {
 
 /// The serde names of a label's two unit variants.
 fn label_names(label: RoamingLabel) -> (&'static str, &'static str) {
-    let sim = match label.sim {
+    let sim = match label.sim() {
         SimOrigin::Home => "Home",
         SimOrigin::Virtual => "Virtual",
         SimOrigin::National => "National",
         SimOrigin::International => "International",
     };
-    let presence = match label.presence {
+    let presence = match label.presence() {
         Presence::Home => "Home",
         Presence::Abroad => "Abroad",
     };

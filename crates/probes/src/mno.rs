@@ -355,7 +355,7 @@ impl EventSink for MnoProbe {
         row.visited.insert(visited.packed());
         let sector = match event {
             SimEvent::Signaling(sig) => {
-                debug_assert_eq!(label.presence, Presence::Home);
+                debug_assert_eq!(label.presence(), Presence::Home);
                 self.radio_events += 1;
                 if sig.rat.is_lte_family() {
                     load.mme += 1;

@@ -219,7 +219,8 @@ impl<'a> Scanner<'a> {
         Some(SimTime::from_secs(self.u64_val()?))
     }
 
-    /// A `RoamingLabel` object `{"sim":"…","presence":"…"}`.
+    /// A `RoamingLabel` object `{"sim":"…","presence":"…"}`. An
+    /// unobservable label (`N:A`, `I:A`) bails to serde, which refuses it.
     pub(crate) fn roaming_label(&mut self) -> Option<RoamingLabel> {
         self.lit("{\"sim\":")?;
         let sim = match self.string_val()? {
@@ -236,7 +237,7 @@ impl<'a> Scanner<'a> {
             _ => return None,
         };
         self.lit("}")?;
-        Some(RoamingLabel { sim, presence })
+        RoamingLabel::from_parts(sim, presence)
     }
 
     /// One `RatSet` as its transparent bits. `RatSet::from_bits` masks

@@ -245,10 +245,7 @@ fn get_varint(buf: &mut &[u8]) -> Result<u64, ParseError> {
 }
 
 fn encode_label(label: RoamingLabel) -> u8 {
-    RoamingLabel::ALL
-        .iter()
-        .position(|l| *l == label)
-        .expect("RoamingLabel::ALL is exhaustive") as u8
+    label.index() as u8
 }
 
 fn decode_label(b: u8) -> Result<RoamingLabel, ParseError> {

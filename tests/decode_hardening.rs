@@ -17,7 +17,7 @@ use proptest::test_runner::TestCaseError;
 use where_things_roam::core::stream::stream_catalog;
 use where_things_roam::model::ids::{Mcc, Mnc, Plmn, Tac};
 use where_things_roam::model::rat::{RadioFlags, RatSet};
-use where_things_roam::model::roaming::{Presence, RoamingLabel, SimOrigin};
+use where_things_roam::model::roaming::RoamingLabel;
 use where_things_roam::model::time::{Day, SimTime};
 use where_things_roam::probes::catalog::{DevicesCatalog, MobilityAccum};
 use where_things_roam::probes::io::{self, IoError};
@@ -183,7 +183,7 @@ const TRICKY_CHARS: [char; 14] = [
 ];
 
 /// A catalog whose every field comes from the generated bits: all six
-/// label parts, 2- and 3-digit MNCs, full-range counters, a mobility
+/// observable labels, 2- and 3-digit MNCs, full-range counters, a mobility
 /// part from [`TRICKY_FLOATS`] or from raw bits, and APN strings made
 /// of [`TRICKY_CHARS`], interned in generated (not sorted) order.
 fn tricky_catalog(rows: &[(u64, u8, u64, u64)], apns: &[Vec<usize>]) -> DevicesCatalog {
@@ -192,21 +192,8 @@ fn tricky_catalog(rows: &[(u64, u8, u64, u64)], apns: &[Vec<usize>]) -> DevicesC
         .iter()
         .map(|chars| cat.intern_apn(&chars.iter().map(|&i| TRICKY_CHARS[i]).collect::<String>()))
         .collect();
-    let origins = [
-        SimOrigin::Home,
-        SimOrigin::Virtual,
-        SimOrigin::National,
-        SimOrigin::International,
-    ];
     for &(user, day, a, b) in rows {
-        let label = RoamingLabel {
-            sim: origins[(a % 4) as usize],
-            presence: if a & 4 == 0 {
-                Presence::Home
-            } else {
-                Presence::Abroad
-            },
-        };
+        let label = RoamingLabel::ALL[(a % 6) as usize];
         let plmn = if a & 8 == 0 {
             Plmn::of(204, 4)
         } else {
@@ -485,6 +472,53 @@ fn repeated_and_swapped_rows_are_rejected_with_line_number() {
             "{what}"
         );
         assert!(stream_catalog(body.as_bytes()).is_err(), "{what} folded");
+    }
+}
+
+/// Only six of the eight `X:Y` labels are observable. A row labelled
+/// `N:A` or `I:A` is refused with its line number by the scanner reader,
+/// the serde reader and the folding route alike, with one message.
+#[test]
+fn unobservable_labels_are_rejected_with_line_number() {
+    let cat = build_catalog(&[(1, 0, 0, 10), (1, 1, 1, 20), (2, 0, 2, 30)]);
+    let text = String::from_utf8(jsonl_bytes(&cat)).unwrap();
+    for sim in ["National", "International"] {
+        for bad_line in 2..=4 {
+            let body: String = text
+                .lines()
+                .enumerate()
+                .map(|(i, line)| {
+                    let line = if i + 1 == bad_line {
+                        let start = line.find("\"label\":{").unwrap();
+                        let end = start + line[start..].find('}').unwrap() + 1;
+                        let label =
+                            format!("\"label\":{{\"sim\":\"{sim}\",\"presence\":\"Abroad\"}}");
+                        format!("{}{label}{}", &line[..start], &line[end..])
+                    } else {
+                        line.to_owned()
+                    };
+                    line + "\n"
+                })
+                .collect();
+            let what = format!("{sim} abroad at line {bad_line}");
+            let errors = [
+                io::read_catalog_auto(body.as_bytes()).map(|_| ()),
+                io::read_catalog_serde(body.as_bytes()).map(|_| ()),
+                stream_catalog(body.as_bytes()).map(|_| ()),
+            ]
+            .map(|result| match result {
+                Err(IoError::Parse { line, message }) => {
+                    assert_eq!(line, bad_line, "{what}");
+                    assert!(
+                        message.contains("unobservable roaming label"),
+                        "{what}: {message}"
+                    );
+                    message
+                }
+                other => panic!("{what} accepted: {:?}", other.map_err(|e| e.to_string())),
+            });
+            assert!(errors.iter().all(|e| *e == errors[0]), "{what}: {errors:?}");
+        }
     }
 }
 

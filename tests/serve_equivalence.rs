@@ -364,6 +364,21 @@ fn hostile_bodies_bounce_without_state_change() {
             reply.body_str()
         );
 
+        // A row labelled I:A, a label the studied MNO cannot observe.
+        let abroad = text.replacen(
+            "\"sim\":\"International\",\"presence\":\"Home\"",
+            "\"sim\":\"International\",\"presence\":\"Abroad\"",
+            1,
+        );
+        assert_ne!(abroad, text);
+        let reply = request(addr, "POST", "/ingest/t", abroad.as_bytes());
+        assert_eq!(reply.status, 400);
+        assert!(
+            reply.body_str().contains("unobservable roaming label I:A"),
+            "error must name the label: {}",
+            reply.body_str()
+        );
+
         // None of it moved the books.
         let after = request(addr, "GET", "/report/t/summary", &[]);
         assert_eq!(after.generation(), generation_before);
