@@ -101,9 +101,7 @@ mod tests {
             tac: Tac::new(35_000_000).unwrap(),
             active_days: 1,
             first_day: 0,
-            last_day: 0,
             dominant_label: RoamingLabel::IH,
-            labels: BTreeSet::from([RoamingLabel::IH]),
             apns: BTreeSet::new(),
             radio_flags: RadioFlags::default(),
             events: hourly.iter().sum(),
@@ -114,7 +112,6 @@ mod tests {
             bytes: 0,
             in_designated_range: false,
             in_published_m2m_range: false,
-            visited: BTreeSet::new(),
             hourly,
             mobility: MobilityAccum::default(),
         }

@@ -19,39 +19,43 @@ pub struct LabelShares {
     pub overall: BTreeMap<RoamingLabel, f64>,
 }
 
-/// In-order accumulator for [`label_shares`]: counts per (day, label).
-/// State is O(days × labels); rides along in the catalog pass next to
-/// the summary fold.
+/// In-order accumulator for [`label_shares`]: counts per (day, label),
+/// each label in its [`RoamingLabel::index`] slot. State is
+/// O(days × labels); rides along in the catalog pass next to the
+/// summary fold.
 #[derive(Debug, Clone)]
 pub struct LabelSharesFold {
-    per_day: Vec<BTreeMap<RoamingLabel, f64>>,
-    overall: BTreeMap<RoamingLabel, f64>,
+    per_day: Vec<[u64; 6]>,
+    overall: [u64; 6],
 }
 
 impl LabelSharesFold {
     /// An empty accumulator for a `window_days`-day catalog.
     pub fn new(window_days: u32) -> Self {
         LabelSharesFold {
-            per_day: vec![BTreeMap::new(); window_days as usize],
-            overall: BTreeMap::new(),
+            per_day: vec![[0; 6]; window_days as usize],
+            overall: [0; 6],
         }
     }
 
     /// Counts one row.
     pub fn push(&mut self, row: &CatalogEntry) {
         if let Some(day) = self.per_day.get_mut(row.day.0 as usize) {
-            *day.entry(row.label).or_insert(0.0) += 1.0;
+            day[row.label.index()] += 1;
         }
-        *self.overall.entry(row.label).or_insert(0.0) += 1.0;
+        self.overall[row.label.index()] += 1;
     }
 
-    /// Normalizes counts into shares.
+    /// Normalizes counts into shares; a label with no rows gets no
+    /// entry.
     pub fn finish(self) -> LabelShares {
-        let normalize = |counts: BTreeMap<RoamingLabel, f64>| -> BTreeMap<RoamingLabel, f64> {
-            let total: f64 = counts.values().sum();
-            counts
+        let normalize = |counts: [u64; 6]| -> BTreeMap<RoamingLabel, f64> {
+            let total = counts.iter().sum::<u64>() as f64;
+            RoamingLabel::ALL
                 .into_iter()
-                .map(|(l, c)| (l, if total > 0.0 { c / total } else { 0.0 }))
+                .zip(counts)
+                .filter(|&(_, c)| c > 0)
+                .map(|(l, c)| (l, c as f64 / total))
                 .collect()
         };
         LabelShares {

@@ -118,9 +118,7 @@ mod tests {
             tac: Tac::new(35_000_000).unwrap(),
             active_days: 1,
             first_day: 0,
-            last_day: 0,
             dominant_label: RoamingLabel::IH,
-            labels: BTreeSet::from([RoamingLabel::IH]),
             apns: BTreeSet::new(),
             radio_flags: RadioFlags { any, data, voice },
             events: 1,
@@ -131,7 +129,6 @@ mod tests {
             bytes: 0,
             in_designated_range: false,
             in_published_m2m_range: false,
-            visited: BTreeSet::new(),
             hourly: [0; 24],
             mobility: MobilityAccum::default(),
         }

@@ -186,9 +186,7 @@ mod tests {
             tac: Tac::new(35_000_000).unwrap(),
             active_days: 10,
             first_day: 0,
-            last_day: 9,
             dominant_label: label,
-            labels: BTreeSet::from([label]),
             apns: BTreeSet::new(),
             radio_flags: RadioFlags::default(),
             events,
@@ -199,7 +197,6 @@ mod tests {
             bytes,
             in_designated_range: false,
             in_published_m2m_range: false,
-            visited: BTreeSet::new(),
             hourly: [0; 24],
             mobility: MobilityAccum::default(),
         }

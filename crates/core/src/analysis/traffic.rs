@@ -109,9 +109,7 @@ mod tests {
             tac: Tac::new(35_000_000).unwrap(),
             active_days: days,
             first_day: 0,
-            last_day: days.saturating_sub(1),
             dominant_label: label,
-            labels: BTreeSet::from([label]),
             apns: BTreeSet::new(),
             radio_flags: RadioFlags::default(),
             events,
@@ -122,7 +120,6 @@ mod tests {
             bytes,
             in_designated_range: false,
             in_published_m2m_range: false,
-            visited: BTreeSet::new(),
             hourly: [0; 24],
             mobility: MobilityAccum::default(),
         }

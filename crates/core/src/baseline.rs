@@ -121,7 +121,6 @@ pub fn imsi_range_baseline(tacdb: &TacDatabase, summaries: &[DeviceSummary]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
     use wtr_model::ids::{Plmn, Tac};
     use wtr_model::rat::RadioFlags;
     use wtr_model::roaming::RoamingLabel;
@@ -134,9 +133,7 @@ mod tests {
             tac,
             active_days: 1,
             first_day: 0,
-            last_day: 0,
             dominant_label: RoamingLabel::IH,
-            labels: BTreeSet::from([RoamingLabel::IH]),
             apns: apns.iter().map(|s| table.intern(s)).collect(),
             radio_flags: RadioFlags::default(),
             events: 1,
@@ -147,7 +144,6 @@ mod tests {
             bytes: 0,
             in_designated_range: false,
             in_published_m2m_range: false,
-            visited: BTreeSet::new(),
             hourly: [0; 24],
             mobility: MobilityAccum::default(),
         }

@@ -260,7 +260,6 @@ impl<'a> Classifier<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
     use wtr_model::ids::{Plmn, Tac};
     use wtr_model::rat::RadioFlags;
     use wtr_model::roaming::RoamingLabel;
@@ -303,9 +302,7 @@ mod tests {
             tac,
             active_days: 5,
             first_day: 0,
-            last_day: 4,
             dominant_label: RoamingLabel::IH,
-            labels: BTreeSet::from([RoamingLabel::IH]),
             apns: apns.iter().map(|s| table.intern(s)).collect(),
             radio_flags: RadioFlags::default(),
             events: 10,
@@ -316,7 +313,6 @@ mod tests {
             bytes: 1_000,
             in_designated_range: false,
             in_published_m2m_range: false,
-            visited: BTreeSet::new(),
             hourly: [0; 24],
             mobility: MobilityAccum::default(),
         }

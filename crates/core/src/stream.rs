@@ -21,12 +21,9 @@
 //! `stream_equivalence` test suite serializes both sides and compares
 //! bytes.
 
-use crate::analysis::activity::{active_days, gyration, ActiveDays, Gyration, StatusGroup};
+use crate::analysis::activity::{active_days, ActiveDays, StatusGroup};
 use crate::analysis::diurnal::{profiles, DiurnalProfile};
-use crate::analysis::population::{
-    class_label_breakdown, home_countries, ClassLabelBreakdown, HomeCountries, LabelShares,
-    LabelSharesFold,
-};
+use crate::analysis::population::{home_countries, HomeCountries, LabelShares, LabelSharesFold};
 use crate::analysis::rat_usage::{rat_usage, Plane, RatUsage};
 use crate::analysis::revenue::{inbound_economics, ClassEconomics, RateCard};
 use crate::analysis::smip::{group_stats, identify, SmipGroupStats, SmipPopulation};
@@ -167,16 +164,17 @@ fn canonical_symbols(
     (summaries, table)
 }
 
-/// Every per-summary analysis table of the reporting pipeline, computed
-/// by [`analyze`].
+/// Every per-summary analysis table the reports render, computed by
+/// [`analyze`]. The Fig. 6 class × label table and the Fig. 8 gyration
+/// ECDFs are not rendered; `repro` computes them with
+/// [`class_label_breakdown`](crate::analysis::population::class_label_breakdown)
+/// and [`gyration`](crate::analysis::activity::gyration).
 #[derive(Debug, Clone)]
 pub struct AnalysisSuite {
     /// The §4.3 classification.
     pub classification: Classification,
     /// Fig. 5 home-country structure of inbound roamers.
     pub home: HomeCountries,
-    /// Fig. 6 class × label table.
-    pub class_label: ClassLabelBreakdown,
     /// Fig. 9 RAT usage, one `Vec<RatUsage>` per plane in [`PLANES`]
     /// order (each over [`CLASSES`]).
     pub rat: Vec<Vec<RatUsage>>,
@@ -185,8 +183,6 @@ pub struct AnalysisSuite {
     pub traffic: Vec<Vec<TrafficDist>>,
     /// Fig. 7 active-days ECDFs over [`ACTIVE_PAIRS`].
     pub active: Vec<ActiveDays>,
-    /// Fig. 8 gyration ECDFs over [`ACTIVE_PAIRS`].
-    pub gyration: Vec<Gyration>,
     /// §4.4 SMIP populations.
     pub smip: SmipPopulation,
     /// Fig. 11 statistics for the native meters.
@@ -215,7 +211,6 @@ pub fn analyze(
     let smip = identify(summaries, tacdb, apns);
     AnalysisSuite {
         home: home_countries(summaries, &classification),
-        class_label: class_label_breakdown(summaries, &classification),
         rat: PLANES
             .iter()
             .map(|p| rat_usage(summaries, &classification, &CLASSES, *p))
@@ -225,7 +220,6 @@ pub fn analyze(
             .map(|m| traffic_dist(summaries, &classification, &TRAFFIC_PAIRS, *m))
             .collect(),
         active: active_days(summaries, &classification, &ACTIVE_PAIRS),
-        gyration: gyration(summaries, &classification, &ACTIVE_PAIRS),
         smip_native: group_stats(summaries, &smip.native, window_days),
         smip_roaming: group_stats(summaries, &smip.roaming, window_days),
         verticals: compare(summaries, apns),

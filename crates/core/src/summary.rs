@@ -5,7 +5,7 @@
 //! anonymized device across the observation window.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use wtr_model::ids::{Plmn, Tac};
 use wtr_model::intern::ApnSym;
 use wtr_model::rat::RadioFlags;
@@ -25,13 +25,10 @@ pub struct DeviceSummary {
     pub active_days: u32,
     /// First active day index.
     pub first_day: u32,
-    /// Last active day index.
-    pub last_day: u32,
-    /// Roaming label observed most often (daily labels can vary for
-    /// devices that roam in and out).
+    /// Roaming label observed on most days (daily labels can vary for
+    /// devices that roam in and out); a tie goes to the label that
+    /// comes first in [`RoamingLabel::ALL`].
     pub dominant_label: RoamingLabel,
-    /// All labels observed.
-    pub labels: BTreeSet<RoamingLabel>,
     /// All APNs observed, as symbols of the source catalog's
     /// [`wtr_model::intern::ApnTable`] (pass that table alongside the
     /// summaries to anything that needs the strings back).
@@ -56,8 +53,6 @@ pub struct DeviceSummary {
     /// Whether any row was tagged as belonging to a GSMA-published foreign
     /// M2M IMSI range (§1 transparency recommendation).
     pub in_published_m2m_range: bool,
-    /// Distinct visited PLMN keys.
-    pub visited: BTreeSet<u32>,
     /// Events per hour of day, summed across the window (diurnal shape).
     pub hourly: [u64; 24],
     /// Mobility accumulator merged across days.
@@ -111,16 +106,11 @@ impl DeviceSummary {
     pub fn gyration_km(&self) -> Option<f64> {
         self.mobility.gyration_km()
     }
-
-    /// Whether the device was ever seen as an international inbound roamer.
-    pub fn ever_international_inbound(&self) -> bool {
-        self.labels.iter().any(|l| l.is_international_inbound())
-    }
 }
 
-/// One device's summary under construction, plus how often each daily
-/// label was seen (for the dominant-label vote).
-type Open = (DeviceSummary, BTreeMap<RoamingLabel, u32>);
+/// One device's summary under construction, plus its days per label,
+/// indexed by [`RoamingLabel::index`] (for the dominant-label vote).
+type Open = (DeviceSummary, [u32; 6]);
 
 /// Opens a device's summary on its first row, which sets the identity
 /// fields (`sim_plmn`/`tac`/`first_day`).
@@ -132,9 +122,7 @@ fn open(row: &CatalogEntry) -> Open {
             tac: row.tac,
             active_days: 0,
             first_day: row.day.0,
-            last_day: row.day.0,
             dominant_label: row.label,
-            labels: BTreeSet::new(),
             apns: BTreeSet::new(),
             radio_flags: RadioFlags::default(),
             events: 0,
@@ -145,11 +133,10 @@ fn open(row: &CatalogEntry) -> Open {
             bytes: 0,
             in_designated_range: false,
             in_published_m2m_range: false,
-            visited: BTreeSet::new(),
             hourly: [0; 24],
             mobility: MobilityAccum::default(),
         },
-        BTreeMap::new(),
+        [0; 6],
     );
     fold_row(&mut device, row);
     device
@@ -158,8 +145,6 @@ fn open(row: &CatalogEntry) -> Open {
 /// Folds a device's next row (rows ascend by day) into its summary.
 fn fold_row((s, counts): &mut Open, row: &CatalogEntry) {
     s.active_days += 1;
-    s.last_day = row.day.0;
-    s.labels.insert(row.label);
     s.apns.extend(row.apns.iter().copied());
     s.radio_flags.merge(row.radio_flags);
     s.events += row.events;
@@ -170,12 +155,11 @@ fn fold_row((s, counts): &mut Open, row: &CatalogEntry) {
     s.bytes += row.bytes_total();
     s.in_designated_range |= row.in_designated_range;
     s.in_published_m2m_range |= row.in_published_m2m_range;
-    s.visited.extend(row.visited.iter().copied());
     for (h, n) in row.hourly.iter().enumerate() {
         s.hourly[h] += *n as u64;
     }
     s.mobility.merge(&row.mobility);
-    *counts.entry(row.label).or_insert(0) += 1;
+    counts[row.label.index()] += 1;
 }
 
 /// In-order accumulator for per-device summaries: the fold behind
@@ -215,12 +199,11 @@ impl SummaryFold {
         self.devices
             .into_iter()
             .map(|(mut s, counts)| {
-                if let Some((label, _)) = counts
-                    .iter()
-                    .max_by_key(|(l, c)| (**c, std::cmp::Reverse(**l)))
-                {
-                    s.dominant_label = *label;
-                }
+                // Most days wins; a tie goes to the first such slot, the
+                // smaller label.
+                let most = counts.iter().max().copied().unwrap_or(0);
+                let best = counts.iter().position(|&n| n == most).unwrap_or(0);
+                s.dominant_label = RoamingLabel::ALL[best];
                 s
             })
             .collect()
@@ -278,13 +261,11 @@ mod tests {
         let s1 = sums.iter().find(|s| s.user == 1).unwrap();
         assert_eq!(s1.active_days, 4);
         assert_eq!(s1.first_day, 0);
-        assert_eq!(s1.last_day, 5);
         assert_eq!(s1.events, 40);
         assert_eq!(s1.failed_events, 4);
         assert_eq!(s1.data_sessions, 8);
         assert_eq!(s1.bytes, 600);
         assert_eq!(s1.dominant_label, RoamingLabel::IH);
-        assert!(s1.ever_international_inbound());
         assert_eq!(s1.events_per_active_day(), 10.0);
         assert!(s1.used_data() && !s1.used_voice());
         assert!(s1.had_failures());
@@ -294,10 +275,8 @@ mod tests {
     fn mixed_labels_tracked() {
         let sums = summarize(&sample_catalog());
         let s2 = sums.iter().find(|s| s.user == 2).unwrap();
-        assert_eq!(s2.labels.len(), 2);
-        assert!(s2.labels.contains(&RoamingLabel::HH));
-        assert!(s2.labels.contains(&RoamingLabel::HA));
-        assert!(!s2.ever_international_inbound());
+        // One H:H day and one H:A day: the tie goes to the smaller label.
+        assert_eq!(s2.dominant_label, RoamingLabel::HH);
         assert!(s2.used_voice());
     }
 
@@ -308,8 +287,12 @@ mod tests {
             cat.row_mut(3, Day(day), plmn(), tac(), RoamingLabel::IH);
         }
         cat.row_mut(3, Day(6), plmn(), tac(), RoamingLabel::HH);
+        // A tie goes to the smaller label, whichever came first.
+        cat.row_mut(4, Day(0), plmn(), tac(), RoamingLabel::IH);
+        cat.row_mut(4, Day(1), plmn(), tac(), RoamingLabel::HH);
         let sums = summarize(&cat);
         assert_eq!(sums[0].dominant_label, RoamingLabel::IH);
+        assert_eq!(sums[1].dominant_label, RoamingLabel::HH);
     }
 
     #[test]
