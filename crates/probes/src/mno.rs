@@ -269,14 +269,15 @@ impl MnoProbe {
         }
     }
 
-    /// Folds another probe (built from a *later* slice of the event
-    /// stream) into this one. Catalog rows merge with first-touch identity
-    /// preserved, element loads and counters add.
+    /// Folds another probe into this one. Catalog rows merge with
+    /// first-touch identity preserved (`self`'s row wins a collision),
+    /// element loads and counters add.
     ///
     /// This is the shard-merge of the sharded scenario runners:
-    /// shard probes tap disjoint device populations, so every keyed merge
-    /// (catalog rows) is conflict-free and every additive merge (element
-    /// load, radio/CDR/xDR counters) is order-insensitive. The one
+    /// shard probes tap disjoint device populations, whichever devices
+    /// a shard holds, so every keyed merge (catalog rows) is
+    /// conflict-free and every additive merge (element load,
+    /// radio/CDR/xDR counters) is order-insensitive. The one
     /// ordering artifact — APN intern order, which depends on how shards
     /// are concatenated — is erased by [`MnoProbe::canonicalize`]
     /// afterwards. Property-tested in `tests/shard_determinism.rs`:

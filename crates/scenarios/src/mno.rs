@@ -180,8 +180,8 @@ impl MnoScenario {
 
     /// Builds, simulates and collects the catalog.
     ///
-    /// The agent population is partitioned into `wtr_sim::par::threads()`
-    /// contiguous shards, each simulated on its own event loop (see
+    /// The agent population is dealt into `wtr_sim::par::threads()`
+    /// shards, each simulated on its own event loop (see
     /// [`MnoScenario::run_sharded`]). Output is byte-identical at any
     /// shard count, so the default simply follows the `WTR_THREADS` /
     /// `par::set_threads` worker knob.
@@ -190,18 +190,19 @@ impl MnoScenario {
     }
 
     /// [`run`](MnoScenario::run) with an explicit shard count: the device
-    /// population splits into `shards` contiguous shards
-    /// ([`wtr_sim::par::split_ranges`]), each runs its own engine with a
-    /// shard-local probe behind a shard-local [`LossySink`], and the
-    /// shard probes fold left to right through `MnoProbe::absorb`,
+    /// population is dealt round-robin into `shards` shards
+    /// ([`wtr_sim::shard::run_sharded`]: device `i` to shard `i % shards`,
+    /// so every device class spreads evenly), each runs its own engine
+    /// with a shard-local probe behind a shard-local [`LossySink`], and
+    /// the shard probes fold left to right through `MnoProbe::absorb`,
     /// followed by APN-symbol canonicalization. `shards == 1` *is* the
     /// serial path: one engine, inline on the calling thread.
     ///
-    /// The fold equals the serial run at any shard count: shard probes
-    /// tap disjoint device populations, so catalog rows never collide
-    /// across shards (no floating-point regrouping), record vectors
-    /// concatenate in shard order, counters are additive, and the
-    /// canonicalization erases the APN intern order the fold leaves.
+    /// The fold equals the serial run at any shard count and for any
+    /// deal: shard probes tap disjoint device populations, so catalog
+    /// rows never collide across shards (no floating-point regrouping),
+    /// counters are additive, and the canonicalization erases the APN
+    /// intern order the fold leaves.
     ///
     /// Output — catalog bytes, ground truth, record counts, element
     /// load — is byte-identical at every shard count; the shard-count

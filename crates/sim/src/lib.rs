@@ -34,7 +34,7 @@
 //! * [`device`] — the device agent tying it all together.
 //! * [`par`] — deterministic order-stable parallel maps.
 //! * [`shard`] — sharded simulation: K independent per-shard event
-//!   loops over a contiguously partitioned agent population.
+//!   loops over an agent population dealt round-robin.
 //! * [`stream`] — chunked record streams: the shape of the
 //!   bounded-memory pass over a catalog file.
 

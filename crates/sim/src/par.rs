@@ -79,12 +79,9 @@ where
 /// ranges whose union is `0..n`.
 ///
 /// The boundaries are a pure function of `(n, k)`: range `w` is
-/// `[w*per, min((w+1)*per, n))` with `per = n.div_ceil(k)` — the same
+/// `[w*per, min((w+1)*per, n))` with `per = n.div_ceil(k)` — the
 /// contiguous assignment [`par_each`] and [`par_map`] use for their
-/// workers. This is the partitioning used by [`crate::shard`] to split
-/// an agent population into per-shard event loops: contiguity preserves
-/// the relative agent order inside every shard, which the shard-stable
-/// dispatch order `(time, agent, seq)` relies on.
+/// workers, whose outputs concatenate in input order.
 pub fn split_ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
     if n == 0 {
         return Vec::new();

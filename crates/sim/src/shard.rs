@@ -4,19 +4,21 @@
 //! Devices are embarrassingly parallel by construction — agents can only
 //! self-schedule (the [`Scheduler`](crate::engine::Scheduler) exposes no
 //! cross-agent wake) and every device draws from its own RNG substream —
-//! so an agent population can be split into contiguous shards, each run
-//! to completion on its own [`Engine`], and the per-shard results merged
+//! so an agent population can be split into shards, each run to
+//! completion on its own [`Engine`], and the per-shard results merged
 //! afterwards. The engine's shard-stable dispatch order
 //! `(time, agent, per-agent seq)` guarantees each agent's wake-ups are
 //! dispatched in the same relative order whether it runs in a shard of 1
-//! or a shard of N, so a probe that merges per-shard partials with
-//! order-insensitive (or first-shard-wins keyed) semantics reproduces the
-//! serial run exactly — the simulation-side twin of [`crate::par`]'s
-//! order-stable determinism contract.
+//! or a shard of N, so a probe that merges per-shard partials of
+//! disjoint agent sets with order-insensitive (additive or keyed)
+//! semantics reproduces the serial run exactly — the simulation-side
+//! twin of [`crate::par`]'s order-stable determinism contract.
 //!
-//! Partitioning uses [`par::split_ranges`]: contiguous index ranges that
-//! are a pure function of `(agents, shards)`, so the shard an agent lands
-//! in never depends on thread scheduling.
+//! Agents are dealt round-robin: agent `i` runs in shard `i % K`. The
+//! deal is a pure function of `(agents, K)`, so the shard an agent lands
+//! in never depends on thread scheduling, and it spreads every block of
+//! similar agents (a scenario builds its population class by class)
+//! evenly over the shards, which keeps their loads close.
 
 use crate::engine::{Agent, Engine, EngineStats};
 use crate::par;
@@ -28,15 +30,14 @@ pub fn shard_count(requested: Option<usize>) -> usize {
     requested.map_or_else(par::threads, |k| k.max(1))
 }
 
-/// Runs `agents` partitioned into (at most) `shards` contiguous shards,
-/// each on its own scoped-thread event loop with a world built by
-/// `make_world(shard_index)`, and returns the per-shard
-/// `(world, stats)` results **in shard order**.
+/// Runs `agents` dealt round-robin into `min(shards, agents.len())`
+/// shards (agent `i` to shard `i % K`), each on its own scoped-thread
+/// event loop with a world built by `make_world(shard_index)`, and
+/// returns the per-shard `(world, stats)` results **in shard order**.
 ///
-/// The partition boundaries come from [`par::split_ranges`], so they are
-/// a pure function of `(agents.len(), shards)`. With `shards <= 1` (or a
-/// single-shard partition) the engine runs inline on the calling thread —
-/// the sharded path with K=1 is the serial path plus one closure call.
+/// With `shards <= 1` (or at most one agent) the engine runs inline on
+/// the calling thread — the sharded path with K=1 is the serial path
+/// plus one closure call.
 ///
 /// Determinism contract: each agent behaves identically regardless of
 /// which shard it lands in (self-scheduling only + per-agent RNG
@@ -54,21 +55,21 @@ where
     A: Agent<W> + Send,
     F: Fn(usize) -> W + Sync,
 {
-    let ranges = par::split_ranges(agents.len(), shards.max(1));
-    if ranges.len() <= 1 {
+    let k = shards.min(agents.len()).max(1);
+    if k == 1 {
         let mut engine = Engine::new(make_world(0), horizon);
         engine.add_agents(agents);
         return vec![engine.run_stats()];
     }
 
-    // Move each contiguous agent range into its own group, preserving
-    // global order (range i holds agents [ranges[i].start, ranges[i].end)).
-    let mut iter = agents.into_iter();
-    let groups: Vec<Vec<A>> = ranges
-        .iter()
-        .map(|r| iter.by_ref().take(r.len()).collect())
+    // Deal the agents round-robin; each group keeps its agents in their
+    // global order.
+    let mut groups: Vec<Vec<A>> = (0..k)
+        .map(|_| Vec::with_capacity(agents.len().div_ceil(k)))
         .collect();
-    debug_assert!(iter.next().is_none());
+    for (i, agent) in agents.into_iter().enumerate() {
+        groups[i % k].push(agent);
+    }
 
     let make_world = &make_world;
     let mut results: Vec<(W, EngineStats)> = Vec::with_capacity(groups.len());
@@ -173,6 +174,20 @@ mod tests {
             .map(|(w, _)| w.first().expect("seed entry").1)
             .collect();
         assert_eq!(seeds, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn agents_are_dealt_round_robin() {
+        let results = run_sharded(SimTime::from_secs(20), 3, population(10), |_| Log::new());
+        for (shard, (log, stats)) in results.iter().enumerate() {
+            assert_eq!(stats.agents, if shard == 0 { 4 } else { 3 });
+            assert!(log.iter().all(|&(_, tag)| tag as usize % 3 == shard));
+        }
+        // Never more shards than agents.
+        assert_eq!(
+            run_sharded(SimTime::from_secs(20), 8, population(5), |_| Log::new()).len(),
+            5
+        );
     }
 
     #[test]
