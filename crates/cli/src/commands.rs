@@ -276,6 +276,9 @@ pub fn simulate_platform(argv: &[String]) -> Result<(), String> {
         seed: args.get_parsed("seed", 42u64)?,
         g4_hole_fraction: 0.05,
     };
+    if config.days == 0 {
+        return Err("--days must be at least 1".into());
+    }
     eprintln!(
         "simulating {} IoT SIMs over {} days (seed {})…",
         config.devices, config.days, config.seed

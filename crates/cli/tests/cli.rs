@@ -188,6 +188,10 @@ fn missing_required_options_fail_cleanly() {
             vec!["simulate-mno", "--out", out, "--days", "1", "--shards", "0"],
             "--shards must be at least 1",
         ),
+        (
+            vec!["simulate-platform", "--out", out, "--days", "0"],
+            "--days must be at least 1",
+        ),
     ] {
         let run = wtr(&args);
         assert_eq!(run.status.code(), Some(1), "{args:?} should fail");
