@@ -262,7 +262,7 @@ impl M2mScenario {
         let policy = universe.policy;
         let results = shard::run_sharded(horizon, shard::shard_count(None), agents, |_shard| {
             let probe = M2mProbe::new(watched.clone(), AnonKey::FIXED);
-            RoamingWorld::new(directory.clone(), Box::new(policy.clone()), probe, cfg.seed)
+            RoamingWorld::new(directory.clone(), Box::new(policy.clone()), probe)
         });
         let mut transactions: Vec<M2mTransaction> = Vec::new();
         let mut shard_stats = Vec::with_capacity(results.len());

@@ -287,7 +287,7 @@ impl MnoScenario {
         let results = shard::run_sharded(horizon, shards, agents, |_shard| {
             let lossy =
                 LossySink::new(probe_proto.fork_empty(), cfg.record_loss_fraction, cfg.seed);
-            RoamingWorld::new(directory.clone(), Box::new(policy.clone()), lossy, cfg.seed)
+            RoamingWorld::new(directory.clone(), Box::new(policy.clone()), lossy)
         });
         // Fold the shard probes in shard order, then canonicalize APN
         // symbols: the only interleaving-dependent state is the intern

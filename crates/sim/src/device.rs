@@ -727,12 +727,7 @@ mod tests {
     }
 
     fn run(specs: Vec<DeviceSpec>, days: u32) -> Vec<SimEvent> {
-        let world = RoamingWorld::new(
-            directory(),
-            Box::new(AllowAllPolicy),
-            VecSink::default(),
-            99,
-        );
+        let world = RoamingWorld::new(directory(), Box::new(AllowAllPolicy), VecSink::default());
         let mut engine = Engine::new(world, SimTime::from_secs(days as u64 * 86_400));
         for spec in specs {
             engine.add_agent(DeviceAgent::new(spec, 99));
@@ -905,7 +900,7 @@ mod tests {
                 mobility: MobilityModel::stationary_in(&es_geom, 7),
             },
         ];
-        let world = RoamingWorld::new(dir, Box::new(AllowAllPolicy), VecSink::default(), 99);
+        let world = RoamingWorld::new(dir, Box::new(AllowAllPolicy), VecSink::default());
         let mut engine = Engine::new(world, SimTime::from_secs(6 * 86_400));
         engine.add_agent(DeviceAgent::new(spec, 99));
         let events = engine.run().sink.events;

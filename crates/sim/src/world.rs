@@ -159,32 +159,21 @@ pub struct RoamingWorld<S> {
     pub policy: Box<dyn AccessPolicy + Send>,
     /// Streaming event consumer (a probe).
     pub sink: S,
-    /// Master seed (agents derive their substreams from it).
-    pub master_seed: u64,
-    /// Count of events emitted (cheap progress metric).
-    pub emitted: u64,
 }
 
 impl<S: EventSink> RoamingWorld<S> {
-    /// Creates a world.
-    pub fn new(
-        directory: NetworkDirectory,
-        policy: Box<dyn AccessPolicy + Send>,
-        sink: S,
-        master_seed: u64,
-    ) -> Self {
+    /// Creates a world. Agents take their RNG seed at construction, not
+    /// from the world.
+    pub fn new(directory: NetworkDirectory, policy: Box<dyn AccessPolicy + Send>, sink: S) -> Self {
         RoamingWorld {
             directory,
             policy,
             sink,
-            master_seed,
-            emitted: 0,
         }
     }
 
     /// Streams an event into the sink.
     pub fn emit(&mut self, event: SimEvent) {
-        self.emitted += 1;
         self.sink.on_event(&event);
     }
 }
@@ -193,9 +182,7 @@ impl<S> std::fmt::Debug for RoamingWorld<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RoamingWorld")
             .field("networks", &self.directory.len())
-            .field("emitted", &self.emitted)
-            .field("master_seed", &self.master_seed)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -271,16 +258,14 @@ mod tests {
     }
 
     #[test]
-    fn emit_streams_to_sink_and_counts() {
+    fn emit_streams_to_sink() {
         let mut world = RoamingWorld::new(
             NetworkDirectory::new(),
             Box::new(AllowAllPolicy),
             VecSink::default(),
-            42,
         );
         world.emit(sig(1));
         world.emit(sig(2));
-        assert_eq!(world.emitted, 2);
         assert_eq!(world.sink.events.len(), 2);
         assert_eq!(world.sink.events[1].device(), 2);
     }

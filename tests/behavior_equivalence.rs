@@ -130,7 +130,7 @@ fn digest(bytes: &[u8]) -> u64 {
 fn every_vertical_matches_event_digest_golden() {
     for (i, &(vertical, golden)) in VERTICAL_EVENT_DIGESTS.iter().enumerate() {
         assert_eq!(vertical, Vertical::ALL[i], "golden table out of order");
-        let world = RoamingWorld::new(directory(), Box::new(AllowAllPolicy), VecSink::default(), 7);
+        let world = RoamingWorld::new(directory(), Box::new(AllowAllPolicy), VecSink::default());
         let mut engine = Engine::new(world, SimTime::from_secs(u64::from(DAYS) * 86_400));
         for spec in vertical_variants(vertical, i as u64 * 10, DAYS) {
             engine.add_agent(DeviceAgent::new(spec, 7));

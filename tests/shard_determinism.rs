@@ -318,12 +318,7 @@ mod small_world {
     }
 
     pub fn run() -> Vec<SimEvent> {
-        let world = RoamingWorld::new(
-            directory(),
-            Box::new(AllowAllPolicy),
-            VecSink::default(),
-            99,
-        );
+        let world = RoamingWorld::new(directory(), Box::new(AllowAllPolicy), VecSink::default());
         let mut engine = Engine::new(world, SimTime::from_secs(5 * 86_400));
         for i in 0..12u64 {
             engine.add_agent(DeviceAgent::new(meter_spec(i + 1), 99));
