@@ -395,20 +395,4 @@ mod tests {
             assert_eq!(RoamingLabel::from_parts(sim, Presence::Abroad), None);
         }
     }
-
-    #[test]
-    fn deserialize_refuses_unobservable_labels() {
-        for label in RoamingLabel::ALL {
-            let back = RoamingLabel::deserialize_value(&label.serialize_value()).unwrap();
-            assert_eq!(back, label);
-        }
-        for sim in [SimOrigin::National, SimOrigin::International] {
-            let v = serde::Value::Object(vec![
-                ("sim".to_owned(), sim.serialize_value()),
-                ("presence".to_owned(), Presence::Abroad.serialize_value()),
-            ]);
-            let err = RoamingLabel::deserialize_value(&v).unwrap_err();
-            assert!(err.to_string().contains(":A"), "{err}");
-        }
-    }
 }
