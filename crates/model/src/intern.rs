@@ -12,11 +12,14 @@
 //! # Determinism rules
 //!
 //! * **In memory**, symbols are assigned by **first occurrence**: the
-//!   first time a string is interned it receives the next id. First-
-//!   occurrence assignment is reproduced exactly by the parallel ingest
-//!   path, because chunk-local tables are absorbed **left to right in
-//!   chunk order** ([`ApnTable::absorb`]) — the combined table equals the
-//!   serial one for any thread count.
+//!   first time a string is interned it receives the next id. Merging
+//!   two catalogs (`DevicesCatalog::merge` in `wtr-probes`, the sharded
+//!   simulation's probe merge) interns the right-hand table's strings
+//!   in its own symbol order ([`ApnTable::absorb`]), so tables built
+//!   from consecutive parts of one stream and merged left to right
+//!   equal the table of a serial pass. A JSONL catalog reader interns
+//!   in row order on its reading thread; a `WTRCAT` reader takes the
+//!   file's canonical table.
 //! * **On disk** (the `WTRCAT` codec), the table is first
 //!   [canonicalized](ApnTable::canonicalized): strings are sorted and
 //!   symbols re-assigned by sorted rank, so serialized tables — and
@@ -189,15 +192,14 @@ impl ApnTable {
         (canonical, remap)
     }
 
-    /// Absorbs another table built from a *later* chunk of the same
-    /// stream: every string of `other` is interned into `self` in
-    /// `other`'s symbol order. Returns the remap vector
-    /// (`remap[other_sym.index()]` = symbol in `self`).
+    /// Absorbs another table: every string of `other` is interned into
+    /// `self` in `other`'s symbol order. Returns the remap vector
+    /// (`remap[other_sym.index()]` = symbol in `self`). Its one caller
+    /// is `DevicesCatalog::merge` in `wtr-probes`.
     ///
     /// Because `other`'s symbols are themselves first-occurrence ordered,
-    /// absorbing chunk tables left to right reproduces the serial
-    /// first-occurrence assignment exactly — the determinism contract of
-    /// the parallel ingest path.
+    /// absorbing the tables of consecutive parts of one stream left to
+    /// right reproduces the serial first-occurrence assignment exactly.
     pub fn absorb(&mut self, other: &ApnTable) -> Vec<ApnSym> {
         other.strings.iter().map(|s| self.intern(s)).collect()
     }
