@@ -289,7 +289,7 @@ mod tests {
         for s in stream {
             serial.intern(s);
         }
-        // Parallel: two chunk tables, absorbed in chunk order.
+        // Two tables of consecutive parts, absorbed in order.
         let mut left = ApnTable::new();
         for s in &stream[..3] {
             left.intern(s);

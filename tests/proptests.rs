@@ -246,8 +246,9 @@ proptest! {
         left in prop::collection::vec("[a-z]{1,8}", 0..20),
         right in prop::collection::vec("[a-z]{1,8}", 0..20),
     ) {
-        // Chunk-local tables absorbed left-to-right reproduce the serial
-        // first-occurrence assignment exactly (the parallel-ingest rule).
+        // Tables of consecutive parts absorbed left to right reproduce
+        // the serial first-occurrence assignment exactly (the rule
+        // `DevicesCatalog::merge` relies on).
         let mut serial = ApnTable::new();
         for s in left.iter().chain(right.iter()) {
             serial.intern(s);
