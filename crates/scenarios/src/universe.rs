@@ -284,6 +284,49 @@ mod tests {
             .contains(wtr_model::rat::Rat::G2));
     }
 
+    /// Pins the admission answer of every (home, visited) pair the
+    /// scenarios can ask about: homes are the registry, the directory and
+    /// each country's `primary_mcc`-01; visited networks are the whole
+    /// directory; both lists ascend by packed key.
+    #[test]
+    fn admission_matrix_matches_golden() {
+        use wtr_model::hash::mix64;
+        use wtr_model::ids::Mnc;
+
+        let u = Universe::standard(CoverageFaults::NONE);
+        fn keyed(plmns: impl IntoIterator<Item = Plmn>) -> BTreeMap<u32, Plmn> {
+            plmns.into_iter().map(|p| (p.packed(), p)).collect()
+        }
+        let visited = keyed(
+            Country::all()
+                .iter()
+                .flat_map(|c| u.directory.in_country(c.iso).iter().copied()),
+        );
+        let mut homes = keyed(u.registry.iter().map(|op| op.plmn));
+        homes.extend(&visited);
+        homes.extend(keyed(
+            Country::all()
+                .iter()
+                .map(|c| Plmn::new(c.primary_mcc(), Mnc::new2(1).unwrap())),
+        ));
+        assert_eq!((homes.len(), visited.len()), (303, 301));
+        let (mut pairs, mut admitted) = (0u64, 0u64);
+        let mut acc = 0x9E37_79B9_7F4A_7C15u64;
+        for (&hk, &home) in &homes {
+            for (&vk, &v) in &visited {
+                let ok = u.policy.decide(home, v).is_allowed();
+                pairs += 1;
+                admitted += u64::from(ok);
+                acc = mix64(acc ^ (u64::from(hk) << 32 | u64::from(vk)) ^ u64::from(ok));
+            }
+        }
+        assert_eq!((pairs, admitted), (91_203, 38_217));
+        assert_eq!(
+            acc, 0xeb2e_dcc4_b17a_3cf0,
+            "admission matrix drifted: {acc:#018x}"
+        );
+    }
+
     #[test]
     fn studied_mno_is_a_first_network() {
         // The studied MNO must deploy 4G (it hosts smartphones); curated

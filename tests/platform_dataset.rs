@@ -3,6 +3,7 @@
 
 use std::sync::OnceLock;
 use where_things_roam::core::analysis::platform;
+use where_things_roam::model::hash::mix64;
 use where_things_roam::model::operators::well_known;
 use where_things_roam::probes::wire;
 use where_things_roam::scenarios::m2m::M2mScenarioOutput;
@@ -169,4 +170,31 @@ fn sticky_failure_population_only_fails() {
             }
         }
     }
+}
+
+/// The same fold as `shard_determinism`'s catalog digest.
+fn digest(bytes: &[u8]) -> u64 {
+    let mut acc = 0x9E37_79B9_7F4A_7C15u64;
+    for chunk in bytes.chunks(8) {
+        let mut b = [0u8; 8];
+        b[..chunk.len()].copy_from_slice(chunk);
+        acc = mix64(acc ^ u64::from_le_bytes(b));
+    }
+    mix64(acc ^ bytes.len() as u64)
+}
+
+/// Pins the whole transaction log, so a change to the attach walk that
+/// both scenarios share cannot move a single M2M transaction unseen.
+/// The log is the same at any thread count.
+#[test]
+fn transaction_log_matches_golden() {
+    let out = output();
+    let bytes = wire::encode_log(&out.transactions);
+    assert_eq!(out.transactions.len(), 718_555);
+    assert_eq!(bytes.len(), 18_682_446);
+    let got = digest(&bytes);
+    assert_eq!(
+        got, 0x5185_6b4d_ac62_b707,
+        "transaction log drifted: {got:#018x}"
+    );
 }
