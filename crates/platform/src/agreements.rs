@@ -1,33 +1,35 @@
-//! The roaming-agreement graph: who may roam where, and through what.
+//! The roaming-agreement graph: who may roam where.
 //!
 //! Two mechanisms grant access (§2.1): **bilateral agreements** between two
-//! operators, and **hub connectivity** (both operators reach a common hub,
-//! directly or through one hub-to-hub peering). The graph answers, for a
-//! (home, visited) pair, whether roaming is possible and through which
-//! path — the paper notes bilateral and hub models coexist and complement
-//! each other.
+//! operators, and **hub connectivity**. "Operators connect to a hubbing
+//! solution provider to gain access to many roaming partners … Hubs are
+//! then interconnected to further expand potential operator
+//! relationships": two operators are hub-connected when they are members
+//! of the same hub or of two *peered* hubs (one peering level, as in
+//! practice — hub peering is not transitive here). The paper notes the
+//! bilateral and hub models coexist and complement each other.
+//!
+//! The graph is the simulator's [`AccessPolicy`]: a visited network admits
+//! a SIM on its home network, anywhere in its home country (national
+//! roaming), or when the graph connects the two.
 
-use crate::hub::{HubId, IpxHub};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+use wtr_model::country::Country;
 use wtr_model::ids::Plmn;
+use wtr_sim::world::AccessPolicy;
 
-/// How a (home, visited) pair is connected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AgreementPath {
-    /// Direct bilateral agreement.
-    Bilateral,
-    /// Both operators are members of the same hub.
-    SameHub(HubId),
-    /// Operators reach each other across one hub peering.
-    PeeredHubs(HubId, HubId),
-}
+/// Identifier of a hub within an agreement graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[serde(transparent)]
+pub struct HubId(pub u32);
 
 /// The full agreement graph.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AgreementGraph {
     bilateral: HashSet<(u32, u32)>,
-    hubs: Vec<IpxHub>,
+    /// Per hub, indexed by [`HubId`], the hubs it peers with.
+    peers: Vec<Vec<HubId>>,
     memberships: HashMap<u32, Vec<HubId>>,
 }
 
@@ -50,35 +52,24 @@ impl AgreementGraph {
     }
 
     /// Creates a hub and returns its id.
-    pub fn add_hub(&mut self, name: impl Into<String>) -> HubId {
-        let id = HubId(self.hubs.len() as u32);
-        self.hubs.push(IpxHub::new(id, name));
-        id
+    pub fn add_hub(&mut self) -> HubId {
+        self.peers.push(Vec::new());
+        HubId(self.peers.len() as u32 - 1)
     }
 
     /// Adds an operator to a hub.
     pub fn join_hub(&mut self, hub: HubId, plmn: Plmn) {
-        self.hubs[hub.0 as usize].add_member(plmn);
+        assert!((hub.0 as usize) < self.peers.len(), "unknown hub {hub:?}");
         self.memberships.entry(plmn.packed()).or_default().push(hub);
     }
 
-    /// Peers two hubs (symmetric).
+    /// Peers two hubs (symmetric; a hub never peers with itself).
     pub fn peer_hubs(&mut self, a: HubId, b: HubId) {
-        if a == b {
+        if a == b || self.peers[a.0 as usize].contains(&b) {
             return;
         }
-        self.hubs[a.0 as usize].add_peer(b);
-        self.hubs[b.0 as usize].add_peer(a);
-    }
-
-    /// Hub object by id.
-    pub fn hub(&self, id: HubId) -> &IpxHub {
-        &self.hubs[id.0 as usize]
-    }
-
-    /// Number of hubs.
-    pub fn hub_count(&self) -> usize {
-        self.hubs.len()
+        self.peers[a.0 as usize].push(b);
+        self.peers[b.0 as usize].push(a);
     }
 
     /// Hubs `plmn` belongs to.
@@ -89,37 +80,31 @@ impl AgreementGraph {
             .unwrap_or(&[])
     }
 
-    /// Finds a connectivity path between `home` and `visited`, preferring
-    /// bilateral > same-hub > peered-hubs (cheapest commercial path first).
-    pub fn path(&self, home: Plmn, visited: Plmn) -> Option<AgreementPath> {
-        if home == visited {
-            // Native attachment needs no roaming agreement; callers treat
-            // this case before consulting the graph, but answer anyway.
-            return Some(AgreementPath::Bilateral);
-        }
-        if self.has_bilateral(home, visited) {
-            return Some(AgreementPath::Bilateral);
-        }
-        let home_hubs = self.hubs_of(home);
-        let visited_hubs = self.hubs_of(visited);
-        for h in home_hubs {
-            if visited_hubs.contains(h) {
-                return Some(AgreementPath::SameHub(*h));
-            }
-        }
-        for h in home_hubs {
-            for v in visited_hubs {
-                if self.hub(*h).peers_with(*v) {
-                    return Some(AgreementPath::PeeredHubs(*h, *v));
-                }
-            }
-        }
-        None
-    }
-
-    /// Whether any path exists.
+    /// Whether `home` reaches `visited`: the same network, a bilateral
+    /// agreement, a shared hub, or two hubs across one peering.
     pub fn connected(&self, home: Plmn, visited: Plmn) -> bool {
-        self.path(home, visited).is_some()
+        if home == visited || self.has_bilateral(home, visited) {
+            return true;
+        }
+        let visited_hubs = self.hubs_of(visited);
+        self.hubs_of(home).iter().any(|h| {
+            visited_hubs
+                .iter()
+                .any(|v| h == v || self.peers[h.0 as usize].contains(v))
+        })
+    }
+}
+
+fn same_country(a: Plmn, b: Plmn) -> bool {
+    match (Country::by_mcc(a.mcc), Country::by_mcc(b.mcc)) {
+        (Some(ca), Some(cb)) => std::ptr::eq(ca, cb),
+        _ => a.mcc == b.mcc,
+    }
+}
+
+impl AccessPolicy for AgreementGraph {
+    fn admits(&self, home: Plmn, visited: Plmn) -> bool {
+        same_country(home, visited) || self.connected(home, visited)
     }
 }
 
@@ -129,6 +114,7 @@ mod tests {
 
     const ES: Plmn = Plmn::of(214, 7);
     const UK: Plmn = Plmn::of(234, 30);
+    const UK2: Plmn = Plmn::of(234, 10);
     const DE: Plmn = Plmn::of(262, 2);
     const AU: Plmn = Plmn::of(505, 1);
 
@@ -138,44 +124,39 @@ mod tests {
         g.add_bilateral(ES, UK);
         assert!(g.has_bilateral(ES, UK));
         assert!(g.has_bilateral(UK, ES));
-        assert_eq!(g.path(UK, ES), Some(AgreementPath::Bilateral));
+        assert!(g.connected(UK, ES));
         assert!(!g.has_bilateral(ES, DE));
     }
 
     #[test]
     fn same_hub_connects() {
         let mut g = AgreementGraph::new();
-        let hub = g.add_hub("GlobalConnect");
+        let hub = g.add_hub();
         g.join_hub(hub, ES);
         g.join_hub(hub, DE);
-        assert_eq!(g.path(ES, DE), Some(AgreementPath::SameHub(hub)));
+        assert!(g.connected(ES, DE));
         assert!(!g.connected(ES, AU));
     }
 
     #[test]
     fn peered_hubs_connect_one_level() {
         let mut g = AgreementGraph::new();
-        let h1 = g.add_hub("EuroHub");
-        let h2 = g.add_hub("PacificHub");
-        let h3 = g.add_hub("IsolatedHub");
+        let h1 = g.add_hub();
+        let h2 = g.add_hub();
+        let h3 = g.add_hub();
         g.join_hub(h1, ES);
         g.join_hub(h2, AU);
         g.join_hub(h3, DE);
         g.peer_hubs(h1, h2);
-        assert_eq!(g.path(ES, AU), Some(AgreementPath::PeeredHubs(h1, h2)));
+        assert!(g.connected(ES, AU));
+        assert!(g.connected(AU, ES));
         // h3 peers with nobody: DE unreachable from either.
         assert!(!g.connected(ES, DE));
         assert!(!g.connected(AU, DE));
-    }
-
-    #[test]
-    fn bilateral_preferred_over_hub() {
-        let mut g = AgreementGraph::new();
-        let hub = g.add_hub("Hub");
-        g.join_hub(hub, ES);
-        g.join_hub(hub, UK);
-        g.add_bilateral(ES, UK);
-        assert_eq!(g.path(ES, UK), Some(AgreementPath::Bilateral));
+        // Peering is not transitive.
+        g.peer_hubs(h2, h3);
+        assert!(g.connected(AU, DE));
+        assert!(!g.connected(ES, DE));
     }
 
     #[test]
@@ -187,12 +168,23 @@ mod tests {
     #[test]
     fn hub_membership_listing() {
         let mut g = AgreementGraph::new();
-        let h1 = g.add_hub("A");
-        let h2 = g.add_hub("B");
+        let h1 = g.add_hub();
+        let h2 = g.add_hub();
         g.join_hub(h1, ES);
         g.join_hub(h2, ES);
         assert_eq!(g.hubs_of(ES), &[h1, h2]);
         assert!(g.hubs_of(AU).is_empty());
-        assert_eq!(g.hub_count(), 2);
+    }
+
+    #[test]
+    fn admits_home_country_and_connected_networks_only() {
+        let mut g = AgreementGraph::new();
+        g.add_bilateral(ES, UK);
+        assert!(g.admits(ES, ES));
+        assert!(g.admits(ES, UK));
+        // National roaming needs no agreement.
+        assert!(g.admits(UK, UK2));
+        assert!(!g.admits(ES, UK2));
+        assert!(!g.admits(ES, DE));
     }
 }

@@ -1,5 +1,5 @@
-//! The M2M platform: global IoT SIM provisioning, steering of roaming, and
-//! roaming architecture selection.
+//! The M2M platform: global IoT SIM provisioning and the roaming
+//! architecture latency model.
 //!
 //! The platform "is built on top of an underlying international carrier and
 //! offers the service of global IoT SIM … a SIM from a single (home) MNO
@@ -11,12 +11,10 @@
 //! * **IMSI allocation** from a dedicated M2M range per HMNO — the GSMA
 //!   transparency mechanism (§1) that also enables SMIP identification in
 //!   §4.4;
-//! * **steering of roaming**: per (HMNO, country) preferred-VMNO lists;
-//! * the **roaming architecture** per destination (Fig. 1), defaulting to
-//!   home-routed — "the default roaming configuration currently used in
-//!   majority of MNOs in Europe is the HR roaming" — with a latency model
-//!   exposing the HR penalty for far destinations (§3.2's Spain→Australia
-//!   example).
+//! * the three **roaming architectures** of Fig. 1 — home-routed being
+//!   "the default roaming configuration currently used in majority of
+//!   MNOs in Europe" — with a latency model exposing the HR penalty for
+//!   far destinations (§3.2's Spain→Australia example).
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -32,7 +30,7 @@ pub enum RoamingArchitecture {
     /// Traffic exits through the visited network's PGW.
     LocalBreakout,
     /// Traffic exits at the IPX hub.
-    IpxHubBreakout,
+    IpxBreakout,
 }
 
 impl RoamingArchitecture {
@@ -43,7 +41,7 @@ impl RoamingArchitecture {
         match self {
             RoamingArchitecture::HomeRouted => visited.distance_km(home),
             RoamingArchitecture::LocalBreakout => 0.0,
-            RoamingArchitecture::IpxHubBreakout => visited.distance_km(hub),
+            RoamingArchitecture::IpxBreakout => visited.distance_km(hub),
         }
     }
 
@@ -75,8 +73,6 @@ pub const M2M_MSIN_CAPACITY: u64 = 1_000_000_000;
 pub struct M2mPlatform {
     hmnos: Vec<Plmn>,
     cursors: HashMap<u32, u64>,
-    steering: HashMap<(u32, String), Vec<Plmn>>,
-    architecture: HashMap<(u32, String), RoamingArchitecture>,
 }
 
 impl M2mPlatform {
@@ -85,8 +81,6 @@ impl M2mPlatform {
         M2mPlatform {
             hmnos,
             cursors: HashMap::new(),
-            steering: HashMap::new(),
-            architecture: HashMap::new(),
         }
     }
 
@@ -99,13 +93,6 @@ impl M2mPlatform {
     pub fn m2m_range(hmno: Plmn) -> ImsiRange {
         ImsiRange::new(hmno, M2M_MSIN_BASE, M2M_MSIN_BASE + M2M_MSIN_CAPACITY)
             .expect("constant range is valid")
-    }
-
-    /// Whether `imsi` belongs to any HMNO's dedicated M2M range.
-    pub fn is_platform_imsi(&self, imsi: Imsi) -> bool {
-        self.hmnos
-            .iter()
-            .any(|h| Self::m2m_range(*h).contains(imsi))
     }
 
     /// Provisions the next IoT SIM from `hmno`'s dedicated range.
@@ -124,39 +111,6 @@ impl M2mPlatform {
             hmno,
             imsi: Imsi::new(hmno, msin)?,
         })
-    }
-
-    /// Number of SIMs provisioned from `hmno` so far.
-    pub fn provisioned_count(&self, hmno: Plmn) -> u64 {
-        self.cursors.get(&hmno.packed()).copied().unwrap_or(0)
-    }
-
-    /// Sets the steering-of-roaming preference list for SIMs of `hmno`
-    /// visiting `country_iso` (most preferred first).
-    pub fn set_steering(&mut self, hmno: Plmn, country_iso: &str, preferred: Vec<Plmn>) {
-        self.steering
-            .insert((hmno.packed(), country_iso.to_owned()), preferred);
-    }
-
-    /// The steering list for (hmno, country), if configured.
-    pub fn steering_for(&self, hmno: Plmn, country_iso: &str) -> Option<&[Plmn]> {
-        self.steering
-            .get(&(hmno.packed(), country_iso.to_owned()))
-            .map(Vec::as_slice)
-    }
-
-    /// Sets the roaming architecture used for `hmno` SIMs in a country.
-    pub fn set_architecture(&mut self, hmno: Plmn, country_iso: &str, arch: RoamingArchitecture) {
-        self.architecture
-            .insert((hmno.packed(), country_iso.to_owned()), arch);
-    }
-
-    /// Architecture for (hmno, country); home-routed by default (§2.1).
-    pub fn architecture_for(&self, hmno: Plmn, country_iso: &str) -> RoamingArchitecture {
-        self.architecture
-            .get(&(hmno.packed(), country_iso.to_owned()))
-            .copied()
-            .unwrap_or(RoamingArchitecture::HomeRouted)
     }
 }
 
@@ -182,7 +136,7 @@ impl ArchitectureComparison {
             home_routed_ms: RoamingArchitecture::HomeRouted.latency_penalty_ms(home, visited, hub),
             local_breakout_ms: RoamingArchitecture::LocalBreakout
                 .latency_penalty_ms(home, visited, hub),
-            ipx_breakout_ms: RoamingArchitecture::IpxHubBreakout
+            ipx_breakout_ms: RoamingArchitecture::IpxBreakout
                 .latency_penalty_ms(home, visited, hub),
         }
     }
@@ -195,7 +149,7 @@ impl ArchitectureComparison {
         if self.home_routed_ms <= threshold_ms {
             RoamingArchitecture::HomeRouted
         } else if self.ipx_breakout_ms <= threshold_ms {
-            RoamingArchitecture::IpxHubBreakout
+            RoamingArchitecture::IpxBreakout
         } else {
             RoamingArchitecture::LocalBreakout
         }
@@ -223,9 +177,7 @@ mod tests {
         let b = p.provision(well_known::ES_HMNO).unwrap();
         assert_eq!(a.imsi.msin(), M2M_MSIN_BASE);
         assert_eq!(b.imsi.msin(), M2M_MSIN_BASE + 1);
-        assert_eq!(p.provisioned_count(well_known::ES_HMNO), 2);
         assert!(M2mPlatform::m2m_range(well_known::ES_HMNO).contains(a.imsi));
-        assert!(p.is_platform_imsi(a.imsi));
     }
 
     #[test]
@@ -235,10 +187,9 @@ mod tests {
     }
 
     #[test]
-    fn ordinary_imsi_not_platform() {
-        let p = platform();
+    fn ordinary_imsi_outside_the_m2m_range() {
         let consumer = Imsi::new(well_known::ES_HMNO, 123).unwrap();
-        assert!(!p.is_platform_imsi(consumer));
+        assert!(!M2mPlatform::m2m_range(well_known::ES_HMNO).contains(consumer));
     }
 
     #[test]
@@ -250,36 +201,6 @@ mod tests {
         let mx2 = p.provision(well_known::MX_HMNO).unwrap();
         assert_eq!(es2.imsi.msin(), M2M_MSIN_BASE + 1);
         assert_eq!(mx2.imsi.msin(), M2M_MSIN_BASE + 1);
-    }
-
-    #[test]
-    fn steering_roundtrip() {
-        let mut p = platform();
-        let pref = vec![Plmn::of(234, 30), Plmn::of(234, 10)];
-        p.set_steering(well_known::ES_HMNO, "GB", pref.clone());
-        assert_eq!(
-            p.steering_for(well_known::ES_HMNO, "GB"),
-            Some(pref.as_slice())
-        );
-        assert_eq!(p.steering_for(well_known::ES_HMNO, "FR"), None);
-    }
-
-    #[test]
-    fn architecture_defaults_to_home_routed() {
-        let mut p = platform();
-        assert_eq!(
-            p.architecture_for(well_known::ES_HMNO, "AU"),
-            RoamingArchitecture::HomeRouted
-        );
-        p.set_architecture(
-            well_known::ES_HMNO,
-            "AU",
-            RoamingArchitecture::LocalBreakout,
-        );
-        assert_eq!(
-            p.architecture_for(well_known::ES_HMNO, "AU"),
-            RoamingArchitecture::LocalBreakout
-        );
     }
 
     #[test]
@@ -317,7 +238,7 @@ mod tests {
         let hr_far = RoamingArchitecture::HomeRouted.latency_penalty_ms(madrid, sydney, hub);
         let hr_near = RoamingArchitecture::HomeRouted.latency_penalty_ms(madrid, london, hub);
         let lbo = RoamingArchitecture::LocalBreakout.latency_penalty_ms(madrid, sydney, hub);
-        let ihbo = RoamingArchitecture::IpxHubBreakout.latency_penalty_ms(madrid, sydney, hub);
+        let ihbo = RoamingArchitecture::IpxBreakout.latency_penalty_ms(madrid, sydney, hub);
         assert!(hr_far > 100.0, "ES→AU HR penalty only {hr_far} ms");
         assert!(hr_near < hr_far / 5.0);
         assert_eq!(lbo, 0.0);

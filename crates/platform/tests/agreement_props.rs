@@ -1,9 +1,9 @@
-//! Property tests over the roaming agreement graph and steering policy.
+//! Property tests over the roaming agreement graph.
 
 use proptest::prelude::*;
+use wtr_model::country::Country;
 use wtr_model::ids::{Mcc, Mnc, Plmn};
 use wtr_platform::agreements::AgreementGraph;
-use wtr_platform::policy::PlatformPolicy;
 use wtr_sim::world::AccessPolicy;
 
 fn arb_plmn() -> impl Strategy<Value = Plmn> {
@@ -28,7 +28,7 @@ proptest! {
     #[test]
     fn hub_membership_connects_all_members(members in prop::collection::vec(arb_plmn(), 2..12)) {
         let mut g = AgreementGraph::new();
-        let hub = g.add_hub("H");
+        let hub = g.add_hub();
         for m in &members {
             g.join_hub(hub, *m);
         }
@@ -40,29 +40,17 @@ proptest! {
     }
 
     #[test]
-    fn decide_is_deterministic_and_self_allowing(a in arb_plmn(), b in arb_plmn()) {
-        let policy = PlatformPolicy::new(AgreementGraph::new());
-        prop_assert!(policy.decide(a, a).is_allowed());
-        prop_assert_eq!(policy.decide(a, b), policy.decide(a, b));
-    }
-
-    #[test]
-    fn steering_is_a_permutation(
-        candidates in prop::collection::vec(arb_plmn(), 1..10),
-        ranks in prop::collection::vec(0u32..5, 1..10),
-        home in arb_plmn()
-    ) {
-        let mut policy = PlatformPolicy::new(AgreementGraph::new());
-        for (c, r) in candidates.iter().zip(&ranks) {
-            policy.set_rank(home, *c, *r);
+    fn admission_is_self_allowing_and_needs_an_agreement_abroad(a in arb_plmn(), b in arb_plmn()) {
+        let mut g = AgreementGraph::new();
+        prop_assert!(g.admits(a, a));
+        let abroad = match (Country::by_mcc(a.mcc), Country::by_mcc(b.mcc)) {
+            (Some(ca), Some(cb)) => ca.iso != cb.iso,
+            _ => a.mcc != b.mcc,
+        };
+        if abroad {
+            prop_assert!(!g.admits(a, b));
+            g.add_bilateral(a, b);
+            prop_assert!(g.admits(a, b) && g.admits(b, a));
         }
-        let mut ordered = candidates.clone();
-        policy.preference_order(home, &mut ordered);
-        // Same multiset, no loss or duplication.
-        let mut a = candidates.clone();
-        let mut b = ordered.clone();
-        a.sort_by_key(|p| p.packed());
-        b.sort_by_key(|p| p.packed());
-        prop_assert_eq!(a, b);
     }
 }

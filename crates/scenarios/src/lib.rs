@@ -21,7 +21,7 @@
 //! checks).
 //!
 //! The [`universe`] module builds the shared world: operator registry,
-//! country geometries, radio networks, agreement graph and steering.
+//! country geometries, radio networks and the agreement graph.
 
 #![warn(missing_docs)]
 

@@ -15,7 +15,6 @@
 use crate::universe::Universe;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use wtr_model::country::{Country, Region};
 use wtr_model::hash::{anonymize_u64, AnonKey};
 use wtr_model::ids::{Imei, Plmn, Tac};
@@ -27,7 +26,6 @@ use wtr_platform::platform::M2mPlatform;
 use wtr_probes::m2m::M2mProbe;
 use wtr_probes::records::M2mTransaction;
 use wtr_radio::network::CoverageFaults;
-use wtr_sim::behavior::BehaviorMatrix;
 use wtr_sim::device::{DeviceAgent, DeviceSpec, ItineraryLeg, PresenceModel};
 use wtr_sim::events::ProcedureResult;
 use wtr_sim::mobility::MobilityModel;
@@ -107,9 +105,6 @@ impl M2mScenarioOutput {
 /// The §3 scenario builder/runner.
 pub struct M2mScenario {
     config: M2mScenarioConfig,
-    /// Per-vertical behavior overrides keyed by `Vertical::label()`,
-    /// mirroring `MnoScenario`'s hook.
-    behavior_overrides: BTreeMap<String, Arc<BehaviorMatrix>>,
 }
 
 /// Traffic profile of a platform IoT device: control-plane only (the probe
@@ -135,20 +130,7 @@ fn platform_profile(signaling_per_day: f64, sigma: f64) -> TrafficProfile {
 impl M2mScenario {
     /// Creates a scenario.
     pub fn new(config: M2mScenarioConfig) -> Self {
-        M2mScenario {
-            config,
-            behavior_overrides: BTreeMap::new(),
-        }
-    }
-
-    /// Installs per-vertical behavior overrides (see
-    /// `MnoScenario::with_behavior_overrides`).
-    pub fn with_behavior_overrides(
-        mut self,
-        overrides: BTreeMap<String, Arc<BehaviorMatrix>>,
-    ) -> Self {
-        self.behavior_overrides = overrides;
-        self
+        M2mScenario { config }
     }
 
     /// Builds the universe, simulates, and returns the captured dataset.
@@ -251,18 +233,14 @@ impl M2mScenario {
             .map(|(spec, truth)| {
                 let anon = anonymize_u64(AnonKey::FIXED, spec.imsi.packed());
                 ground_truth.insert(anon, truth);
-                match self.behavior_overrides.get(spec.vertical.label()) {
-                    Some(matrix) => DeviceAgent::with_behavior(spec, Arc::clone(matrix), cfg.seed)
-                        .expect("platform specs are valid"),
-                    None => DeviceAgent::new(spec, cfg.seed),
-                }
+                DeviceAgent::new(spec, cfg.seed)
             })
             .collect();
         let directory = universe.directory;
-        let policy = universe.policy;
+        let agreements = universe.agreements;
         let results = shard::run_sharded(horizon, shard::shard_count(None), agents, |_shard| {
             let probe = M2mProbe::new(watched.clone(), AnonKey::FIXED);
-            RoamingWorld::new(directory.clone(), Box::new(policy.clone()), probe)
+            RoamingWorld::new(directory.clone(), Box::new(agreements.clone()), probe)
         });
         let mut transactions: Vec<M2mTransaction> = Vec::new();
         let mut shard_stats = Vec::with_capacity(results.len());

@@ -275,19 +275,19 @@ impl MnoScenario {
             })
             .collect();
         // Each shard gets its own world: a clone of the directory and
-        // roaming policy, plus a fresh empty probe forked from the
+        // agreement graph (its access policy), plus a fresh empty probe forked from the
         // prototype. Probe records can be lossy (fault injection): each
         // shard wraps its probe in a shard-local LossySink so a configured
         // fraction never reaches aggregation. The drop coin is keyed on
         // (salt, device, per-device seq), so the dropped-record set is
         // identical across shard counts.
         let directory = universe.directory;
-        let policy = universe.policy;
+        let agreements = universe.agreements;
         let probe_proto = probe;
         let results = shard::run_sharded(horizon, shards, agents, |_shard| {
             let lossy =
                 LossySink::new(probe_proto.fork_empty(), cfg.record_loss_fraction, cfg.seed);
-            RoamingWorld::new(directory.clone(), Box::new(policy.clone()), lossy)
+            RoamingWorld::new(directory.clone(), Box::new(agreements.clone()), lossy)
         });
         // Fold the shard probes in shard order, then canonicalize APN
         // symbols: the only interleaving-dependent state is the intern

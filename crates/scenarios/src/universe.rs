@@ -1,11 +1,11 @@
-//! The shared simulated universe: operators, geometries, radio networks,
-//! agreements and steering.
+//! The shared simulated universe: operators, geometries, radio networks
+//! and roaming agreements.
 //!
 //! Both scenarios run against a [`Universe`]: every country in the model
-//! registry gets its MNOs deployed as radio networks, the platform's
+//! registry gets its MNOs deployed as radio networks, and the platform's
 //! carrier runs a global roaming hub (interconnecting the HMNOs with
-//! MNOs world-wide, §2.1), and a [`PlatformPolicy`] turns that agreement
-//! graph into per-attach admission decisions.
+//! MNOs world-wide, §2.1). That [`AgreementGraph`] is the access policy
+//! each shard boxes: it admits or refuses every attach attempt.
 
 use std::collections::BTreeMap;
 use wtr_model::country::Country;
@@ -15,7 +15,6 @@ use wtr_model::rat::RatSet;
 use wtr_model::vertical::Vertical;
 use wtr_platform::agreements::AgreementGraph;
 use wtr_platform::platform::M2mPlatform;
-use wtr_platform::policy::PlatformPolicy;
 use wtr_radio::geo::CountryGeometry;
 use wtr_radio::network::{CoverageFaults, RadioNetwork};
 use wtr_radio::sector::GridSpacing;
@@ -23,14 +22,16 @@ use wtr_sim::behavior::{profile_matrix, BehaviorMatrix, BehaviorOptions};
 use wtr_sim::traffic::TrafficProfile;
 use wtr_sim::world::NetworkDirectory;
 
-/// Everything the scenarios share: registry, networks, policy, platform.
+/// Everything the scenarios share: registry, networks, agreements,
+/// platform.
 pub struct Universe {
     /// All operators.
     pub registry: OperatorRegistry,
     /// All radio networks, by country.
     pub directory: NetworkDirectory,
-    /// Admission + steering policy.
-    pub policy: PlatformPolicy,
+    /// The roaming agreements; each shard boxes a clone as its access
+    /// policy.
+    pub agreements: AgreementGraph,
     /// The M2M platform (IoT SIM provisioning).
     pub platform: M2mPlatform,
 }
@@ -83,7 +84,9 @@ impl Universe {
     /// * bilateral agreements between the studied UK MNO and the paper's
     ///   key foreign HMNOs (NL, SE, ES, DE — the SIM homes of its inbound
     ///   roamers), plus intra-UK national-roaming agreements used by the
-    ///   national inbound population.
+    ///   national inbound population;
+    /// * national roaming: a SIM is admitted by any network of its home
+    ///   country.
     pub fn standard(faults: CoverageFaults) -> Universe {
         let registry = OperatorRegistry::standard(3);
         let mut directory = NetworkDirectory::new();
@@ -114,8 +117,8 @@ impl Universe {
         }
 
         let mut agreements = AgreementGraph::new();
-        let global_hub = agreements.add_hub("GlobalConnect IPX");
-        let partner_hub = agreements.add_hub("Meridian Hub");
+        let global_hub = agreements.add_hub();
+        let partner_hub = agreements.add_hub();
         agreements.peer_hubs(global_hub, partner_hub);
         for hmno in [
             well_known::ES_HMNO,
@@ -151,9 +154,6 @@ impl Universe {
             agreements.add_bilateral(well_known::UK_STUDIED_MNO, *other);
         }
 
-        let mut policy = PlatformPolicy::new(agreements);
-        policy.allow_national_roaming = true;
-
         let platform = M2mPlatform::new(vec![
             well_known::ES_HMNO,
             well_known::DE_HMNO,
@@ -164,7 +164,7 @@ impl Universe {
         Universe {
             registry,
             directory,
-            policy,
+            agreements,
             platform,
         }
     }
@@ -195,7 +195,7 @@ impl Universe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wtr_sim::world::{AccessDecision, AccessPolicy};
+    use wtr_sim::world::AccessPolicy;
 
     #[test]
     fn every_country_has_networks() {
@@ -212,31 +212,21 @@ mod tests {
         // ES HMNO SIM admitted by the first MNO of an arbitrary far
         // country via the global hub.
         let au = u.directory.in_country("AU")[0];
-        assert_eq!(
-            u.policy.decide(well_known::ES_HMNO, au),
-            AccessDecision::Allowed
-        );
+        assert!(u.agreements.admits(well_known::ES_HMNO, au));
         // …and by second MNOs via the hub peering.
         let au2 = u.directory.in_country("AU")[1];
-        assert_eq!(
-            u.policy.decide(well_known::ES_HMNO, au2),
-            AccessDecision::Allowed
-        );
+        assert!(u.agreements.admits(well_known::ES_HMNO, au2));
         // Third MNOs are in no hub: denied without a bilateral.
         let au3 = u.directory.in_country("AU")[2];
-        assert_eq!(
-            u.policy.decide(well_known::ES_HMNO, au3),
-            AccessDecision::RoamingNotAllowed
-        );
+        assert!(!u.agreements.admits(well_known::ES_HMNO, au3));
     }
 
     #[test]
     fn uk_studied_mno_reachable_by_meter_sims() {
         let u = Universe::standard(CoverageFaults::NONE);
         assert!(u
-            .policy
-            .decide(well_known::NL_SMART_METER_HMNO, well_known::UK_STUDIED_MNO)
-            .is_allowed());
+            .agreements
+            .admits(well_known::NL_SMART_METER_HMNO, well_known::UK_STUDIED_MNO));
     }
 
     #[test]
@@ -314,7 +304,7 @@ mod tests {
         let mut acc = 0x9E37_79B9_7F4A_7C15u64;
         for (&hk, &home) in &homes {
             for (&vk, &v) in &visited {
-                let ok = u.policy.decide(home, v).is_allowed();
+                let ok = u.agreements.admits(home, v);
                 pairs += 1;
                 admitted += u64::from(ok);
                 acc = mix64(acc ^ (u64::from(hk) << 32 | u64::from(vk)) ^ u64::from(ok));

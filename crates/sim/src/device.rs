@@ -10,14 +10,15 @@
 //! ## Attachment & VMNO switching
 //!
 //! On every event the device checks whether its camped network still serves
-//! its current position for its radio capabilities. If not — or if a
-//! steering/instability coin-flip forces reselection — it walks the
-//! policy-ordered candidate list of the current country, emitting an
-//! `Authentication` + `UpdateLocation` sequence per attempt (failed
-//! attempts emit the failure result; a success additionally triggers a
-//! `CancelLocation` at the previous network). This is exactly the
-//! transaction mix of the paper's M2M dataset (§3.1) and produces the
-//! inter-VMNO switching dynamics of Fig. 3.
+//! its current position for its radio capabilities. If not — or if an
+//! instability coin-flip forces reselection — it walks the current
+//! country's networks in directory order. A network that does not admit
+//! the SIM answers one `UpdateLocation` with `RoamingNotAllowed`; an
+//! admitted attempt emits `Authentication` + `UpdateLocation` (or one
+//! failed `Authentication` on a transient failure), and a success
+//! additionally triggers a `CancelLocation` at the previous network.
+//! This is exactly the transaction mix of the paper's M2M dataset (§3.1)
+//! and produces the inter-VMNO switching dynamics of Fig. 3.
 
 use crate::behavior::{self, AttachParams, BehaviorMatrix, Emission, StateId, StepCtx, StepHost};
 use crate::engine::{Agent, AgentId, Scheduler, WakeTag};
@@ -27,7 +28,7 @@ use crate::events::{
 use crate::mobility::MobilityModel;
 use crate::rng::SubstreamRng;
 use crate::traffic::TrafficProfile;
-use crate::world::{AccessDecision, EventSink, RoamingWorld};
+use crate::world::{EventSink, RoamingWorld};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -327,7 +328,6 @@ impl DeviceAgent {
         // Reselection walk.
         let mut candidates: Vec<Plmn> = world.directory.in_country(country_iso).to_vec();
         let home = self.spec.imsi.plmn();
-        world.policy.preference_order(home, &mut candidates);
         if self.force_reselect {
             // A forced switch must not land on the same network again.
             if let Some((current, _)) = self.camped {
@@ -372,7 +372,7 @@ impl DeviceAgent {
                     ProcedureType::UpdateLocation,
                     fail,
                 );
-                // Most failing devices retry the steering head forever;
+                // Most failing devices retry the head of the list forever;
                 // only the hunting minority walks further down the list
                 // (the paper's worst devices attempt 19 VMNOs).
                 attempts += 1;
@@ -381,76 +381,66 @@ impl DeviceAgent {
                 }
                 continue;
             }
-            let decision = world.policy.decide(home, cand);
-            match decision {
-                AccessDecision::Allowed => {
-                    if self.rng.chance(params.event_failure_prob) {
-                        // Transient failure on this attempt; try next.
-                        self.signal(
-                            world,
-                            now,
-                            cand,
-                            Some(sec),
-                            rat,
-                            ProcedureType::Authentication,
-                            ProcedureResult::NetworkFailure,
-                        );
-                        continue;
-                    }
+            if !world.policy.admits(home, cand) {
+                self.signal(
+                    world,
+                    now,
+                    cand,
+                    Some(sec),
+                    rat,
+                    ProcedureType::UpdateLocation,
+                    ProcedureResult::RoamingNotAllowed,
+                );
+                continue;
+            }
+            if self.rng.chance(params.event_failure_prob) {
+                // Transient failure on this attempt; try next.
+                self.signal(
+                    world,
+                    now,
+                    cand,
+                    Some(sec),
+                    rat,
+                    ProcedureType::Authentication,
+                    ProcedureResult::NetworkFailure,
+                );
+                continue;
+            }
+            self.signal(
+                world,
+                now,
+                cand,
+                Some(sec),
+                rat,
+                ProcedureType::Authentication,
+                ProcedureResult::Ok,
+            );
+            self.signal(
+                world,
+                now,
+                cand,
+                Some(sec),
+                rat,
+                ProcedureType::UpdateLocation,
+                ProcedureResult::Ok,
+            );
+            // The HSS cancels the registration at the old network.
+            if let Some((old, old_rat)) = previous {
+                if old != cand {
                     self.signal(
                         world,
                         now,
-                        cand,
-                        Some(sec),
-                        rat,
-                        ProcedureType::Authentication,
+                        old,
+                        None,
+                        old_rat,
+                        ProcedureType::CancelLocation,
                         ProcedureResult::Ok,
-                    );
-                    self.signal(
-                        world,
-                        now,
-                        cand,
-                        Some(sec),
-                        rat,
-                        ProcedureType::UpdateLocation,
-                        ProcedureResult::Ok,
-                    );
-                    // The HSS cancels the registration at the old network.
-                    if let Some((old, old_rat)) = previous {
-                        if old != cand {
-                            self.signal(
-                                world,
-                                now,
-                                old,
-                                None,
-                                old_rat,
-                                ProcedureType::CancelLocation,
-                                ProcedureResult::Ok,
-                            );
-                        }
-                    }
-                    self.camped = Some((cand, rat));
-                    self.camped_country = Some(country_iso.to_owned());
-                    return Some((cand, rat, sec));
-                }
-                denied => {
-                    let result = match denied {
-                        AccessDecision::RoamingNotAllowed => ProcedureResult::RoamingNotAllowed,
-                        AccessDecision::UnknownSubscription => ProcedureResult::UnknownSubscription,
-                        AccessDecision::FeatureUnsupported => ProcedureResult::FeatureUnsupported,
-                        AccessDecision::Allowed => unreachable!(),
-                    };
-                    self.signal(
-                        world,
-                        now,
-                        cand,
-                        Some(sec),
-                        rat,
-                        ProcedureType::UpdateLocation,
-                        result,
                     );
                 }
             }
+            self.camped = Some((cand, rat));
+            self.camped_country = Some(country_iso.to_owned());
+            return Some((cand, rat, sec));
         }
         // Nothing admitted us; we are detached.
         self.camped = None;

@@ -67,4 +67,4 @@ pub use par::par_map;
 pub use rng::SubstreamRng;
 pub use stream::RecordStream;
 pub use traffic::TrafficProfile;
-pub use world::{AccessDecision, AccessPolicy, AllowAllPolicy, NetworkDirectory, RoamingWorld};
+pub use world::{AccessPolicy, AllowAllPolicy, NetworkDirectory, RoamingWorld};

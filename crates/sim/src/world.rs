@@ -2,9 +2,9 @@
 //! policy, and the event sink.
 //!
 //! The world is the `W` type parameter of the engine: every agent turn
-//! reads the radio networks, consults the access policy (implemented by
-//! `wtr-platform` for real roaming-agreement graphs), and streams the
-//! events it produces into the sink.
+//! reads the radio networks, asks the access policy whether a visited
+//! network admits its SIM (`wtr-platform`'s roaming-agreement graph
+//! answers yes or no), and streams the events it produces into the sink.
 //!
 //! Events are **streamed, not stored**: a scenario can produce tens of
 //! millions of events, so sinks (the probes) aggregate incrementally and
@@ -17,41 +17,11 @@ use std::collections::HashMap;
 use wtr_model::ids::Plmn;
 use wtr_radio::network::RadioNetwork;
 
-/// The outcome of asking a visited network to admit a SIM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AccessDecision {
-    /// Admitted.
-    Allowed,
-    /// Rejected: no roaming agreement / roaming barred for this SIM.
-    RoamingNotAllowed,
-    /// Rejected: subscription unknown to the HSS.
-    UnknownSubscription,
-    /// Rejected: the subscription cannot use this feature (e.g. a 2G-only
-    /// M2M plan attempting 4G attach).
-    FeatureUnsupported,
-}
-
-impl AccessDecision {
-    /// Whether the device gets service.
-    pub const fn is_allowed(self) -> bool {
-        matches!(self, AccessDecision::Allowed)
-    }
-}
-
-/// Roaming admission control + steering, implemented by the platform crate
-/// (agreement graphs, IPX hubs, steering-of-roaming) and by simple stubs
-/// for tests.
+/// Roaming admission control, implemented by the platform crate's
+/// agreement graph and by [`AllowAllPolicy`] for tests.
 pub trait AccessPolicy {
-    /// Should `visited` admit a SIM homed on `home`?
-    fn decide(&self, home: Plmn, visited: Plmn) -> AccessDecision;
-
-    /// Preference order over the candidate networks of a country for a SIM
-    /// homed on `home`. The default keeps the input order. Steering of
-    /// roaming (the HMNO pushing devices toward preferred partners)
-    /// overrides this.
-    fn preference_order(&self, _home: Plmn, candidates: &mut Vec<Plmn>) {
-        let _ = candidates;
-    }
+    /// Does `visited` admit a SIM homed on `home`?
+    fn admits(&self, home: Plmn, visited: Plmn) -> bool;
 }
 
 /// Admit everyone (single-operator tests and native-only scenarios).
@@ -59,8 +29,8 @@ pub trait AccessPolicy {
 pub struct AllowAllPolicy;
 
 impl AccessPolicy for AllowAllPolicy {
-    fn decide(&self, _home: Plmn, _visited: Plmn) -> AccessDecision {
-        AccessDecision::Allowed
+    fn admits(&self, _home: Plmn, _visited: Plmn) -> bool {
+        true
     }
 }
 
@@ -155,7 +125,7 @@ impl NetworkDirectory {
 pub struct RoamingWorld<S> {
     /// All radio networks.
     pub directory: NetworkDirectory,
-    /// Roaming admission + steering policy.
+    /// Roaming admission policy.
     pub policy: Box<dyn AccessPolicy + Send>,
     /// Streaming event consumer (a probe).
     pub sink: S,
@@ -241,20 +211,7 @@ mod tests {
 
     #[test]
     fn allow_all_policy() {
-        let p = AllowAllPolicy;
-        assert!(p.decide(Plmn::of(214, 7), Plmn::of(234, 30)).is_allowed());
-        let mut cands = vec![Plmn::of(234, 30), Plmn::of(234, 10)];
-        let orig = cands.clone();
-        p.preference_order(Plmn::of(214, 7), &mut cands);
-        assert_eq!(cands, orig, "default preference keeps order");
-    }
-
-    #[test]
-    fn decision_predicates() {
-        assert!(AccessDecision::Allowed.is_allowed());
-        assert!(!AccessDecision::RoamingNotAllowed.is_allowed());
-        assert!(!AccessDecision::UnknownSubscription.is_allowed());
-        assert!(!AccessDecision::FeatureUnsupported.is_allowed());
+        assert!(AllowAllPolicy.admits(Plmn::of(214, 7), Plmn::of(234, 30)));
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn platform_device_visible_from_both_vantage_points() {
         a: m2m_probe,
         b: mno_probe,
     };
-    let world = RoamingWorld::new(universe.directory, Box::new(universe.policy), tee);
+    let world = RoamingWorld::new(universe.directory, Box::new(universe.agreements), tee);
     let mut engine = Engine::new(world, SimTime::from_secs(5 * 86_400));
     let anon = anonymize_u64(AnonKey::FIXED, spec.imsi.packed());
     engine.add_agent(DeviceAgent::new(spec, 7));
