@@ -1,8 +1,12 @@
 //! End-to-end CLI tests: drive the `wtr` binary exactly as a user would —
 //! simulate to files, classify and analyze from those files.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::thread;
+use std::time::{Duration, Instant};
 
 fn wtr(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_wtr"))
@@ -276,4 +280,89 @@ fn truth_export_and_validate_loop() {
 
     std::fs::remove_file(&catalog).ok();
     std::fs::remove_file(&truth).ok();
+}
+
+/// One request on a fresh connection; the status code, or `None` when
+/// the server cannot be reached or does not answer within a second.
+fn http_status(addr: SocketAddr, method: &str, path: &str) -> Option<u16> {
+    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(1)).ok()?;
+    stream.set_read_timeout(Some(Duration::from_secs(1))).ok()?;
+    let request = format!("{method} {path} HTTP/1.1\r\nhost: t\r\ncontent-length: 0\r\n\r\n");
+    stream.write_all(request.as_bytes()).ok()?;
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).ok()?;
+    reply.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// A connection flood that reaches the server's descriptor limit stalls
+/// accepts until the flood closes; it does not end the server.
+#[test]
+fn serve_survives_a_flood_at_the_descriptor_limit() {
+    let mut child = Command::new("sh")
+        .args([
+            "-c",
+            r#"ulimit -n 64 && exec "$0" serve --addr 127.0.0.1:0 --workers 1"#,
+            env!("CARGO_BIN_EXE_wtr"),
+        ])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("sh runs");
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let mut banner = String::new();
+    stderr.read_line(&mut banner).unwrap();
+    let addr: SocketAddr = banner
+        .trim()
+        .rsplit(' ')
+        .next()
+        .and_then(|a| a.parse().ok())
+        .unwrap_or_else(|| panic!("no address in {banner:?}"));
+    let log = thread::spawn(move || {
+        let mut rest = String::new();
+        stderr.read_to_string(&mut rest).ok();
+        rest
+    });
+
+    let mut flood = Vec::new();
+    while flood.len() < 100 {
+        match TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
+            Ok(conn) => flood.push(conn),
+            Err(_) => break,
+        }
+    }
+    thread::sleep(Duration::from_millis(500));
+    let opened = flood.len();
+    drop(flood);
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut health = None;
+    while health != Some(200) && Instant::now() < deadline {
+        health = http_status(addr, "GET", "/healthz");
+        if health != Some(200) {
+            thread::sleep(Duration::from_millis(50));
+        }
+    }
+    let shutdown = http_status(addr, "POST", "/shutdown");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break Some(status);
+        }
+        if Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            break None;
+        }
+        thread::sleep(Duration::from_millis(20));
+    };
+    let log = log.join().unwrap();
+    assert_eq!(
+        health,
+        Some(200),
+        "/healthz after a flood of {opened} connections; stderr: {log}"
+    );
+    assert_eq!(shutdown, Some(200), "POST /shutdown; stderr: {log}");
+    assert!(
+        status.is_some_and(|s| s.success()),
+        "exit status {status:?}; stderr: {log}"
+    );
 }

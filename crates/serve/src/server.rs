@@ -28,7 +28,11 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Instant;
+use std::thread;
+use std::time::{Duration, Instant};
+
+/// Pause before retrying a failed `accept`.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// Server configuration, as validated from `wtr serve` flags.
 #[derive(Debug, Clone)]
@@ -164,24 +168,35 @@ impl Server {
     /// Accepts connections until shutdown, dispatching each to the
     /// worker pool with a request deadline 30 s after accept. On
     /// shutdown: stops accepting, drains in-flight requests, seals every
-    /// tenant's open days, and returns `Ok(())`.
+    /// tenant's open days, and returns `Ok(())`. No accept error ends
+    /// the loop.
     pub fn run(self) -> io::Result<()> {
         let mut pool = Pool::new(self.workers);
+        let mut failing = false;
         for conn in self.listener.incoming() {
             if self.state.shutdown.load(Ordering::SeqCst) {
                 break;
             }
             match conn {
                 Ok(stream) => {
+                    failing = false;
                     let deadline = Instant::now() + REQUEST_DEADLINE;
                     let state = Arc::clone(&self.state);
                     pool.execute(move || handle_connection(stream, deadline, &state));
                 }
-                // Transient accept errors (aborted handshakes) are not
-                // fatal to a resident server.
+                // Aborted handshakes are not fatal to a resident server.
                 Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+                // Anything else, such as a connection flood at the
+                // descriptor limit (EMFILE), clears as open connections
+                // close: back off and retry, one stderr line per stretch.
+                Err(e) => {
+                    if !failing {
+                        eprintln!("wtr-serve: accept failed, retrying: {e}");
+                        failing = true;
+                    }
+                    thread::sleep(ACCEPT_BACKOFF);
+                }
             }
         }
         pool.join();
