@@ -19,10 +19,18 @@
 //! The compat proptest runs 64 cases per property and does not shrink,
 //! so there is one property per watermark of 0–3 days, and a failure
 //! names the op that diverged next to the whole sequence.
+//!
+//! One more property sends the same sequences, minus `seal_all`, through
+//! a `wtr_serve` [`Server`] with one worker and a one-day watermark, and
+//! checks each HTTP status, receipt, `x-wtr-generation` header and
+//! report body against the same model.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::OnceLock;
+use std::thread;
 use where_things_roam::core::report::{render_analysis, render_classify, ANALYSES};
 use where_things_roam::core::stream::{analyze, materialize_catalog};
 use where_things_roam::model::ids::{Plmn, Tac};
@@ -32,7 +40,7 @@ use where_things_roam::model::time::Day;
 use where_things_roam::probes::catalog::{CatalogEntry, DevicesCatalog};
 use where_things_roam::probes::io::{write_catalog, write_catalog_bin};
 use where_things_roam::scenarios::{MnoScenario, MnoScenarioConfig};
-use where_things_roam::serve::{Tenant, TABLES};
+use where_things_roam::serve::{Server, ServerConfig, Tenant, TABLES};
 
 /// The upload encodings a tap may use.
 #[derive(Debug, Clone, Copy)]
@@ -346,6 +354,139 @@ fn run(watermark_days: u32, ops: &[Op]) -> Result<(), String> {
     Ok(())
 }
 
+/// One HTTP reply: status, `x-wtr-generation` (if sent) and body.
+struct Reply {
+    status: u16,
+    generation: Option<u64>,
+    body: Vec<u8>,
+}
+
+/// One request on a fresh connection; the server closes it after the
+/// reply.
+fn request(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> Result<Reply, String> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    let mut frame = format!(
+        "{method} {path} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    frame.extend_from_slice(body);
+    stream.write_all(&frame).map_err(|e| format!("send: {e}"))?;
+    let mut raw = Vec::new();
+    stream
+        .read_to_end(&mut raw)
+        .map_err(|e| format!("receive: {e}"))?;
+    let split = raw
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .ok_or("reply has no header end")?;
+    let head = String::from_utf8_lossy(&raw[..split]);
+    let mut lines = head.lines();
+    let status = lines
+        .next()
+        .and_then(|line| line.split_whitespace().nth(1))
+        .and_then(|code| code.parse().ok())
+        .ok_or("reply has no status")?;
+    let generation = lines
+        .filter_map(|line| line.split_once(':'))
+        .find(|(name, _)| name.eq_ignore_ascii_case("x-wtr-generation"))
+        .and_then(|(_, value)| value.trim().parse().ok());
+    Ok(Reply {
+        status,
+        generation,
+        body: raw[split + 4..].to_vec(),
+    })
+}
+
+/// [`step`] over HTTP against a server's tenant `model`; `posted` says
+/// whether any upload reached the tenant yet.
+fn step_http(
+    addr: SocketAddr,
+    model: &mut Model,
+    posted: &mut bool,
+    op: &Op,
+) -> Result<(), String> {
+    match op {
+        Op::Slice { format, .. } | Op::Straggler { format, .. } | Op::Resend { format, .. } => {
+            let rows = model.rows_for(op);
+            let bytes = body(&rows, fixture().catalog.window_days(), *format);
+            let reply = request(addr, "POST", "/ingest/model", &bytes)?;
+            *posted = true;
+            let (accepted, sealed) = model.accept(rows);
+            expect_eq("upload status", reply.status, 200)?;
+            let receipt = format!(
+                "{{\"tenant\":\"model\",\"rows\":{accepted},\"generation\":{},\"sealed_days\":{sealed}}}\n",
+                model.generation
+            );
+            expect_eq(
+                "receipt",
+                String::from_utf8_lossy(&reply.body),
+                receipt.into(),
+            )?;
+            expect_eq("receipt header", reply.generation, Some(model.generation))?;
+        }
+        Op::Bad(kind) => {
+            let reply = request(addr, "POST", "/ingest/model", &bad_body(*kind))?;
+            *posted = true;
+            expect_eq("bad body status", reply.status, 400)?;
+            let read = request(addr, "GET", "/report/model/summary", &[])?;
+            expect_eq(
+                "generation after a bad body",
+                read.generation,
+                Some(model.generation),
+            )?;
+        }
+        Op::SealAll => unreachable!("seal_all has no HTTP route of its own"),
+        Op::Read { table } => {
+            let name = TABLES[*table];
+            let reply = request(addr, "GET", &format!("/report/model/{name}"), &[])?;
+            if !*posted {
+                return expect_eq("read status before the first POST", reply.status, 404);
+            }
+            expect_eq("read status", reply.status, 200)?;
+            expect_eq(
+                "report generation",
+                reply.generation,
+                Some(model.generation),
+            )?;
+            let want = &model.tables()[name];
+            if reply.body != want.as_bytes() {
+                return Err(format!(
+                    "table {name}:\n--- server\n{}--- model\n{want}",
+                    String::from_utf8_lossy(&reply.body)
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Runs `ops` against a fresh one-worker server with a one-day
+/// watermark, then stops it; the error names the first op whose outcome
+/// diverged.
+fn run_http(ops: &[Op]) -> Result<(), String> {
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 1,
+        watermark_secs: 86_400,
+        ..ServerConfig::default()
+    })?;
+    let addr = server.local_addr();
+    let handle = server.shutdown_handle();
+    let runner = thread::spawn(move || server.run());
+    let mut model = Model::new(1);
+    let mut posted = false;
+    let outcome = ops.iter().enumerate().try_for_each(|(i, op)| {
+        step_http(addr, &mut model, &mut posted, op).map_err(|e| format!("op {i} {op:?}: {e}"))
+    });
+    handle.shutdown();
+    runner
+        .join()
+        .map_err(|_| "server thread panicked")?
+        .map_err(|e| format!("server: {e}"))?;
+    outcome
+}
+
 fn format() -> impl Strategy<Value = Format> {
     prop::bool::ANY.prop_map(|wtrcat| {
         if wtrcat {
@@ -413,6 +554,16 @@ proptest! {
     #[test]
     fn tenant_matches_model_at_watermark_3(ops in ops()) {
         let outcome = run(3, &ops);
+        prop_assert!(outcome.is_ok(), "{}\nops: {:#?}", outcome.unwrap_err(), ops);
+    }
+
+    #[test]
+    fn server_matches_model_over_http(
+        ops in ops().prop_map(|ops| {
+            ops.into_iter().filter(|op| !matches!(op, Op::SealAll)).collect::<Vec<_>>()
+        })
+    ) {
+        let outcome = run_http(&ops);
         prop_assert!(outcome.is_ok(), "{}\nops: {:#?}", outcome.unwrap_err(), ops);
     }
 }
