@@ -78,15 +78,17 @@ impl Universe {
     /// * every MNO deploys 2G+3G; the first two per country also deploy 4G
     ///   (4G coverage holes per `faults`);
     /// * one **global roaming hub** run by the platform's carrier, joined
-    ///   by all four HMNOs and by the first MNO of every country; a
-    ///   **partner hub**, peered with the global one, joined by the second
-    ///   MNO of every country — giving the paper's hub-of-hubs footprint;
+    ///   by the platform's four HMNOs, the NL and SE HMNOs and the first
+    ///   MNO of every country; a **partner hub**, peered with the global
+    ///   one, joined by the second MNO of every country — giving the
+    ///   paper's hub-of-hubs footprint;
     /// * bilateral agreements between the studied UK MNO and the paper's
     ///   key foreign HMNOs (NL, SE, ES, DE — the SIM homes of its inbound
-    ///   roamers), plus intra-UK national-roaming agreements used by the
-    ///   national inbound population;
-    /// * national roaming: a SIM is admitted by any network of its home
-    ///   country.
+    ///   roamers).
+    ///
+    /// National roaming needs no agreement: the graph admits a SIM on any
+    /// network of its home country (the national inbound population, and
+    /// roaming smart meters hopping UK networks).
     pub fn standard(faults: CoverageFaults) -> Universe {
         let registry = OperatorRegistry::standard(3);
         let mut directory = NetworkDirectory::new();
@@ -147,11 +149,6 @@ impl Universe {
             well_known::DE_HMNO,
         ] {
             agreements.add_bilateral(well_known::UK_STUDIED_MNO, partner);
-        }
-        // Intra-UK national roaming (used by the national inbound
-        // population and by roaming smart meters hopping UK networks).
-        for other in well_known::UK_OTHER_MNOS {
-            agreements.add_bilateral(well_known::UK_STUDIED_MNO, *other);
         }
 
         let platform = M2mPlatform::new(vec![
