@@ -4,29 +4,34 @@
 //!
 //! ## Population plan
 //!
-//! Device-level fractions, each calibrated to a paper statistic (the
-//! per-line comments name it; EXPERIMENTS.md records measured values):
+//! Device-level fractions of the requested device count, each calibrated
+//! to a paper statistic (the target column names it; EXPERIMENTS.md
+//! records measured values). `PopulationBuilder::build` rounds each
+//! sub-population's count on its own:
 //!
 //! | sub-population | fraction | target |
 //! |---|---|---|
-//! | smartphones, native H SIM | 0.340 | §4.2 H:H ≈ 48%/day |
-//! | smartphones, MVNO V SIM | 0.200 | §4.2 V:H ≈ 33%/day |
+//! | smartphones, native H SIM | 0.270 | §4.2 H:H ≈ 48%/day |
+//! | smartphones, MVNO V SIM | 0.250 | §4.2 V:H ≈ 33%/day |
 //! | smartphones, outbound legs | 0.010 | H:A rows exist |
-//! | smartphones, inbound tourists | 0.075 | Fig. 6: 12.1% of smart are I:H |
+//! | smartphones, inbound tourists | 0.080 | Fig. 6: 12.1% of smart are I:H |
 //! | feature phones, native | 0.045 | 8% feat overall |
 //! | feature phones, MVNO | 0.025 | |
 //! | feature phones, inbound | 0.005 | Fig. 6: 6.4% of feat are I:H |
-//! | smart meters, inbound (NL SIMs) | 0.120 | §4.4 SMIP roaming; Fig. 5 NL top |
+//! | smart meters, inbound (NL SIMs) | 0.125 | §4.4 SMIP roaming; Fig. 5 NL top |
 //! | connected cars, inbound (DE SIMs) | 0.020 | §7.2 |
 //! | asset trackers, inbound (SE SIMs) | 0.025 | Fig. 5 SE |
-//! | other M2M, inbound (ES + tail) | 0.029 | Fig. 5 ES; long tail |
-//! | smart meters, native SMIP (dedicated IMSI range) | 0.045 | §4.4 |
+//! | other M2M, inbound (ES + tail) | 0.034 | Fig. 5 ES; long tail |
+//! | smart meters, native SMIP (dedicated IMSI range) | 0.040 | §4.4 |
 //! | industrial sensors, native | 0.021 | m2m H:H remainder |
 //! | security alarms, voice-only (no APN) | 0.040 | §4.3 m2m-maybe ≈ 4% |
 //!
-//! Totals: ground-truth M2M = 30% (26% classifiable + 4% voice-only),
-//! smart = 62.5%, feat = 7.5%; inbound M2M / all M2M ≈ 74.6% (paper
-//! 74.7%); I:H composition ≈ 71% m2m / 27% smart (paper 71.1/27.1).
+//! Totals: the fractions sum to 0.990, so 2,500 requested devices
+//! simulate 2,478. By ground truth those are 61.5% smartphones (1,525),
+//! 7.6% feature phones (189) and 30.8% M2M (764: 26.8% classifiable +
+//! 4.0% voice-only). Inbound M2M is 77.0% of the classifiable M2M (paper
+//! 74.7%), and the inbound devices are 70.6% M2M / 27.6% smartphones
+//! (the paper's I:H composition is 71.1/27.1).
 
 use crate::universe::Universe;
 use serde::{Deserialize, Serialize};
