@@ -184,7 +184,8 @@ impl Server {
                     let state = Arc::clone(&self.state);
                     pool.execute(move || handle_connection(stream, deadline, &state));
                 }
-                // Aborted handshakes are not fatal to a resident server.
+                // Transient accept errors (aborted handshakes) are not
+                // fatal to a resident server.
                 Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 // Anything else, such as a connection flood at the
