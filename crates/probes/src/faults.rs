@@ -119,6 +119,7 @@ mod tests {
         for i in 0..500 {
             sink.on_event(&event(i));
         }
+        assert_eq!(sink.seen(), 500);
         assert_eq!(sink.dropped(), 0);
         assert_eq!(sink.inner().events.len(), 500);
     }

@@ -845,6 +845,36 @@ mod tests {
     }
 
     #[test]
+    fn every_sector_belongs_to_its_visited_network() {
+        // A stationary meter that reselects on every signaling wake: its
+        // data wakes take the fast path right after a switch at the same
+        // position, so a sector remembered for the old network would
+        // show up on the new one.
+        let mut spec = meter_spec(5);
+        spec.switch_propensity = 1.0;
+        let events = run(vec![spec], 7);
+        let mut data_sessions = 0;
+        for e in &events {
+            let (visited, sector) = match e {
+                SimEvent::Signaling(s) => (s.visited, s.sector),
+                SimEvent::Data(d) => {
+                    data_sessions += 1;
+                    (d.visited, Some(d.sector))
+                }
+                SimEvent::Voice(v) => (v.visited, Some(v.sector)),
+            };
+            if let Some(sector) = sector {
+                assert_eq!(
+                    sector.plmn_key(),
+                    visited.packed(),
+                    "sector of another network in {e:?}"
+                );
+            }
+        }
+        assert!(data_sessions > 0, "no data session to check");
+    }
+
+    #[test]
     fn presence_window_bounds_activity() {
         let mut spec = meter_spec(6);
         spec.presence = PresenceModel {
