@@ -188,14 +188,21 @@ impl DeviceSpec {
 /// The executable agent for one device.
 #[derive(Debug, Clone)]
 pub struct DeviceAgent {
-    /// Behind an `Arc` so a wake can borrow the day's itinerary leg
-    /// while it steps the agent mutably.
-    spec: Arc<DeviceSpec>,
+    spec: DeviceSpec,
     /// The compiled behavior matrix driving the agent. Shared: every
     /// device of a class steps the same matrix.
     behavior: Arc<BehaviorMatrix>,
-    rng: SubstreamRng,
     multiplier: f64,
+    /// Everything a wake changes. A wake borrows it mutably next to
+    /// shared borrows of `spec` and `behavior`.
+    state: AgentState,
+}
+
+/// The mutable half of a [`DeviceAgent`]: what its wakes change, plus the
+/// sticky breadth the attach walk reads with it.
+#[derive(Debug, Clone)]
+struct AgentState {
+    rng: SubstreamRng,
     /// How many candidate networks a sticky-failing device attempts per
     /// wake. Most misprovisioned devices retry one network forever; a
     /// minority hunt the whole candidate list (the paper's 19-VMNO tail).
@@ -246,14 +253,16 @@ impl DeviceAgent {
         let multiplier = behavior.draw_multiplier(&mut rng);
         let sticky_breadth = behavior.draw_sticky_breadth(&mut rng);
         DeviceAgent {
-            spec: Arc::new(spec),
+            spec,
             behavior,
-            rng,
             multiplier,
-            sticky_breadth,
-            camped: None,
-            camped_country: None,
-            force_reselect: false,
+            state: AgentState {
+                rng,
+                sticky_breadth,
+                camped: None,
+                camped_country: None,
+                force_reselect: false,
+            },
         }
     }
 
@@ -271,43 +280,47 @@ impl DeviceAgent {
     pub fn multiplier(&self) -> f64 {
         self.multiplier
     }
+}
 
-    #[allow(clippy::too_many_arguments)] // mirrors the record's fields
-    fn signal<S: EventSink>(
-        &self,
-        world: &mut RoamingWorld<S>,
-        time: SimTime,
-        visited: Plmn,
-        sector: Option<SectorId>,
-        rat: Rat,
-        procedure: ProcedureType,
-        result: ProcedureResult,
-    ) {
-        world.emit(SimEvent::Signaling(SignalingEvent {
-            time,
-            device: self.spec.index,
-            imsi: self.spec.imsi,
-            imei: self.spec.imei,
-            visited,
-            sector,
-            rat,
-            procedure,
-            result,
-        }));
-    }
+/// Emits one signaling record of `spec`'s device.
+#[allow(clippy::too_many_arguments)] // mirrors the record's fields
+fn signal<S: EventSink>(
+    spec: &DeviceSpec,
+    world: &mut RoamingWorld<S>,
+    time: SimTime,
+    visited: Plmn,
+    sector: Option<SectorId>,
+    rat: Rat,
+    procedure: ProcedureType,
+    result: ProcedureResult,
+) {
+    world.emit(SimEvent::Signaling(SignalingEvent {
+        time,
+        device: spec.index,
+        imsi: spec.imsi,
+        imei: spec.imei,
+        visited,
+        sector,
+        rat,
+        procedure,
+        result,
+    }));
+}
 
+impl AgentState {
     /// Ensures the device is attached somewhere usable at `now`; returns
     /// the serving (network, RAT, sector) or `None` when every candidate
     /// failed. Emits all signaling this entails.
     fn ensure_attached<S: EventSink>(
         &mut self,
+        spec: &DeviceSpec,
         world: &mut RoamingWorld<S>,
         now: SimTime,
         pos: GeoPoint,
         country_iso: &str,
         params: AttachParams,
     ) -> Option<(Plmn, Rat, SectorId)> {
-        let caps = self.spec.radio_caps;
+        let caps = spec.radio_caps;
         let moved_country = self
             .camped_country
             .as_deref()
@@ -327,7 +340,7 @@ impl DeviceAgent {
 
         // Reselection walk.
         let mut candidates: Vec<Plmn> = world.directory.in_country(country_iso).to_vec();
-        let home = self.spec.imsi.plmn();
+        let home = spec.imsi.plmn();
         if self.force_reselect {
             // A forced switch must not land on the same network again.
             if let Some((current, _)) = self.camped {
@@ -354,7 +367,8 @@ impl DeviceAgent {
             };
             if let Some(fail) = params.sticky_failure {
                 // Misprovisioned device: authentication fails everywhere.
-                self.signal(
+                signal(
+                    spec,
                     world,
                     now,
                     cand,
@@ -363,7 +377,8 @@ impl DeviceAgent {
                     ProcedureType::Authentication,
                     fail,
                 );
-                self.signal(
+                signal(
+                    spec,
                     world,
                     now,
                     cand,
@@ -382,7 +397,8 @@ impl DeviceAgent {
                 continue;
             }
             if !world.policy.admits(home, cand) {
-                self.signal(
+                signal(
+                    spec,
                     world,
                     now,
                     cand,
@@ -395,7 +411,8 @@ impl DeviceAgent {
             }
             if self.rng.chance(params.event_failure_prob) {
                 // Transient failure on this attempt; try next.
-                self.signal(
+                signal(
+                    spec,
                     world,
                     now,
                     cand,
@@ -406,7 +423,8 @@ impl DeviceAgent {
                 );
                 continue;
             }
-            self.signal(
+            signal(
+                spec,
                 world,
                 now,
                 cand,
@@ -415,7 +433,8 @@ impl DeviceAgent {
                 ProcedureType::Authentication,
                 ProcedureResult::Ok,
             );
-            self.signal(
+            signal(
+                spec,
                 world,
                 now,
                 cand,
@@ -427,7 +446,8 @@ impl DeviceAgent {
             // The HSS cancels the registration at the old network.
             if let Some((old, old_rat)) = previous {
                 if old != cand {
-                    self.signal(
+                    signal(
+                        spec,
                         world,
                         now,
                         old,
@@ -451,11 +471,12 @@ impl DeviceAgent {
 
 /// Per-wake adapter implementing [`StepHost`] for the matrix interpreter:
 /// RNG access routes to the device substream, the attach walk to
-/// [`DeviceAgent`]'s `ensure_attached` (recording the serving network for
+/// [`AgentState`]'s `ensure_attached` (recording the serving network for
 /// the emission that follows), and scheduling to the engine with the wake
 /// tag carrying the target [`StateId`].
 struct AgentHost<'a, S: EventSink> {
-    agent: &'a mut DeviceAgent,
+    spec: &'a DeviceSpec,
+    state: &'a mut AgentState,
     world: &'a mut RoamingWorld<S>,
     sched: &'a mut Scheduler,
     id: AgentId,
@@ -469,17 +490,22 @@ struct AgentHost<'a, S: EventSink> {
 
 impl<S: EventSink> StepHost for AgentHost<'_, S> {
     fn rng(&mut self) -> &mut SubstreamRng {
-        &mut self.agent.rng
+        &mut self.state.rng
     }
 
     fn request_reselect(&mut self) {
-        self.agent.force_reselect = true;
+        self.state.force_reselect = true;
     }
 
     fn attach(&mut self) -> bool {
-        self.serving =
-            self.agent
-                .ensure_attached(self.world, self.now, self.pos, self.country, self.params);
+        self.serving = self.state.ensure_attached(
+            self.spec,
+            self.world,
+            self.now,
+            self.pos,
+            self.country,
+            self.params,
+        );
         self.serving.is_some()
     }
 
@@ -489,50 +515,58 @@ impl<S: EventSink> StepHost for AgentHost<'_, S> {
     }
 }
 
-impl DeviceAgent {
+impl<S: EventSink> Agent<RoamingWorld<S>> for DeviceAgent {
+    fn init(&mut self, id: AgentId, _world: &mut RoamingWorld<S>, sched: &mut Scheduler) {
+        let first = self.spec.presence.first_day;
+        sched.wake_at(id, WakeTag(self.behavior.entry.0), Day(first).start());
+    }
+
     /// One homogeneous interpreter step, then turn the returned
     /// [`Emission`] into events on the serving network the step's attach
     /// recorded.
-    fn wake_matrix<S: EventSink>(
+    fn wake(
         &mut self,
-        matrix: &BehaviorMatrix,
         id: AgentId,
         tag: WakeTag,
         world: &mut RoamingWorld<S>,
         sched: &mut Scheduler,
     ) {
-        let state = StateId(tag.0);
-        if state.idx() >= matrix.len() {
+        // Disjoint borrows: the step reads the spec and the matrix while
+        // it mutates the state.
+        let DeviceAgent {
+            ref spec,
+            behavior: ref matrix,
+            multiplier,
+            ref mut state,
+        } = *self;
+        let state_id = StateId(tag.0);
+        if state_id.idx() >= matrix.len() {
             debug_assert!(false, "unknown wake tag {}", tag.0);
             return;
         }
         let now = sched.now();
         let day = now.day();
-        // A second handle on the spec: the step borrows the agent
-        // mutably, the leg stays borrowed from the spec.
-        let spec = Arc::clone(&self.spec);
         let leg = spec.leg_at(day);
         let pos = leg.mobility.position(now);
         let ctx = StepCtx {
             present: spec.presence.present_on(day),
-            multiplier: self.multiplier,
+            multiplier,
         };
-        let (next, emission, serving) = {
-            let mut host = AgentHost {
-                agent: self,
-                world,
-                sched,
-                id,
-                now,
-                day,
-                pos,
-                country: &leg.country_iso,
-                params: matrix.attach_params(),
-                serving: None,
-            };
-            let (next, emission) = matrix.step(state, ctx, &mut host);
-            (next, emission, host.serving)
+        let mut host = AgentHost {
+            spec,
+            state,
+            world,
+            sched,
+            id,
+            now,
+            day,
+            pos,
+            country: &leg.country_iso,
+            params: matrix.attach_params(),
+            serving: None,
         };
+        let (next, emission) = matrix.step(state_id, ctx, &mut host);
+        let serving = host.serving;
         match emission {
             Emission::Idle | Emission::Planned { .. } => {}
             Emission::Signaling { reauth, ok } => {
@@ -545,7 +579,8 @@ impl DeviceAgent {
                     if reauth {
                         // Full re-registration: visible at the home HSS
                         // (and therefore to the M2M platform probes).
-                        self.signal(
+                        signal(
+                            spec,
                             world,
                             now,
                             plmn,
@@ -554,7 +589,8 @@ impl DeviceAgent {
                             ProcedureType::Authentication,
                             result,
                         );
-                        self.signal(
+                        signal(
+                            spec,
                             world,
                             now,
                             plmn,
@@ -565,7 +601,8 @@ impl DeviceAgent {
                         );
                     } else {
                         // Local periodic registration on the camped network.
-                        self.signal(
+                        signal(
+                            spec,
                             world,
                             now,
                             plmn,
@@ -588,9 +625,9 @@ impl DeviceAgent {
                         let apn = spec.apns[apn_index as usize % spec.apns.len()].clone();
                         world.emit(SimEvent::Data(DataSession {
                             time: now,
-                            device: self.spec.index,
-                            imsi: self.spec.imsi,
-                            imei: self.spec.imei,
+                            device: spec.index,
+                            imsi: spec.imsi,
+                            imei: spec.imei,
                             visited: plmn,
                             sector: sec,
                             rat,
@@ -614,9 +651,9 @@ impl DeviceAgent {
                     };
                     world.emit(SimEvent::Voice(VoiceCall {
                         time: now,
-                        device: self.spec.index,
-                        imsi: self.spec.imsi,
-                        imei: self.spec.imei,
+                        device: spec.index,
+                        imsi: spec.imsi,
+                        imei: spec.imei,
                         visited: plmn,
                         sector: sec,
                         rat,
@@ -629,30 +666,12 @@ impl DeviceAgent {
         // Plan rows re-arm the next day's planning wake (at the chain's
         // successor) while the device remains present, inactive days
         // included.
-        if matrix.is_plan(state) {
+        if matrix.is_plan(state_id) {
             let next_day = Day(day.0 + 1);
             if next_day.0 < spec.presence.last_day {
                 sched.wake_at(id, WakeTag(next.0), next_day.start());
             }
         }
-    }
-}
-
-impl<S: EventSink> Agent<RoamingWorld<S>> for DeviceAgent {
-    fn init(&mut self, id: AgentId, _world: &mut RoamingWorld<S>, sched: &mut Scheduler) {
-        let first = self.spec.presence.first_day;
-        sched.wake_at(id, WakeTag(self.behavior.entry.0), Day(first).start());
-    }
-
-    fn wake(
-        &mut self,
-        id: AgentId,
-        tag: WakeTag,
-        world: &mut RoamingWorld<S>,
-        sched: &mut Scheduler,
-    ) {
-        let matrix = Arc::clone(&self.behavior);
-        self.wake_matrix(&matrix, id, tag, world, sched);
     }
 }
 
