@@ -19,6 +19,13 @@
 //! additionally triggers a `CancelLocation` at the previous network.
 //! This is exactly the transaction mix of the paper's M2M dataset (§3.1)
 //! and produces the inter-VMNO switching dynamics of Fig. 3.
+//!
+//! The camped network's serving `(rat, sector)` is remembered for the
+//! last `(network, position)` the check asked about, and recomputed only
+//! when one of them changes: a meter never moves and a person moves once
+//! an hour, while a network never changes during a run and a device's
+//! radio capabilities are fixed. The check draws no RNG value, so the
+//! memo moves no draw.
 
 use crate::behavior::{self, AttachParams, BehaviorMatrix, Emission, StateId, StepCtx, StepHost};
 use crate::engine::{Agent, AgentId, Scheduler, WakeTag};
@@ -28,7 +35,7 @@ use crate::events::{
 use crate::mobility::MobilityModel;
 use crate::rng::SubstreamRng;
 use crate::traffic::TrafficProfile;
-use crate::world::{EventSink, RoamingWorld};
+use crate::world::{EventSink, NetworkDirectory, RoamingWorld};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -210,6 +217,17 @@ struct AgentState {
     camped: Option<(Plmn, Rat)>,
     camped_country: Option<String>,
     force_reselect: bool,
+    /// The fast path's last question and its answer.
+    serving_memo: Option<ServingMemo>,
+}
+
+/// The best `(rat, sector)` that network `plmn` serves at the position
+/// whose raw coordinate bits are `pos`.
+#[derive(Debug, Clone, Copy)]
+struct ServingMemo {
+    plmn: Plmn,
+    pos: (u64, u64),
+    serving: Option<(Rat, SectorId)>,
 }
 
 impl DeviceAgent {
@@ -262,6 +280,7 @@ impl DeviceAgent {
                 camped: None,
                 camped_country: None,
                 force_reselect: false,
+                serving_memo: None,
             },
         }
     }
@@ -308,6 +327,34 @@ fn signal<S: EventSink>(
 }
 
 impl AgentState {
+    /// The best `(rat, sector)` that `plmn` serves at `pos` for `caps`,
+    /// remembered for the last `(plmn, pos)` asked. Exact: `serve_best`
+    /// is a pure function of a network, which never changes during a
+    /// run, the position and the device's fixed radio caps.
+    fn serving_at(
+        &mut self,
+        directory: &NetworkDirectory,
+        plmn: Plmn,
+        pos: GeoPoint,
+        caps: RatSet,
+    ) -> Option<(Rat, SectorId)> {
+        let bits = (pos.lat.to_bits(), pos.lon.to_bits());
+        if let Some(memo) = self.serving_memo {
+            if memo.plmn == plmn && memo.pos == bits {
+                return memo.serving;
+            }
+        }
+        let serving = directory
+            .get(plmn)
+            .and_then(|net| net.serve_best(pos, caps.intersection(net.rats())));
+        self.serving_memo = Some(ServingMemo {
+            plmn,
+            pos: bits,
+            serving,
+        });
+        serving
+    }
+
     /// Ensures the device is attached somewhere usable at `now`; returns
     /// the serving (network, RAT, sector) or `None` when every candidate
     /// failed. Emits all signaling this entails.
@@ -329,11 +376,9 @@ impl AgentState {
         // Fast path: still served by the camped network.
         if !self.force_reselect && !moved_country {
             if let Some((plmn, _)) = self.camped {
-                if let Some(net) = world.directory.get(plmn) {
-                    if let Some((rat, sec)) = net.serve_best(pos, caps.intersection(net.rats())) {
-                        self.camped = Some((plmn, rat));
-                        return Some((plmn, rat, sec));
-                    }
+                if let Some((rat, sec)) = self.serving_at(&world.directory, plmn, pos, caps) {
+                    self.camped = Some((plmn, rat));
+                    return Some((plmn, rat, sec));
                 }
             }
         }
