@@ -26,6 +26,9 @@ use wtr_sim::world::EventSink;
 /// counts. An earlier revision keyed the coin on a global `seen`
 /// counter, which baked the cross-device interleaving into every coin
 /// and could never be shard-stable.
+///
+/// At a drop fraction of 0 no coin can fall below it, so the sink counts
+/// the event as seen and forwards it without keeping a per-device count.
 #[derive(Debug, Clone)]
 pub struct LossySink<S> {
     inner: S,
@@ -74,6 +77,10 @@ impl<S: EventSink> LossySink<S> {
 impl<S: EventSink> EventSink for LossySink<S> {
     fn on_event(&mut self, event: &SimEvent) {
         self.seen += 1;
+        if self.drop_fraction == 0.0 {
+            self.inner.on_event(event);
+            return;
+        }
         let seq = self.device_seq.entry(event.device()).or_insert(0);
         *seq += 1;
         // Deterministic per-event coin keyed on (salt, device, per-device
@@ -119,6 +126,7 @@ mod tests {
         for i in 0..500 {
             sink.on_event(&event(i));
         }
+        assert_eq!(sink.seen(), 500);
         assert_eq!(sink.seen(), 500);
         assert_eq!(sink.dropped(), 0);
         assert_eq!(sink.inner().events.len(), 500);
