@@ -8,7 +8,7 @@
 //! of the test suite: the paper's statistics are shares and distributions,
 //! which degrade gracefully rather than break.
 
-use std::collections::HashMap;
+use crate::idmap::IdMap;
 use wtr_model::hash::mix64;
 use wtr_sim::events::SimEvent;
 use wtr_sim::world::EventSink;
@@ -35,7 +35,7 @@ pub struct LossySink<S> {
     drop_fraction: f64,
     salt: u64,
     /// Per-device event counters: `device -> events seen so far`.
-    device_seq: HashMap<u64, u64>,
+    device_seq: IdMap<u64>,
     seen: u64,
     dropped: u64,
 }
@@ -47,7 +47,7 @@ impl<S: EventSink> LossySink<S> {
             inner,
             drop_fraction: drop_fraction.clamp(0.0, 1.0),
             salt,
-            device_seq: HashMap::new(),
+            device_seq: IdMap::default(),
             seen: 0,
             dropped: 0,
         }
@@ -126,7 +126,6 @@ mod tests {
         for i in 0..500 {
             sink.on_event(&event(i));
         }
-        assert_eq!(sink.seen(), 500);
         assert_eq!(sink.seen(), 500);
         assert_eq!(sink.dropped(), 0);
         assert_eq!(sink.inner().events.len(), 500);

@@ -33,6 +33,7 @@
 
 pub mod catalog;
 pub mod faults;
+mod idmap;
 pub mod io;
 pub mod m2m;
 pub mod mno;

@@ -24,8 +24,8 @@
 //! so the fold equals a catalog lookup per event for any arrival order.
 
 use crate::catalog::{CatalogEntry, DevicesCatalog};
+use crate::idmap::IdMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use wtr_model::apn::Apn;
 use wtr_model::hash::{anonymize_u64, AnonKey};
 use wtr_model::ids::{ImsiRange, Plmn, Tac};
@@ -149,7 +149,7 @@ pub struct MnoProbe {
     /// The parked rows of the daily devices-catalog built so far.
     catalog: DevicesCatalog,
     /// Per-SIM state, keyed by packed IMSI.
-    sims: HashMap<u64, SimState>,
+    sims: IdMap<SimState>,
     designated_ranges: Vec<ImsiRange>,
     published_m2m_ranges: Vec<ImsiRange>,
     element_load: Vec<ElementLoad>,
@@ -174,7 +174,7 @@ impl MnoProbe {
             home_network,
             key,
             catalog: DevicesCatalog::new(window_days),
-            sims: HashMap::new(),
+            sims: IdMap::default(),
             designated_ranges: Vec::new(),
             published_m2m_ranges: Vec::new(),
             element_load: vec![ElementLoad::default(); window_days as usize],
@@ -259,7 +259,7 @@ impl MnoProbe {
             home_network: self.home_network.clone(),
             key: self.key,
             catalog: DevicesCatalog::new(window_days),
-            sims: HashMap::new(),
+            sims: IdMap::default(),
             designated_ranges: self.designated_ranges.clone(),
             published_m2m_ranges: self.published_m2m_ranges.clone(),
             element_load: vec![ElementLoad::default(); self.element_load.len()],
