@@ -212,6 +212,38 @@ fn missing_required_options_fail_cleanly() {
 }
 
 #[test]
+fn one_day_window_simulates_and_analyzes() {
+    // A late-arriving meter draws its arrival day after day 0, which a
+    // one-day window does not have.
+    let catalog = tmp("catalog-one-day.jsonl");
+    let path = catalog.to_str().unwrap();
+    let out = wtr(&[
+        "simulate-mno",
+        "--out",
+        path,
+        "--devices",
+        "100",
+        "--days",
+        "1",
+        "--seed",
+        "7",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = wtr(&["analyze", "--catalog", path]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!out.stdout.is_empty());
+    std::fs::remove_file(&catalog).ok();
+}
+
+#[test]
 fn truth_export_and_validate_loop() {
     let catalog = tmp("catalog-validate.jsonl");
     let truth = tmp("truth-validate.jsonl");

@@ -834,8 +834,10 @@ impl PopulationBuilder<'_> {
             let tac = self.tac_where(|e| e.vendor == vendor && e.rats == RatSet::G2_G3);
             let seed = self.rng.rng_seed();
             // Ongoing deployment: ~80% present from day 0, the rest arrive
-            // during the window (Fig. 11-left cohort effect).
-            let arrival = if self.rng.chance(0.8) {
+            // during the window (Fig. 11-left cohort effect). A one-day
+            // window has no later day to arrive on; its coin is still
+            // drawn, so no later draw moves.
+            let arrival = if self.rng.chance(0.8) || self.cfg.days < 2 {
                 0
             } else {
                 1 + self.rng.index((self.cfg.days - 1) as usize) as u32
