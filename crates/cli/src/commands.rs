@@ -135,6 +135,16 @@ pub fn simulate_mno(argv: &[String]) -> Result<(), String> {
             probe_io::MAX_WINDOW_DAYS
         ));
     }
+    // Out of range, a loss fraction of 2 would write an empty catalog and
+    // NaN would run as no loss; refuse both before simulating.
+    for (name, value) in [
+        ("nbiot-meters", config.nbiot_meter_fraction),
+        ("record-loss", config.record_loss_fraction),
+    ] {
+        if !(0.0..=1.0).contains(&value) {
+            return Err(format!("--{name} {value}: must be a fraction in [0, 1]"));
+        }
+    }
     eprintln!(
         "simulating {} devices over {} days (seed {})…",
         config.devices, config.days, config.seed

@@ -196,6 +196,42 @@ fn missing_required_options_fail_cleanly() {
             vec!["simulate-platform", "--out", out, "--days", "0"],
             "--days must be at least 1",
         ),
+        (
+            vec![
+                "simulate-mno",
+                "--out",
+                out,
+                "--devices",
+                "10",
+                "--record-loss",
+                "2",
+            ],
+            "--record-loss 2: must be a fraction in [0, 1]",
+        ),
+        (
+            vec![
+                "simulate-mno",
+                "--out",
+                out,
+                "--devices",
+                "10",
+                "--record-loss",
+                "NaN",
+            ],
+            "--record-loss NaN: must be a fraction in [0, 1]",
+        ),
+        (
+            vec![
+                "simulate-mno",
+                "--out",
+                out,
+                "--devices",
+                "10",
+                "--nbiot-meters",
+                "-1",
+            ],
+            "--nbiot-meters -1: must be a fraction in [0, 1]",
+        ),
     ] {
         let run = wtr(&args);
         assert_eq!(run.status.code(), Some(1), "{args:?} should fail");
