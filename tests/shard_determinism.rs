@@ -27,6 +27,8 @@
 //!    devices are partitioned into shards.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 use where_things_roam::model::country::Country;
 use where_things_roam::model::hash::{mix64, AnonKey};
 use where_things_roam::model::ids::{Imei, Imsi, Plmn, Tac};
@@ -39,7 +41,7 @@ use where_things_roam::probes::mno::MnoProbe;
 use where_things_roam::radio::geo::{CountryGeometry, GeoPoint};
 use where_things_roam::radio::network::{CoverageFaults, RadioNetwork};
 use where_things_roam::radio::sector::GridSpacing;
-use where_things_roam::scenarios::{MnoScenario, MnoScenarioConfig, MnoScenarioOutput};
+use where_things_roam::scenarios::{MnoScenario, MnoScenarioConfig, MnoScenarioOutput, Universe};
 use where_things_roam::sim::events::{
     DataSession, ProcedureResult, ProcedureType, SignalingEvent, SimEvent, VoiceCall,
 };
@@ -82,6 +84,13 @@ const LOSSY_CATALOG_JSONL_DIGEST: u64 = 0x20840effe16a7f8c;
 const TRANSPARENCY_CATALOG_JSONL_DIGEST: u64 = 0x7ba3674a1f3584f6;
 /// Same run: rows tagged `in_published_m2m_range`.
 const TRANSPARENCY_PUBLISHED_ROWS: usize = 58;
+/// 400 devices x 5 days, seed 7, nbiot 0.05, loss 0, with every vertical
+/// overridden by its `Universe::standard_behaviors` entry (what
+/// `wtr behavior-template` writes and `--behavior` loads): JSONL catalog
+/// bytes.
+const TEMPLATE_CATALOG_JSONL_DIGEST: u64 = 0xb1d7f1f1b372dbbb;
+/// Same run: catalog rows.
+const TEMPLATE_CATALOG_ROWS: usize = 1_829;
 
 /// Order-sensitive digest: bytes folded 8 at a time through `mix64`.
 fn digest(bytes: &[u8]) -> u64 {
@@ -225,6 +234,25 @@ fn transparency_catalog_matches_golden() {
         .count();
     assert_eq!(published, TRANSPARENCY_PUBLISHED_ROWS);
     assert_eq!(digest(&jsonl), TRANSPARENCY_CATALOG_JSONL_DIGEST);
+}
+
+#[test]
+fn template_override_catalog_matches_golden() {
+    // The `--behavior` path: every vertical steps its class baseline
+    // instead of its per-device spec behavior, at one shard and three.
+    let overrides: BTreeMap<_, _> = Universe::standard_behaviors()
+        .into_iter()
+        .map(|(label, behavior)| (label, Arc::new(behavior)))
+        .collect();
+    for k in [1, 3] {
+        let out = MnoScenario::new(scenario_config(0.0))
+            .with_behavior_overrides(overrides.clone())
+            .run_sharded(k);
+        let mut jsonl = Vec::new();
+        io::write_catalog(&mut jsonl, &out.catalog).unwrap();
+        assert_eq!(out.catalog.len(), TEMPLATE_CATALOG_ROWS, "shards {k}");
+        assert_eq!(digest(&jsonl), TEMPLATE_CATALOG_JSONL_DIGEST, "shards {k}");
+    }
 }
 
 #[test]
