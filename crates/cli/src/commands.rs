@@ -1,6 +1,7 @@
 //! The `wtr` subcommand implementations.
 
 use crate::args::Args;
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use wtr_core::analysis::platform;
@@ -14,7 +15,7 @@ use wtr_model::tacdb::TacDatabase;
 use wtr_probes::catalog::DevicesCatalog;
 use wtr_probes::io as probe_io;
 use wtr_scenarios::{M2mScenario, M2mScenarioConfig, MnoScenario, MnoScenarioConfig, Universe};
-use wtr_sim::behavior::BehaviorMatrix;
+use wtr_sim::behavior::Behavior;
 
 fn open_out(path: &str) -> Result<BufWriter<File>, String> {
     File::create(path)
@@ -29,23 +30,24 @@ fn open_in(path: &str) -> Result<BufReader<File>, String> {
 }
 
 /// Loads and validates a `--behavior` file: a JSON object mapping vertical
-/// labels to [`BehaviorMatrix`] definitions. Every matrix is re-validated
-/// after deserialization so a hand-edited file fails here, with the
-/// offending class named, rather than deep inside the simulation.
-fn load_behaviors(
-    path: &str,
-) -> Result<std::collections::BTreeMap<String, std::sync::Arc<BehaviorMatrix>>, String> {
+/// labels to [`Behavior`]s, one `{"traffic": …, "options": …}` object
+/// each. Every class is validated after deserialization so a hand-edited
+/// file fails here, with the class and the field named, rather than deep
+/// inside the simulation.
+fn load_behaviors(path: &str) -> Result<BTreeMap<String, Behavior>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let map: std::collections::BTreeMap<String, BehaviorMatrix> =
-        serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-    let mut overrides = std::collections::BTreeMap::new();
-    for (label, matrix) in map {
-        matrix
+    let behaviors: BTreeMap<String, Behavior> = serde_json::from_str(&text).map_err(|e| {
+        format!(
+            "{path}: {e} (expected one {{\"traffic\", \"options\"}} object per vertical, \
+             as `wtr behavior-template` writes)"
+        )
+    })?;
+    for (label, behavior) in &behaviors {
+        behavior
             .validate()
             .map_err(|e| format!("{path}: behavior for {label:?}: {e}"))?;
-        overrides.insert(label, std::sync::Arc::new(matrix));
     }
-    Ok(overrides)
+    Ok(behaviors)
 }
 
 /// `wtr behavior-template`: dump the standard per-vertical behavior
@@ -169,7 +171,7 @@ pub fn simulate_mno(argv: &[String]) -> Result<(), String> {
         }
         None => None,
     };
-    // `--behavior` swaps in externally defined behavior matrices for the
+    // `--behavior` swaps in externally defined behaviors for the
     // verticals named in the file (keys are `Vertical::label()` strings;
     // `wtr behavior-template` dumps the standard library as a starting
     // point). Unlisted verticals keep their compiled-in behavior.

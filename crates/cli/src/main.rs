@@ -32,7 +32,7 @@ COMMANDS:
     validate            score a pipeline against exported ground truth
     analyze             print analyses over a catalog (labels, home, rat, …)
     platform-stats      print §3 statistics over a transaction log
-    behavior-template   dump the standard per-vertical behavior matrices as JSON
+    behavior-template   dump the standard per-vertical behaviors as JSON
     serve               run the resident ingest/report server (wtr_serve)
     catalog-split       shuffle + partition a catalog into per-tap upload parts
     help                show this message

@@ -248,6 +248,76 @@ fn missing_required_options_fail_cleanly() {
 }
 
 #[test]
+fn behavior_template_loads_and_bad_files_are_refused() {
+    let template = tmp("behaviors.json");
+    let catalog = tmp("catalog-behavior.jsonl");
+    let out = wtr(&["behavior-template", "--out", template.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let simulate = |behaviors: &std::path::Path| {
+        wtr(&[
+            "simulate-mno",
+            "--out",
+            catalog.to_str().unwrap(),
+            "--devices",
+            "60",
+            "--days",
+            "2",
+            "--behavior",
+            behaviors.to_str().unwrap(),
+        ])
+    };
+    let out = simulate(&template);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // The first class in the file is the asset tracker.
+    let text = std::fs::read_to_string(&template).unwrap();
+    let bad = tmp("behaviors-bad.json");
+    std::fs::write(
+        &bad,
+        text.replacen(
+            "\"daily_active_prob\": 1.0",
+            "\"daily_active_prob\": 1.5",
+            1,
+        ),
+    )
+    .unwrap();
+    let out = simulate(&bad);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("\"asset-tracker\"") && stderr.contains("options.daily_active_prob"),
+        "{stderr}"
+    );
+
+    // The retired transition-matrix shape is refused, not read.
+    let matrix = tmp("behaviors-matrix.json");
+    std::fs::write(
+        &matrix,
+        r#"{"smart-meter": {"params": {"per_device_sigma": 0.5}, "rows": [], "entry": 0}}"#,
+    )
+    .unwrap();
+    let out = simulate(&matrix);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("missing field `traffic`"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    for path in [&template, &catalog, &bad, &matrix] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
+#[test]
 fn one_day_window_simulates_and_analyzes() {
     // A late-arriving meter draws its arrival day after day 0, which a
     // one-day window does not have.

@@ -36,7 +36,6 @@
 use crate::universe::Universe;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 use wtr_model::apn::Apn;
 use wtr_model::country::Country;
 use wtr_model::hash::{anonymize_u64, AnonKey};
@@ -51,7 +50,7 @@ use wtr_probes::faults::LossySink;
 use wtr_probes::mno::MnoProbe;
 use wtr_radio::network::{CoverageFaults, RadioNetwork};
 use wtr_radio::sector::GridSpacing;
-use wtr_sim::behavior::BehaviorMatrix;
+use wtr_sim::behavior::Behavior;
 use wtr_sim::device::{DeviceAgent, DeviceSpec, ItineraryLeg, PresenceModel};
 use wtr_sim::engine::EngineStats;
 use wtr_sim::mobility::MobilityModel;
@@ -150,9 +149,9 @@ impl MnoScenarioOutput {
 pub struct MnoScenario {
     config: MnoScenarioConfig,
     /// Per-vertical behavior overrides keyed by [`Vertical::label`]:
-    /// devices of a listed vertical step the supplied matrix instead of
-    /// their spec's compiled behavior (the `--behavior` CLI path).
-    behavior_overrides: BTreeMap<String, Arc<BehaviorMatrix>>,
+    /// devices of a listed vertical step the supplied behavior instead of
+    /// their spec's own (the `--behavior` CLI path).
+    behavior_overrides: BTreeMap<String, Behavior>,
 }
 
 const UK: Plmn = well_known::UK_STUDIED_MNO;
@@ -166,13 +165,10 @@ impl MnoScenario {
         }
     }
 
-    /// Installs per-vertical behavior overrides (validated matrices keyed
+    /// Installs per-vertical behavior overrides (validated behaviors keyed
     /// by [`Vertical::label`], e.g. loaded from a `--behavior` file).
-    /// Verticals absent from the map keep their compiled spec behavior.
-    pub fn with_behavior_overrides(
-        mut self,
-        overrides: BTreeMap<String, Arc<BehaviorMatrix>>,
-    ) -> Self {
+    /// Verticals absent from the map keep their spec's own behavior.
+    pub fn with_behavior_overrides(mut self, overrides: BTreeMap<String, Behavior>) -> Self {
         self.behavior_overrides = overrides;
         self
     }
@@ -273,7 +269,7 @@ impl MnoScenario {
             .map(|(spec, vertical)| {
                 ground_truth.insert(anonymize_u64(AnonKey::FIXED, spec.imsi.packed()), vertical);
                 match self.behavior_overrides.get(spec.vertical.label()) {
-                    Some(matrix) => DeviceAgent::with_behavior(spec, Arc::clone(matrix), cfg.seed)
+                    Some(behavior) => DeviceAgent::with_behavior(spec, behavior.clone(), cfg.seed)
                         .expect("population specs are valid"),
                     None => DeviceAgent::new(spec, cfg.seed),
                 }

@@ -18,7 +18,7 @@ use wtr_platform::platform::M2mPlatform;
 use wtr_radio::geo::CountryGeometry;
 use wtr_radio::network::{CoverageFaults, RadioNetwork};
 use wtr_radio::sector::GridSpacing;
-use wtr_sim::behavior::{profile_matrix, BehaviorMatrix, BehaviorOptions};
+use wtr_sim::behavior::{Behavior, Options};
 use wtr_sim::traffic::TrafficProfile;
 use wtr_sim::world::NetworkDirectory;
 
@@ -43,31 +43,31 @@ impl Universe {
     }
 
     /// The standard per-vertical behavior library: each [`Vertical`]'s
-    /// calibrated traffic profile compiled into a [`BehaviorMatrix`],
-    /// keyed by [`Vertical::label`]. This map (serialized) is exactly the
+    /// calibrated traffic profile with class-baseline options, keyed by
+    /// [`Vertical::label`]. This map (serialized) is exactly the
     /// `--behavior <file.json>` format, and `wtr behavior-template` dumps
     /// it as the starting point for custom device classes.
     ///
-    /// Planes whose rate is zero in the profile are compiled disabled, so
-    /// the library matrices describe what the class actually does. They
-    /// are class-level *baselines*: always active, no switch propensity,
-    /// no injected failures. The built-in populations instead compile one
-    /// matrix per device (folding in per-device switch propensity, sticky
-    /// failures and activity), so overriding a vertical with its template
-    /// matrix intentionally replaces that per-device variation with the
-    /// class baseline — mobility, presence and APN lists still come from
-    /// the device spec.
-    pub fn standard_behaviors() -> BTreeMap<String, BehaviorMatrix> {
+    /// Planes whose rate is zero in the profile are disabled, so the
+    /// library describes what the class actually does. The entries are
+    /// class-level *baselines*: always active, no switch propensity, no
+    /// injected failures, one APN. The built-in populations instead step
+    /// each device's own behavior (its per-device switch propensity,
+    /// sticky failure and activity), so overriding a vertical with its
+    /// template entry intentionally replaces that per-device variation
+    /// with the class baseline — mobility, presence and APN lists still
+    /// come from the device spec.
+    pub fn standard_behaviors() -> BTreeMap<String, Behavior> {
         Vertical::ALL
             .iter()
             .map(|v| {
-                let profile = TrafficProfile::for_vertical(*v);
-                let opts = BehaviorOptions {
-                    data_enabled: profile.data_sessions_per_day > 0.0,
-                    voice_enabled: profile.voice_per_day > 0.0,
-                    ..BehaviorOptions::default()
+                let traffic = TrafficProfile::for_vertical(*v);
+                let options = Options {
+                    data_enabled: traffic.data_sessions_per_day > 0.0,
+                    voice_enabled: traffic.voice_per_day > 0.0,
+                    ..Options::default()
                 };
-                (v.label().to_owned(), profile_matrix(&profile, &opts))
+                (v.label().to_owned(), Behavior { traffic, options })
             })
             .collect()
     }

@@ -27,7 +27,7 @@
 //! radio capabilities are fixed. The check draws no RNG value, so the
 //! memo moves no draw.
 
-use crate::behavior::{self, AttachParams, BehaviorMatrix, Emission, StateId, StepCtx, StepHost};
+use crate::behavior::{self, Behavior, Emission, Options, StepCtx, StepHost, Wake};
 use crate::engine::{Agent, AgentId, Scheduler, WakeTag};
 use crate::events::{
     DataSession, ProcedureResult, ProcedureType, SignalingEvent, SimEvent, VoiceCall, VoiceKind,
@@ -38,7 +38,6 @@ use crate::traffic::TrafficProfile;
 use crate::world::{EventSink, NetworkDirectory, RoamingWorld};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 use wtr_model::apn::Apn;
 use wtr_model::ids::{Imei, Imsi, Plmn};
 use wtr_model::rat::{Rat, RatSet};
@@ -196,9 +195,9 @@ impl DeviceSpec {
 #[derive(Debug, Clone)]
 pub struct DeviceAgent {
     spec: DeviceSpec,
-    /// The compiled behavior matrix driving the agent. Shared: every
-    /// device of a class steps the same matrix.
-    behavior: Arc<BehaviorMatrix>,
+    /// The behavior the agent steps: its spec's own, or its class's
+    /// override.
+    behavior: Behavior,
     multiplier: f64,
     /// Everything a wake changes. A wake borrows it mutably next to
     /// shared borrows of `spec` and `behavior`.
@@ -233,8 +232,7 @@ struct ServingMemo {
 impl DeviceAgent {
     /// Builds the agent; RNG substream and per-device rate multiplier are
     /// derived deterministically from `master_seed` and the spec index.
-    /// The spec's behavior compiles into a [`BehaviorMatrix`]
-    /// ([`behavior::spec_matrix`]).
+    /// The agent steps the spec's own behavior ([`Behavior::of_spec`]).
     ///
     /// # Panics
     ///
@@ -246,31 +244,26 @@ impl DeviceAgent {
 
     /// Fallible [`new`](DeviceAgent::new): validates the spec first.
     pub fn try_new(spec: DeviceSpec, master_seed: u64) -> Result<Self, SpecError> {
-        spec.validate()?;
-        let behavior = Arc::new(behavior::spec_matrix(&spec));
-        Ok(Self::assemble(spec, behavior, master_seed))
+        let behavior = Behavior::of_spec(&spec);
+        Self::with_behavior(spec, behavior, master_seed)
     }
 
-    /// Builds the agent on an explicit behavior matrix (e.g. loaded from a
-    /// `--behavior` file). The spec still supplies identity, radio
-    /// capabilities, APNs, presence window and itinerary; the matrix
-    /// supplies all behavior.
+    /// Builds the agent on an explicit behavior (e.g. its class's entry
+    /// in a `--behavior` file). The spec still supplies identity, radio
+    /// capabilities, APNs, presence window and itinerary; the behavior
+    /// supplies everything the device does.
     pub fn with_behavior(
         spec: DeviceSpec,
-        matrix: Arc<BehaviorMatrix>,
+        behavior: Behavior,
         master_seed: u64,
     ) -> Result<Self, SpecError> {
         spec.validate()?;
-        Ok(Self::assemble(spec, matrix, master_seed))
-    }
-
-    /// Shared tail of both constructors: the construction-time draws
-    /// (multiplier, then sticky breadth) from the device's substream.
-    fn assemble(spec: DeviceSpec, behavior: Arc<BehaviorMatrix>, master_seed: u64) -> Self {
+        debug_assert_eq!(behavior.validate(), Ok(()));
+        // The construction-time draws: multiplier, then sticky breadth.
         let mut rng = SubstreamRng::derive(master_seed, spec.index);
         let multiplier = behavior.draw_multiplier(&mut rng);
-        let sticky_breadth = behavior.draw_sticky_breadth(&mut rng);
-        DeviceAgent {
+        let sticky_breadth = behavior::draw_sticky_breadth(&mut rng);
+        Ok(DeviceAgent {
             spec,
             behavior,
             multiplier,
@@ -282,22 +275,7 @@ impl DeviceAgent {
                 force_reselect: false,
                 serving_memo: None,
             },
-        }
-    }
-
-    /// Read access to the spec.
-    pub fn spec(&self) -> &DeviceSpec {
-        &self.spec
-    }
-
-    /// The compiled behavior matrix.
-    pub fn behavior(&self) -> &Arc<BehaviorMatrix> {
-        &self.behavior
-    }
-
-    /// The device's per-device rate multiplier.
-    pub fn multiplier(&self) -> f64 {
-        self.multiplier
+        })
     }
 }
 
@@ -365,7 +343,7 @@ impl AgentState {
         now: SimTime,
         pos: GeoPoint,
         country_iso: &str,
-        params: AttachParams,
+        options: &Options,
     ) -> Option<(Plmn, Rat, SectorId)> {
         let caps = spec.radio_caps;
         let moved_country = self
@@ -394,7 +372,7 @@ impl AgentState {
             // Devices mostly ping-pong between two preferred networks
             // (Fig. 3: switch counts far exceed VMNO counts); only
             // occasionally does a switch land further down the list.
-            if candidates.len() > 1 && self.rng.chance(params.rotate_prob) {
+            if candidates.len() > 1 && self.rng.chance(behavior::RESELECT_ROTATE_PROB) {
                 let k = self.rng.index(candidates.len());
                 candidates.rotate_left(k);
             }
@@ -410,7 +388,7 @@ impl AgentState {
             let Some((rat, sec)) = net.serve_best(pos, caps.intersection(net.rats())) else {
                 continue;
             };
-            if let Some(fail) = params.sticky_failure {
+            if let Some(fail) = options.sticky_failure {
                 // Misprovisioned device: authentication fails everywhere.
                 signal(
                     spec,
@@ -454,7 +432,7 @@ impl AgentState {
                 );
                 continue;
             }
-            if self.rng.chance(params.event_failure_prob) {
+            if self.rng.chance(options.event_failure_prob) {
                 // Transient failure on this attempt; try next.
                 signal(
                     spec,
@@ -514,11 +492,11 @@ impl AgentState {
     }
 }
 
-/// Per-wake adapter implementing [`StepHost`] for the matrix interpreter:
+/// Per-wake adapter implementing [`StepHost`] for [`Behavior::step`]:
 /// RNG access routes to the device substream, the attach walk to
 /// [`AgentState`]'s `ensure_attached` (recording the serving network for
 /// the emission that follows), and scheduling to the engine with the wake
-/// tag carrying the target [`StateId`].
+/// tag carrying the scheduled [`Wake`].
 struct AgentHost<'a, S: EventSink> {
     spec: &'a DeviceSpec,
     state: &'a mut AgentState,
@@ -529,7 +507,7 @@ struct AgentHost<'a, S: EventSink> {
     day: Day,
     pos: GeoPoint,
     country: &'a str,
-    params: AttachParams,
+    options: &'a Options,
     serving: Option<(Plmn, Rat, SectorId)>,
 }
 
@@ -549,26 +527,25 @@ impl<S: EventSink> StepHost for AgentHost<'_, S> {
             self.now,
             self.pos,
             self.country,
-            self.params,
+            self.options,
         );
         self.serving.is_some()
     }
 
-    fn schedule(&mut self, state: StateId, second_of_day: u64) {
+    fn schedule(&mut self, wake: Wake, second_of_day: u64) {
         let at = self.day.start() + SimDuration::from_secs(second_of_day);
-        self.sched.wake_at(self.id, WakeTag(state.0), at);
+        self.sched.wake_at(self.id, wake.tag(), at);
     }
 }
 
 impl<S: EventSink> Agent<RoamingWorld<S>> for DeviceAgent {
     fn init(&mut self, id: AgentId, _world: &mut RoamingWorld<S>, sched: &mut Scheduler) {
         let first = self.spec.presence.first_day;
-        sched.wake_at(id, WakeTag(self.behavior.entry.0), Day(first).start());
+        sched.wake_at(id, Wake::Plan.tag(), Day(first).start());
     }
 
-    /// One homogeneous interpreter step, then turn the returned
-    /// [`Emission`] into events on the serving network the step's attach
-    /// recorded.
+    /// One [`Behavior::step`], then turn the returned [`Emission`] into
+    /// events on the serving network the step's attach recorded.
     fn wake(
         &mut self,
         id: AgentId,
@@ -576,19 +553,18 @@ impl<S: EventSink> Agent<RoamingWorld<S>> for DeviceAgent {
         world: &mut RoamingWorld<S>,
         sched: &mut Scheduler,
     ) {
-        // Disjoint borrows: the step reads the spec and the matrix while
+        // Disjoint borrows: the step reads the spec and the behavior while
         // it mutates the state.
         let DeviceAgent {
             ref spec,
-            behavior: ref matrix,
+            ref behavior,
             multiplier,
             ref mut state,
         } = *self;
-        let state_id = StateId(tag.0);
-        if state_id.idx() >= matrix.len() {
+        let Some(wake) = Wake::of_tag(tag) else {
             debug_assert!(false, "unknown wake tag {}", tag.0);
             return;
-        }
+        };
         let now = sched.now();
         let day = now.day();
         let leg = spec.leg_at(day);
@@ -607,10 +583,10 @@ impl<S: EventSink> Agent<RoamingWorld<S>> for DeviceAgent {
             day,
             pos,
             country: &leg.country_iso,
-            params: matrix.attach_params(),
+            options: &behavior.options,
             serving: None,
         };
-        let (next, emission) = matrix.step(state_id, ctx, &mut host);
+        let emission = behavior.step(wake, ctx, &mut host);
         let serving = host.serving;
         match emission {
             Emission::Idle | Emission::Planned { .. } => {}
@@ -708,13 +684,12 @@ impl<S: EventSink> Agent<RoamingWorld<S>> for DeviceAgent {
                 }
             }
         }
-        // Plan rows re-arm the next day's planning wake (at the chain's
-        // successor) while the device remains present, inactive days
-        // included.
-        if matrix.is_plan(state_id) {
+        // A plan wake re-arms the next day's while the device remains
+        // present, inactive days included.
+        if wake == Wake::Plan {
             let next_day = Day(day.0 + 1);
             if next_day.0 < spec.presence.last_day {
-                sched.wake_at(id, WakeTag(next.0), next_day.start());
+                sched.wake_at(id, Wake::Plan.tag(), next_day.start());
             }
         }
     }

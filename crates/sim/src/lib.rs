@@ -19,9 +19,9 @@
 //!
 //! * [`engine`] — a minimal event-queue core: agents schedule wake-ups,
 //!   the engine dispatches them in time order from a calendar queue.
-//! * [`behavior`] — declarative device behavior: validated CTMC
-//!   transition matrices interpreted by one homogeneous `step` function;
-//!   every device steps one, compiled from its spec or loaded from a
+//! * [`behavior`] — device behavior: a traffic profile plus per-device
+//!   options, stepped one wake (plan, signaling, data or voice) at a
+//!   time; every device steps one, read off its spec or loaded from a
 //!   `--behavior` file.
 //! * [`events`] — the simulation's observable output: signaling
 //!   transactions, data sessions, voice calls.
@@ -53,10 +53,7 @@ pub mod stream;
 pub mod traffic;
 pub mod world;
 
-pub use behavior::{
-    profile_matrix, spec_matrix, BehaviorError, BehaviorMatrix, BehaviorOptions, BehaviorRow,
-    EmissionSpec, StateId,
-};
+pub use behavior::{Behavior, BehaviorError};
 pub use device::{DeviceAgent, DeviceSpec, PresenceModel, SpecError};
 pub use engine::{Agent, AgentId, Engine, EngineStats, Scheduler, WakeTag};
 pub use events::{

@@ -128,9 +128,8 @@ pub struct TrafficProfile {
 }
 
 /// The per-vertical calibration table (§6/§7): one named constant per
-/// [`Vertical`], the single source the behavior compiler
-/// (`wtr_sim::behavior::profile_matrix`) and [`TrafficProfile::for_vertical`]
-/// both read. Field order everywhere: signaling rate, per-device sigma,
+/// [`Vertical`], read through [`TrafficProfile::for_vertical`] by the
+/// population builders and the standard behavior library. Field order everywhere: signaling rate, per-device sigma,
 /// data rate, volume, voice rate/kind/duration, diurnal shape, reauth
 /// fraction.
 pub mod profiles {

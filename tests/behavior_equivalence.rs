@@ -1,14 +1,15 @@
-//! Declarative behaviors, pinned by golden digests.
+//! Device behaviors, pinned by golden digests.
 //!
-//! Every device steps a `wtr_sim::behavior` matrix; `spec_matrix`
-//! compiles each device spec into one. This suite pins:
+//! Every device steps a `wtr_sim::behavior::Behavior`; `Behavior::of_spec`
+//! reads each device spec's. This suite pins:
 //!
 //! 1. **Per vertical**: for every [`Vertical`], the event stream of the
 //!    base class and of its sticky-failure, switch-happy and
 //!    flaky-presence variants matches a golden digest.
-//! 2. **Validation** (proptest): `BehaviorMatrix::new`/`validate` rejects
-//!    every corruption of a well-formed matrix, and accepts + roundtrips
-//!    (serde, byte-stable) every well-formed parameterization.
+//! 2. **Validation** (proptest): `Behavior::validate` rejects a bad value
+//!    in any of its twelve numeric fields, naming the field, and accepts
+//!    and roundtrips (serde, byte-stable) every well-formed
+//!    parameterization.
 //!
 //! Scenario-scale output is pinned by the golden digests in
 //! `tests/shard_determinism.rs`.
@@ -23,10 +24,7 @@ use where_things_roam::model::vertical::Vertical;
 use where_things_roam::radio::geo::CountryGeometry;
 use where_things_roam::radio::network::{CoverageFaults, RadioNetwork};
 use where_things_roam::radio::sector::GridSpacing;
-use where_things_roam::sim::behavior::{
-    profile_matrix, states, BehaviorMatrix, BehaviorOptions, BehaviorRow, EmissionSpec, PlanTarget,
-    StateId, MAX_PLAN_TARGETS,
-};
+use where_things_roam::sim::behavior::{Behavior, Options};
 use where_things_roam::sim::device::{DeviceAgent, DeviceSpec, ItineraryLeg, PresenceModel};
 use where_things_roam::sim::engine::Engine;
 use where_things_roam::sim::events::ProcedureResult;
@@ -154,78 +152,80 @@ fn every_vertical_matches_event_digest_golden() {
 // Validation + serde (proptest).
 // ---------------------------------------------------------------------
 
-fn base_matrix(vertical_idx: usize) -> BehaviorMatrix {
+fn base_behavior(vertical_idx: usize) -> Behavior {
     let vertical = Vertical::ALL[vertical_idx % Vertical::ALL.len()];
-    profile_matrix(
-        &TrafficProfile::for_vertical(vertical),
-        &BehaviorOptions::default(),
-    )
+    Behavior {
+        traffic: TrafficProfile::for_vertical(vertical),
+        options: Options::default(),
+    }
 }
 
-/// One deliberate corruption of a valid matrix. Each arm breaks exactly
-/// one invariant `validate` checks.
-fn corrupt(m: &mut BehaviorMatrix, kind: usize, row: usize, bad: f64) {
-    let row = row % m.rows.len();
+/// The field each corruption kind breaks, as validation names it.
+const CORRUPTED_FIELDS: [&str; 12] = [
+    "traffic.signaling_per_day",
+    "traffic.per_device_sigma",
+    "traffic.data_sessions_per_day",
+    "traffic.volume.median_bytes",
+    "traffic.volume.sigma",
+    "traffic.volume.uplink_ratio",
+    "traffic.voice_per_day",
+    "traffic.call_duration_mean_secs",
+    "traffic.reauth_fraction",
+    "options.daily_active_prob",
+    "options.switch_propensity",
+    "options.event_failure_prob",
+];
+
+/// One deliberate corruption of a valid behavior: `bad` (negative or not
+/// finite) in a magnitude field; in a probability field `bad` itself
+/// when `above` is false, else a value just above 1.
+fn corrupt(b: &mut Behavior, kind: usize, bad: f64, above: bool) {
+    let p = if above {
+        1.0 + bad.abs().max(0.001)
+    } else {
+        bad
+    };
+    let t = &mut b.traffic;
+    let o = &mut b.options;
     match kind {
-        0 => m.rows.clear(),
-        1 => m.entry = StateId(m.rows.len() as u32),
-        2 => m.rows[row].event_rate = bad,
-        3 => m.rows[row].transitions.clear(),
-        4 => m.rows[row].transitions = vec![(StateId(m.rows.len() as u32), 1.0)],
-        5 => {
-            m.rows[row].transitions = vec![(StateId(0), 0.0), (StateId(1), 0.0)];
-        }
-        6 => {
-            m.rows[row].transitions = vec![(StateId(0), 1.0), (StateId(1), -1.0)];
-        }
-        7 => {
-            if let EmissionSpec::Plan(plan) = &mut m.rows[0].emission {
-                plan.daily_active_prob = 1.0 + bad.abs().max(0.001);
-            } else {
-                unreachable!("row 0 of a compiled matrix is the plan row");
-            }
-        }
-        8 => {
-            if let EmissionSpec::Plan(plan) = &mut m.rows[0].emission {
-                plan.targets = vec![
-                    PlanTarget {
-                        state: states::SIGNALING,
-                        scheduled: true,
-                    };
-                    MAX_PLAN_TARGETS + 1
-                ];
-            }
-        }
-        9 => m.params.per_device_sigma = -bad.abs() - 0.001,
-        10 => m.params.sticky_breadth_weights = vec![-1.0, 2.0],
-        _ => m.params.reselect_rotate_prob = 1.0 + bad.abs().max(0.001),
+        0 => t.signaling_per_day = bad,
+        1 => t.per_device_sigma = bad,
+        2 => t.data_sessions_per_day = bad,
+        3 => t.volume.median_bytes = bad,
+        4 => t.volume.sigma = bad,
+        5 => t.volume.uplink_ratio = p,
+        6 => t.voice_per_day = bad,
+        7 => t.call_duration_mean_secs = bad,
+        8 => t.reauth_fraction = p,
+        9 => o.daily_active_prob = p,
+        10 => o.switch_propensity = p,
+        _ => o.event_failure_prob = p,
     }
 }
 
 proptest! {
-    /// Every corruption of a valid matrix is rejected by `validate`, and
-    /// `BehaviorMatrix::new` refuses to construct it.
+    /// Every corruption of a valid behavior is rejected by `validate`,
+    /// which names the corrupted field.
     #[test]
-    fn malformed_matrices_are_rejected(
+    fn malformed_behaviors_are_rejected(
         vertical_idx in 0usize..Vertical::ALL.len(),
         kind in 0usize..12,
-        row in 0usize..4,
         bad in prop_oneof![Just(-1.0f64), Just(f64::NAN), Just(f64::INFINITY), -1e6f64..-0.001],
+        above in any::<bool>(),
     ) {
-        let mut m = base_matrix(vertical_idx);
-        prop_assert!(m.validate().is_ok());
-        corrupt(&mut m, kind, row, bad);
-        prop_assert!(m.validate().is_err(), "corruption {kind} accepted");
-        prop_assert!(
-            BehaviorMatrix::new(m.params.clone(), m.rows.clone(), m.entry).is_err(),
-            "constructor accepted corruption {kind}"
-        );
+        let mut b = base_behavior(vertical_idx);
+        prop_assert!(b.validate().is_ok());
+        corrupt(&mut b, kind, bad, above);
+        match b.validate() {
+            Ok(()) => prop_assert!(false, "corruption {kind} accepted"),
+            Err(e) => prop_assert_eq!(e.field(), CORRUPTED_FIELDS[kind]),
+        }
     }
 
     /// Well-formed parameterizations are accepted and serde-roundtrip to
-    /// the identical matrix *and* identical bytes (canonical form).
+    /// the identical behavior *and* identical bytes (canonical form).
     #[test]
-    fn valid_matrices_roundtrip_byte_stable(
+    fn valid_behaviors_roundtrip_byte_stable(
         vertical_idx in 0usize..Vertical::ALL.len(),
         daily_active_prob in 0.0f64..1.0,
         switch_propensity in 0.0f64..1.0,
@@ -235,39 +235,23 @@ proptest! {
         apn_count in 1u32..4,
         sticky in any::<bool>(),
     ) {
-        let vertical = Vertical::ALL[vertical_idx];
-        let opts = BehaviorOptions {
-            daily_active_prob,
-            switch_propensity,
-            event_failure_prob,
-            sticky_failure: sticky.then_some(ProcedureResult::UnknownSubscription),
-            data_enabled,
-            voice_enabled,
-            apn_count,
+        let b = Behavior {
+            traffic: TrafficProfile::for_vertical(Vertical::ALL[vertical_idx]),
+            options: Options {
+                daily_active_prob,
+                switch_propensity,
+                event_failure_prob,
+                sticky_failure: sticky.then_some(ProcedureResult::UnknownSubscription),
+                data_enabled,
+                voice_enabled,
+                apn_count,
+            },
         };
-        let m = profile_matrix(&TrafficProfile::for_vertical(vertical), &opts);
-        prop_assert!(m.validate().is_ok());
-        let json = serde_json::to_string(&m).unwrap();
-        let back: BehaviorMatrix = serde_json::from_str(&json).unwrap();
+        prop_assert!(b.validate().is_ok());
+        let json = serde_json::to_string(&b).unwrap();
+        let back: Behavior = serde_json::from_str(&json).unwrap();
         prop_assert!(back.validate().is_ok());
-        prop_assert_eq!(&back, &m);
+        prop_assert_eq!(&back, &b);
         prop_assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
-}
-
-/// A silent row that branches is accepted — the interpreter supports
-/// richer shapes than the compiler emits today.
-#[test]
-fn branching_silent_rows_validate() {
-    let mut m = base_matrix(0);
-    m.rows.push(BehaviorRow {
-        transitions: vec![
-            (states::SIGNALING, 0.7),
-            (states::DATA, 0.2),
-            (states::VOICE, 0.1),
-        ],
-        event_rate: 0.5,
-        emission: EmissionSpec::Silent,
-    });
-    assert!(m.validate().is_ok());
 }

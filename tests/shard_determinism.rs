@@ -27,8 +27,6 @@
 //!    devices are partitioned into shards.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 use where_things_roam::model::country::Country;
 use where_things_roam::model::hash::{mix64, AnonKey};
 use where_things_roam::model::ids::{Imei, Imsi, Plmn, Tac};
@@ -240,10 +238,7 @@ fn transparency_catalog_matches_golden() {
 fn template_override_catalog_matches_golden() {
     // The `--behavior` path: every vertical steps its class baseline
     // instead of its per-device spec behavior, at one shard and three.
-    let overrides: BTreeMap<_, _> = Universe::standard_behaviors()
-        .into_iter()
-        .map(|(label, behavior)| (label, Arc::new(behavior)))
-        .collect();
+    let overrides = Universe::standard_behaviors();
     for k in [1, 3] {
         let out = MnoScenario::new(scenario_config(0.0))
             .with_behavior_overrides(overrides.clone())
