@@ -2,8 +2,9 @@
 
 use crate::args::Args;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use wtr_core::analysis::platform;
 use wtr_core::baseline;
 use wtr_core::classify::{Classification, Classifier, DeviceClass};
@@ -16,6 +17,43 @@ use wtr_probes::catalog::DevicesCatalog;
 use wtr_probes::io as probe_io;
 use wtr_scenarios::{M2mScenario, M2mScenarioConfig, MnoScenario, MnoScenarioConfig, Universe};
 use wtr_sim::behavior::Behavior;
+
+/// Why a command stopped.
+#[derive(Debug)]
+pub enum Failure {
+    /// A message for stderr.
+    Message(String),
+    /// Writing to stdout failed (a reader that closed the pipe among
+    /// other causes).
+    Stdout(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Message(message)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(message: &str) -> Self {
+        Failure::Message(message.to_owned())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Stdout(e)
+    }
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Message(message) => f.write_str(message),
+            Failure::Stdout(e) => write!(f, "writing to stdout: {e}"),
+        }
+    }
+}
 
 fn open_out(path: &str) -> Result<BufWriter<File>, String> {
     File::create(path)
@@ -53,10 +91,10 @@ fn load_behaviors(path: &str) -> Result<BTreeMap<String, Behavior>, String> {
 /// `wtr behavior-template`: dump the standard per-vertical behavior
 /// library as JSON — the exact format `simulate-mno --behavior` loads, so
 /// defining a new device class starts from a working file.
-pub fn behavior_template(argv: &[String]) -> Result<(), String> {
+pub fn behavior_template(argv: &[String], stdout: &mut impl Write) -> Result<(), Failure> {
     let args = Args::parse(argv, &["out"], &[])?;
     if args.flag("help") {
-        println!("wtr behavior-template [--out behaviors.json]");
+        writeln!(stdout, "wtr behavior-template [--out behaviors.json]")?;
         return Ok(());
     }
     let library = Universe::standard_behaviors();
@@ -68,7 +106,7 @@ pub fn behavior_template(argv: &[String]) -> Result<(), String> {
             out.flush().map_err(|e| e.to_string())?;
             eprintln!("wrote {} behaviors to {path}", library.len());
         }
-        None => println!("{json}"),
+        None => writeln!(stdout, "{json}")?,
     }
     Ok(())
 }
@@ -90,7 +128,7 @@ fn load_data(args: &Args) -> Result<StreamedCatalog, String> {
 }
 
 /// `wtr simulate-mno`: run the §4–§7 scenario and export the catalog.
-pub fn simulate_mno(argv: &[String]) -> Result<(), String> {
+pub fn simulate_mno(argv: &[String], stdout: &mut impl Write) -> Result<(), Failure> {
     let args = Args::parse(
         argv,
         &[
@@ -108,11 +146,12 @@ pub fn simulate_mno(argv: &[String]) -> Result<(), String> {
         &["sunset-2g", "transparency"],
     )?;
     if args.flag("help") {
-        println!(
+        writeln!(
+            stdout,
             "wtr simulate-mno --out catalog.jsonl [--out-bin catalog.wtrcat] [--truth truth.jsonl] \
              [--devices N] [--days D] [--seed S] [--nbiot-meters F] [--sunset-2g] [--transparency] \
              [--record-loss F] [--shards K] [--behavior behaviors.json]"
-        );
+        )?;
         return Ok(());
     }
     let out_path = args.require("out")?;
@@ -135,7 +174,8 @@ pub fn simulate_mno(argv: &[String]) -> Result<(), String> {
             "--days {} exceeds the {}-day catalog window limit",
             config.days,
             probe_io::MAX_WINDOW_DAYS
-        ));
+        )
+        .into());
     }
     // Out of range, a loss fraction of 2 would write an empty catalog and
     // NaN would run as no loss; refuse both before simulating.
@@ -144,7 +184,7 @@ pub fn simulate_mno(argv: &[String]) -> Result<(), String> {
         ("record-loss", config.record_loss_fraction),
     ] {
         if !(0.0..=1.0).contains(&value) {
-            return Err(format!("--{name} {value}: must be a fraction in [0, 1]"));
+            return Err(format!("--{name} {value}: must be a fraction in [0, 1]").into());
         }
     }
     eprintln!(
@@ -174,7 +214,7 @@ pub fn simulate_mno(argv: &[String]) -> Result<(), String> {
     // `--behavior` swaps in externally defined behaviors for the
     // verticals named in the file (keys are `Vertical::label()` strings;
     // `wtr behavior-template` dumps the standard library as a starting
-    // point). Unlisted verticals keep their compiled-in behavior.
+    // point). Unlisted verticals keep their spec's own behavior.
     let scenario = match args.get("behavior") {
         Some(path) => MnoScenario::new(config).with_behavior_overrides(load_behaviors(path)?),
         None => MnoScenario::new(config),
@@ -221,12 +261,13 @@ pub fn simulate_mno(argv: &[String]) -> Result<(), String> {
 /// `wtr validate`: score any pipeline against exported ground truth —
 /// the measurement the paper's authors could not make (§4.3 relied on
 /// manual verification).
-pub fn validate_cmd(argv: &[String]) -> Result<(), String> {
+pub fn validate_cmd(argv: &[String], stdout: &mut impl Write) -> Result<(), Failure> {
     let args = Args::parse(argv, &["catalog", "truth", "pipeline"], &[])?;
     if args.flag("help") {
-        println!(
+        writeln!(
+            stdout,
             "wtr validate --catalog catalog.jsonl --truth truth.jsonl [--pipeline full|apn|vendor|range]"
-        );
+        )?;
         return Ok(());
     }
     let data = load_data(&args)?;
@@ -237,48 +278,54 @@ pub fn validate_cmd(argv: &[String]) -> Result<(), String> {
     let pipeline = args.get("pipeline").unwrap_or("full");
     let classification = classify_with(pipeline, &tacdb, &data.summaries, &data.apns)?;
     let v = wtr_core::validate::validate(&classification, &truth);
-    println!("pipeline: {pipeline}");
-    println!("devices scored: {}", v.matrix.total());
+    writeln!(stdout, "pipeline: {pipeline}")?;
+    writeln!(stdout, "devices scored: {}", v.matrix.total())?;
     if v.unmatched > 0 {
-        println!("devices without ground truth: {}", v.unmatched);
+        writeln!(stdout, "devices without ground truth: {}", v.unmatched)?;
     }
-    println!(
+    writeln!(
+        stdout,
         "m2m precision: {}",
         v.m2m_precision
             .map(|p| format!("{:.1}%", p * 100.0))
             .unwrap_or_else(|| "n/a".into())
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "m2m recall:    {}",
         v.m2m_recall
             .map(|r| format!("{:.1}%", r * 100.0))
             .unwrap_or_else(|| "n/a".into())
-    );
-    println!("accuracy:      {:.1}%", v.matrix.accuracy() * 100.0);
-    println!("\nconfusion matrix (rows = truth, cols = predicted):");
+    )?;
+    writeln!(stdout, "accuracy:      {:.1}%", v.matrix.accuracy() * 100.0)?;
+    writeln!(
+        stdout,
+        "\nconfusion matrix (rows = truth, cols = predicted):"
+    )?;
     let classes = DeviceClass::ALL;
-    print!("  {:<12}", "");
+    write!(stdout, "  {:<12}", "")?;
     for c in classes {
-        print!("{:>11}", c.label());
+        write!(stdout, "{:>11}", c.label())?;
     }
-    println!();
+    writeln!(stdout)?;
     for expected in classes {
-        print!("  {:<12}", expected.label());
+        write!(stdout, "  {:<12}", expected.label())?;
         for predicted in classes {
-            print!("{:>11}", v.matrix.get(expected, predicted));
+            write!(stdout, "{:>11}", v.matrix.get(expected, predicted))?;
         }
-        println!();
+        writeln!(stdout)?;
     }
     Ok(())
 }
 
 /// `wtr simulate-platform`: run the §3 scenario and export transactions.
-pub fn simulate_platform(argv: &[String]) -> Result<(), String> {
+pub fn simulate_platform(argv: &[String], stdout: &mut impl Write) -> Result<(), Failure> {
     let args = Args::parse(argv, &["out", "wire", "devices", "days", "seed"], &[])?;
     if args.flag("help") {
-        println!(
+        writeln!(
+            stdout,
             "wtr simulate-platform --out txs.jsonl [--wire txs.bin] [--devices N] [--days D] [--seed S]"
-        );
+        )?;
         return Ok(());
     }
     let out_path = args.require("out")?;
@@ -341,10 +388,13 @@ fn classify_with(
 }
 
 /// `wtr classify`: classification summary over a catalog.
-pub fn classify(argv: &[String]) -> Result<(), String> {
+pub fn classify(argv: &[String], stdout: &mut impl Write) -> Result<(), Failure> {
     let args = Args::parse(argv, &["catalog", "pipeline"], &[])?;
     if args.flag("help") {
-        println!("wtr classify --catalog catalog.jsonl [--pipeline full|apn|vendor|range]");
+        writeln!(
+            stdout,
+            "wtr classify --catalog catalog.jsonl [--pipeline full|apn|vendor|range]"
+        )?;
         return Ok(());
     }
     let data = load_data(&args)?;
@@ -353,10 +403,11 @@ pub fn classify(argv: &[String]) -> Result<(), String> {
     let classification = classify_with(pipeline, &tacdb, &data.summaries, &data.apns)?;
     // Shared renderer: `wtr_serve`'s `/report/{tenant}/classify` serves
     // the same bytes.
-    print!(
+    write!(
+        stdout,
         "{}",
         report::render_classify(pipeline, data.summaries.len(), &classification)
-    );
+    )?;
     Ok(())
 }
 
@@ -366,12 +417,13 @@ pub fn classify(argv: &[String]) -> Result<(), String> {
 /// and every table is computed over those summaries
 /// ([`wtr_core::stream::analyze`]), so the whole command runs in
 /// O(devices) memory (file → summaries → tables).
-pub fn analyze(argv: &[String]) -> Result<(), String> {
+pub fn analyze(argv: &[String], stdout: &mut impl Write) -> Result<(), Failure> {
     let args = Args::parse(argv, &["catalog"], &[])?;
     if args.flag("help") {
-        println!(
+        writeln!(
+            stdout,
             "wtr analyze --catalog catalog.jsonl [labels home classes rat traffic smip verticals diurnal revenue]"
-        );
+        )?;
         return Ok(());
     }
     let data = load_data(&args)?;
@@ -385,58 +437,67 @@ pub fn analyze(argv: &[String]) -> Result<(), String> {
         // One shared renderer per table (`wtr_core::report`): the server's
         // `/report/{tenant}/{table}` endpoint serves the same bytes, which
         // is what lets CI diff HTTP reports against this command.
-        print!("{}", report::render_analysis(analysis, &data, &suite)?);
-        println!();
+        write!(
+            stdout,
+            "{}",
+            report::render_analysis(analysis, &data, &suite)?
+        )?;
+        writeln!(stdout)?;
     }
     Ok(())
 }
 
 /// `wtr platform-stats`: §3 statistics over a transaction log.
-pub fn platform_stats(argv: &[String]) -> Result<(), String> {
+pub fn platform_stats(argv: &[String], stdout: &mut impl Write) -> Result<(), Failure> {
     let args = Args::parse(argv, &["transactions"], &[])?;
     if args.flag("help") {
-        println!("wtr platform-stats --transactions txs.jsonl");
+        writeln!(stdout, "wtr platform-stats --transactions txs.jsonl")?;
         return Ok(());
     }
     let path = args.require("transactions")?;
     let transactions =
         probe_io::read_transactions(open_in(path)?).map_err(|e| format!("{path}: {e}"))?;
     let ov = platform::overview(&transactions);
-    println!(
+    writeln!(
+        stdout,
         "{} transactions, {} devices",
         ov.total_transactions, ov.total_devices
-    );
-    print!(
+    )?;
+    write!(
+        stdout,
         "{}",
         report::shares_table("devices per HMNO country", &ov.hmno_device_shares, 8)
-    );
+    )?;
     let dyn_all = platform::dynamics(&transactions, None);
-    print!(
+    write!(
+        stdout,
         "{}",
         report::cdf("signaling records per device", &dyn_all.records_all, 8)
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "only-failed devices: {:.1}%; max VMNOs attempted by one: {}",
         dyn_all.only_failed_fraction * 100.0,
         dyn_all.max_vmnos_failed_device
-    );
+    )?;
     Ok(())
 }
 
 /// `wtr serve`: run the resident catalog/analysis server (`wtr_serve`).
-pub fn serve(argv: &[String]) -> Result<(), String> {
+pub fn serve(argv: &[String], stdout: &mut impl Write) -> Result<(), Failure> {
     let args = Args::parse(
         argv,
         &["addr", "workers", "watermark-secs", "max-body-bytes"],
         &[],
     )?;
     if args.flag("help") {
-        println!(
+        writeln!(
+            stdout,
             "wtr serve [--addr 127.0.0.1:8080] [--workers 4] [--watermark-secs 86400] \
              [--max-body-bytes 67108864]\n\n\
              POST /ingest/{{tenant}} catalog bodies in; GET /report/{{tenant}}/{{table}} \
              reports out; POST /shutdown seals open days and stops cleanly."
-        );
+        )?;
         return Ok(());
     }
     let defaults = wtr_serve::ServerConfig::default();
@@ -449,7 +510,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     let server = wtr_serve::Server::bind(config)?;
     // Stderr, so stdout stays clean for scripting; CI polls /healthz.
     eprintln!("wtr-serve listening on {}", server.local_addr());
-    server.run().map_err(|e| format!("server: {e}"))
+    server.run().map_err(|e| format!("server: {e}").into())
 }
 
 /// Tiny deterministic PRNG for `catalog-split`'s shuffle (splitmix64).
@@ -465,12 +526,13 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// partition them into N valid catalog files — the tap-upload fixtures
 /// for `wtr serve` (each (user, day) row lands in exactly one part, the
 /// row-partitioned contract the server's determinism guarantee assumes).
-pub fn catalog_split(argv: &[String]) -> Result<(), String> {
+pub fn catalog_split(argv: &[String], stdout: &mut impl Write) -> Result<(), Failure> {
     let args = Args::parse(argv, &["catalog", "parts", "seed", "out-prefix"], &[])?;
     if args.flag("help") {
-        println!(
+        writeln!(
+            stdout,
             "wtr catalog-split --catalog catalog.jsonl --out-prefix part- [--parts 3] [--seed 1]"
-        );
+        )?;
         return Ok(());
     }
     let catalog = load_catalog(&args)?;

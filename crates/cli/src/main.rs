@@ -17,6 +17,8 @@
 mod args;
 mod commands;
 
+use commands::Failure;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -45,26 +47,31 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    // Every command writes through this one lock and hands write errors
+    // back, so a reader that stops early ends the command instead of
+    // panicking it.
+    let mut stdout = std::io::stdout().lock();
+    let out = &mut stdout;
     let result = match command.as_str() {
-        "simulate-mno" => commands::simulate_mno(rest),
-        "simulate-platform" => commands::simulate_platform(rest),
-        "classify" => commands::classify(rest),
-        "validate" => commands::validate_cmd(rest),
-        "analyze" => commands::analyze(rest),
-        "platform-stats" => commands::platform_stats(rest),
-        "behavior-template" => commands::behavior_template(rest),
-        "serve" => commands::serve(rest),
-        "catalog-split" => commands::catalog_split(rest),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}; try `wtr help`")),
-    };
+        "simulate-mno" => commands::simulate_mno(rest, out),
+        "simulate-platform" => commands::simulate_platform(rest, out),
+        "classify" => commands::classify(rest, out),
+        "validate" => commands::validate_cmd(rest, out),
+        "analyze" => commands::analyze(rest, out),
+        "platform-stats" => commands::platform_stats(rest, out),
+        "behavior-template" => commands::behavior_template(rest, out),
+        "serve" => commands::serve(rest, out),
+        "catalog-split" => commands::catalog_split(rest, out),
+        "help" | "--help" | "-h" => writeln!(out, "{USAGE}").map_err(Failure::from),
+        other => Err(format!("unknown command {other:?}; try `wtr help`").into()),
+    }
+    .and_then(|()| stdout.flush().map_err(Failure::from));
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
+        // `wtr analyze … | head -1`: the reader has what it wanted.
+        Err(Failure::Stdout(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(failure) => {
+            eprintln!("error: {failure}");
             ExitCode::FAILURE
         }
     }

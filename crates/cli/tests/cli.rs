@@ -318,6 +318,61 @@ fn behavior_template_loads_and_bad_files_are_refused() {
 }
 
 #[test]
+fn a_reader_that_stops_early_ends_analyze_cleanly() {
+    // `wtr analyze … | head -1`: the reader takes one line and closes
+    // the pipe while the command still has output to write.
+    let catalog = tmp("catalog-pipe.jsonl");
+    let path = catalog.to_str().unwrap();
+    let out = wtr(&[
+        "simulate-mno",
+        "--out",
+        path,
+        "--devices",
+        "200",
+        "--days",
+        "3",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // Far more output than a pipe buffers, so the command is still
+    // writing when the reader leaves.
+    let mut args = vec!["analyze", "--catalog", path];
+    for _ in 0..100 {
+        args.extend([
+            "labels",
+            "home",
+            "classes",
+            "rat",
+            "traffic",
+            "smip",
+            "verticals",
+            "diurnal",
+            "revenue",
+        ]);
+    }
+    let mut child = Command::new(env!("CARGO_BIN_EXE_wtr"))
+        .args(&args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    {
+        let mut reader = BufReader::new(child.stdout.take().unwrap());
+        reader.read_line(&mut first).unwrap();
+    } // Dropping the reader closes the pipe.
+    assert!(first.contains("roaming-label shares"), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_file(&catalog).ok();
+}
+
+#[test]
 fn one_day_window_simulates_and_analyzes() {
     // A late-arriving meter draws its arrival day after day 0, which a
     // one-day window does not have.
