@@ -36,7 +36,6 @@ struct Args {
     days: u32,
     m2m_days: u32,
     seed: u64,
-    json: bool,
     experiments: BTreeSet<String>,
 }
 
@@ -47,7 +46,6 @@ fn parse_args() -> Args {
         days: 22,
         m2m_days: 11,
         seed: 42,
-        json: false,
         experiments: BTreeSet::new(),
     };
     let mut iter = std::env::args().skip(1);
@@ -73,7 +71,6 @@ fn parse_args() -> Args {
                     .expect("--m2m-days D")
             }
             "--seed" => args.seed = iter.next().and_then(|v| v.parse().ok()).expect("--seed S"),
-            "--json" => args.json = true,
             "--help" | "-h" => {
                 eprintln!("usage: repro [--devices N] [--m2m-devices N] [--days D] [--m2m-days D] [--seed S] [e1..e24 ...]");
                 std::process::exit(0);
@@ -94,143 +91,8 @@ fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// Machine-readable summary: the headline metric of every experiment in
-/// one JSON object, for CI dashboards and regression tracking.
-fn emit_json(args: &Args) {
-    use serde_json::json;
-    let m2m = M2mScenario::new(M2mScenarioConfig {
-        devices: args.m2m_devices,
-        days: args.m2m_days,
-        seed: args.seed,
-        g4_hole_fraction: 0.05,
-    })
-    .run();
-    let ov = platform::overview(&m2m.transactions);
-    let dyn_es = platform::dynamics(&m2m.transactions, Some(well_known::ES_HMNO));
-    let share = |iso: &str| {
-        ov.hmno_device_shares
-            .iter()
-            .find(|(c, _, _)| c == iso)
-            .map(|(_, _, s)| *s)
-            .unwrap_or(0.0)
-    };
-
-    let art = MnoArtifacts::build(MnoScenarioConfig {
-        devices: args.devices,
-        days: args.days,
-        seed: args.seed,
-        nbiot_meter_fraction: 0.0,
-        sunset_2g_uk: false,
-        gsma_transparency: false,
-        record_loss_fraction: 0.0,
-    });
-    let shares = art.classification.shares();
-    let labels = population::label_shares(&art.output.catalog);
-    let breakdown = population::class_label_breakdown(&art.summaries, &art.classification);
-    let hc = population::home_countries(&art.summaries, &art.classification);
-    let days = activity::active_days(
-        &art.summaries,
-        &art.classification,
-        &[
-            (DeviceClass::M2m, StatusGroup::InboundRoaming),
-            (DeviceClass::Smart, StatusGroup::InboundRoaming),
-        ],
-    );
-    let gyr = activity::gyration(
-        &art.summaries,
-        &art.classification,
-        &[(DeviceClass::M2m, StatusGroup::InboundRoaming)],
-    );
-    let any = rat_usage::rat_usage(
-        &art.summaries,
-        &art.classification,
-        &[DeviceClass::M2m],
-        Plane::Any,
-    );
-    let pop = smip::identify(
-        &art.summaries,
-        &art.output.tacdb,
-        art.output.catalog.apn_table(),
-    );
-    let native = smip::group_stats(&art.summaries, &pop.native, art.output.days);
-    let roaming = smip::group_stats(&art.summaries, &pop.roaming, art.output.days);
-    let truth = art.observed_truth();
-    let full = validate(&art.classification, &truth);
-    let (cars, meters) = verticals::compare(&art.summaries, art.output.catalog.apn_table());
-
-    let doc = json!({
-        "scale": {
-            "mno_devices": args.devices,
-            "mno_days": args.days,
-            "platform_devices": args.m2m_devices,
-            "platform_days": args.m2m_days,
-            "seed": args.seed,
-        },
-        "e1": {
-            "es_device_share": share("ES"),
-            "mx_device_share": share("MX"),
-            "ar_device_share": share("AR"),
-            "de_device_share": share("DE"),
-            "es_visited_countries": ov.countries_per_hmno.get("ES").copied().unwrap_or(0),
-            "es_visited_vmnos": ov.vmnos_per_hmno.get("ES").copied().unwrap_or(0),
-            "mx_home_fraction": ov.home_fraction_per_hmno.get("MX").copied().unwrap_or(0.0),
-        },
-        "e3": {
-            "mean_records": dyn_es.records_all.mean(),
-            "under_2000": dyn_es.records_all.fraction_at_or_below(2000.0),
-        },
-        "e4": {
-            "one_vmno": dyn_es.vmnos_roaming.fraction_at_or_below(1.0),
-            "only_failed_fraction": dyn_es.only_failed_fraction,
-        },
-        "e6": labels.overall.iter().map(|(l, v)| (l.to_string(), *v)).collect::<std::collections::BTreeMap<_, _>>(),
-        "e7": shares.iter().map(|(c, v)| (c.label().to_string(), *v)).collect::<std::collections::BTreeMap<_, _>>(),
-        "e8": { "top3_share": hc.overall.iter().take(3).map(|(_, _, s)| s).sum::<f64>() },
-        "e10": {
-            "ih_m2m": breakdown.share_of_label(DeviceClass::M2m, RoamingLabel::IH),
-            "m2m_ih": breakdown.share_of_class(DeviceClass::M2m, RoamingLabel::IH),
-        },
-        "e11": {
-            "m2m_inbound_median_days": days[0].days.median(),
-            "smart_inbound_median_days": days[1].days.median(),
-        },
-        "e12": { "m2m_under_1km": gyr[0].gyration_km.fraction_at_or_below(1.0) },
-        "e13": { "m2m_2g_only": any[0].share("2G only") },
-        "e15": {
-            "native_full_period": native.full_period_fraction,
-            "roaming_le_5_days": roaming.active_days.fraction_at_or_below(5.0),
-        },
-        "e16": {
-            "signaling_ratio": roaming.signaling_per_day.mean().unwrap_or(0.0)
-                / native.signaling_per_day.mean().unwrap_or(1.0).max(1e-9),
-            "native_failed": native.failed_device_fraction,
-            "roaming_failed": roaming.failed_device_fraction,
-        },
-        "e17": {
-            "roaming_home_operators": pop.roaming_home_plmns.len(),
-            "roaming_vendors": pop.roaming_vendors,
-        },
-        "e18": {
-            "car_gyration_median_km": cars.gyration_km.median(),
-            "meter_gyration_median_km": meters.gyration_km.median(),
-        },
-        "e19": {
-            "m2m_precision": full.m2m_precision,
-            "m2m_recall": full.m2m_recall,
-        },
-    });
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&doc).expect("serializable")
-    );
-}
-
 fn main() {
     let args = parse_args();
-    if args.json {
-        emit_json(&args);
-        return;
-    }
     let m2m_ids = ["e1", "e2", "e3", "e4", "e5"];
     let need_m2m = m2m_ids.iter().any(|id| wanted(&args, id));
     let need_mno = (6..=22).any(|i| wanted(&args, &format!("e{i}")) && i != 20);
