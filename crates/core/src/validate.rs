@@ -65,17 +65,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// F1 score of `class`.
-    pub fn f1(&self, class: DeviceClass) -> Option<f64> {
-        let p = self.precision(class)?;
-        let r = self.recall(class)?;
-        if p + r == 0.0 {
-            Some(0.0)
-        } else {
-            Some(2.0 * p * r / (p + r))
-        }
-    }
-
     /// Overall accuracy.
     pub fn accuracy(&self) -> f64 {
         let total = self.total();
@@ -206,7 +195,6 @@ mod tests {
         let m = ConfusionMatrix::default();
         assert_eq!(m.precision(DeviceClass::M2m), None);
         assert_eq!(m.recall(DeviceClass::M2m), None);
-        assert_eq!(m.f1(DeviceClass::M2m), None);
         assert_eq!(m.accuracy(), 0.0);
     }
 
@@ -220,7 +208,7 @@ mod tests {
     }
 
     #[test]
-    fn f1_harmonic_mean() {
+    fn precision_and_recall_count_their_cells() {
         let mut m = ConfusionMatrix::default();
         // 8 true m2m predicted m2m, 2 m2m predicted maybe, 2 smart
         // predicted m2m.
@@ -237,6 +225,5 @@ mod tests {
         let r = m.recall(DeviceClass::M2m).unwrap();
         assert!((p - 0.8).abs() < 1e-12);
         assert!((r - 0.8).abs() < 1e-12);
-        assert!((m.f1(DeviceClass::M2m).unwrap() - 0.8).abs() < 1e-12);
     }
 }

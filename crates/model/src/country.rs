@@ -7,7 +7,6 @@
 //! across all regions, enough to reproduce the platform's geographic
 //! footprint at full breadth. MCC allocations follow ITU E.212.
 
-use crate::error::ParseError;
 use crate::ids::Mcc;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -78,11 +77,6 @@ impl Country {
     /// Looks a country up by any of its MCCs.
     pub fn by_mcc(mcc: Mcc) -> Option<&'static Country> {
         REGISTRY.iter().find(|c| c.mccs.contains(&mcc.value()))
-    }
-
-    /// Looks a country up by any of its MCCs, erroring on unknown codes.
-    pub fn try_by_mcc(mcc: Mcc) -> Result<&'static Country, ParseError> {
-        Country::by_mcc(mcc).ok_or(ParseError::UnknownMcc(mcc.value()))
     }
 
     /// Looks a country up by ISO alpha-2 code (case-sensitive, upper).
@@ -311,11 +305,5 @@ mod tests {
         .map(|r| Country::in_region(r).count())
         .sum();
         assert_eq!(total, Country::all().len());
-    }
-
-    #[test]
-    fn try_by_mcc_reports_unknown() {
-        let err = Country::try_by_mcc(Mcc::new(299).unwrap()).unwrap_err();
-        assert_eq!(err, ParseError::UnknownMcc(299));
     }
 }

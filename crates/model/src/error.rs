@@ -54,9 +54,6 @@ pub enum ParseError {
         /// name.
         found: Option<u8>,
     },
-    /// The MCC is syntactically valid but not allocated to any country in
-    /// the registry.
-    UnknownMcc(u16),
     /// The PLMN (MCC-MNC pair) is not present in the operator registry.
     UnknownPlmn {
         /// Mobile Country Code.
@@ -102,7 +99,6 @@ impl fmt::Display for ParseError {
                 f,
                 "not a {format} version {expected} stream (bad magic bytes)"
             ),
-            ParseError::UnknownMcc(mcc) => write!(f, "MCC {mcc} not allocated in registry"),
             ParseError::UnknownPlmn { mcc, mnc } => {
                 write!(f, "PLMN {mcc}-{mnc:02} not present in operator registry")
             }

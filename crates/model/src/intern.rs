@@ -27,7 +27,6 @@
 //!   never depend on hash order (there is no hashing anywhere in this
 //!   type).
 
-use crate::error::ParseError;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -138,24 +137,6 @@ impl ApnTable {
     /// If `sym` was not issued by this table (out of range).
     pub fn resolve(&self, sym: ApnSym) -> &str {
         &self.strings[sym.index()]
-    }
-
-    /// Resolves a symbol, returning `None` when it is out of range (e.g.
-    /// a symbol decoded from a corrupt file).
-    pub fn try_resolve(&self, sym: ApnSym) -> Option<&str> {
-        self.strings.get(sym.index()).map(String::as_str)
-    }
-
-    /// Validates a raw wire symbol against this table's range.
-    pub fn checked_sym(&self, raw: u32) -> Result<ApnSym, ParseError> {
-        if (raw as usize) < self.strings.len() {
-            Ok(ApnSym(raw))
-        } else {
-            Err(ParseError::OutOfRange {
-                what: "APN symbol",
-                allowed: "< table length",
-            })
-        }
     }
 
     /// Iterates `(symbol, string)` pairs in symbol order.
@@ -314,14 +295,5 @@ mod tests {
         let back: ApnTable = serde_json::from_str(&json).unwrap();
         assert_eq!(back, t);
         assert_eq!(back.lookup("alpha"), Some(ApnSym::from_raw(1)));
-    }
-
-    #[test]
-    fn checked_sym_rejects_out_of_range() {
-        let mut t = ApnTable::new();
-        t.intern("a");
-        assert!(t.checked_sym(0).is_ok());
-        assert!(t.checked_sym(1).is_err());
-        assert_eq!(t.try_resolve(ApnSym::from_raw(9)), None);
     }
 }

@@ -152,16 +152,6 @@ impl OperatorRegistry {
             .map(|id| &self.operators[id.0 as usize])
     }
 
-    /// Looks up an operator id by PLMN.
-    pub fn id_of(&self, plmn: Plmn) -> Option<OperatorId> {
-        self.by_plmn.get(&plmn.packed()).copied()
-    }
-
-    /// Operator by id.
-    pub fn by_id(&self, id: OperatorId) -> &Operator {
-        &self.operators[id.0 as usize]
-    }
-
     /// Number of operators.
     pub fn len(&self) -> usize {
         self.operators.len()
@@ -296,13 +286,6 @@ mod tests {
         };
         reg.insert(op.clone()).unwrap();
         assert!(reg.insert(op).is_err());
-    }
-
-    #[test]
-    fn id_lookup_roundtrip() {
-        let reg = OperatorRegistry::standard(2);
-        let id = reg.id_of(well_known::ES_HMNO).unwrap();
-        assert_eq!(reg.by_id(id).plmn, well_known::ES_HMNO);
     }
 
     #[test]

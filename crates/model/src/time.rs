@@ -54,11 +54,6 @@ impl SimTime {
     pub const fn hour_of_day(self) -> u32 {
         (self.secs_into_day() / 3_600) as u32
     }
-
-    /// Saturating difference `self - earlier`.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl fmt::Display for SimTime {
@@ -104,18 +99,6 @@ impl SimDuration {
     /// Duration length in seconds.
     pub const fn as_secs(self) -> u64 {
         self.0
-    }
-
-    /// Duration expressed in fractional days.
-    pub fn as_days_f64(self) -> f64 {
-        self.0 as f64 / SECS_PER_DAY as f64
-    }
-
-    /// Multiplies the duration by a non-negative factor, rounding to the
-    /// nearest second.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        debug_assert!(factor >= 0.0, "duration factor must be non-negative");
-        SimDuration((self.0 as f64 * factor).round() as u64)
     }
 }
 
@@ -212,16 +195,6 @@ mod tests {
         let t = SimTime::from_secs(100) + SimDuration::from_mins(2);
         assert_eq!(t.as_secs(), 220);
         assert_eq!((t - SimTime::from_secs(20)).as_secs(), 200);
-        assert_eq!(SimDuration::from_days(2).as_days_f64(), 2.0);
-        assert_eq!(SimDuration::from_hours(1).mul_f64(0.5).as_secs(), 1_800);
-    }
-
-    #[test]
-    fn saturating_since_does_not_underflow() {
-        let early = SimTime::from_secs(10);
-        let late = SimTime::from_secs(50);
-        assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(late.saturating_since(early).as_secs(), 40);
     }
 
     #[test]

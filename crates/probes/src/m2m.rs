@@ -30,7 +30,6 @@ pub struct M2mProbe {
     key: AnonKey,
     /// The captured transaction log, in time order.
     pub transactions: Vec<M2mTransaction>,
-    dropped_rat: u64,
     dropped_unwatched: u64,
 }
 
@@ -41,14 +40,8 @@ impl M2mProbe {
             watched,
             key,
             transactions: Vec::new(),
-            dropped_rat: 0,
             dropped_unwatched: 0,
         }
-    }
-
-    /// Events skipped because they were not on 4G.
-    pub fn dropped_non_4g(&self) -> u64 {
-        self.dropped_rat
     }
 
     /// Events skipped because the SIM is not a watched platform SIM.
@@ -70,7 +63,6 @@ impl EventSink for M2mProbe {
         if !sig.rat.is_lte_family() {
             // The platform probes watch the 4G/EPC core; NB-IoT signaling
             // traverses the same MME/HSS path (§8) and is captured too.
-            self.dropped_rat += 1;
             return;
         }
         let Some(message) = M2mMessageType::from_procedure(sig.procedure) else {
@@ -141,7 +133,6 @@ mod tests {
         p.on_event(&sig(imsi, Rat::G2, ProcedureType::Authentication));
         p.on_event(&sig(imsi, Rat::G3, ProcedureType::UpdateLocation));
         assert!(p.transactions.is_empty());
-        assert_eq!(p.dropped_non_4g(), 2);
     }
 
     #[test]

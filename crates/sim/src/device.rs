@@ -177,18 +177,6 @@ impl DeviceSpec {
         }
         current
     }
-
-    /// Number of distinct countries on the itinerary.
-    pub fn countries_visited(&self) -> usize {
-        let mut isos: Vec<&str> = self
-            .itinerary
-            .iter()
-            .map(|l| l.country_iso.as_str())
-            .collect();
-        isos.sort_unstable();
-        isos.dedup();
-        isos.len()
-    }
 }
 
 /// The executable agent for one device.
@@ -996,7 +984,6 @@ mod tests {
         assert_eq!(spec.leg_at(Day(4)).country_iso, "GB");
         assert_eq!(spec.leg_at(Day(5)).country_iso, "ES");
         assert_eq!(spec.leg_at(Day(9)).country_iso, "ES");
-        assert_eq!(spec.countries_visited(), 2);
     }
 
     #[test]
