@@ -437,12 +437,8 @@ pub fn analyze(argv: &[String], stdout: &mut impl Write) -> Result<(), Failure> 
         // One shared renderer per table (`wtr_core::report`): the server's
         // `/report/{tenant}/{table}` endpoint serves the same bytes, which
         // is what lets CI diff HTTP reports against this command.
-        write!(
-            stdout,
-            "{}",
-            report::render_analysis(analysis, &data, &suite)?
-        )?;
-        writeln!(stdout)?;
+        let table = report::render_analysis(analysis, &data, &suite)?;
+        writeln!(stdout, "{table}")?;
     }
     Ok(())
 }

@@ -6,6 +6,8 @@
 //! carrier runs a global roaming hub (interconnecting the HMNOs with
 //! MNOs world-wide, §2.1). That [`AgreementGraph`] is the access policy
 //! each shard boxes: it admits or refuses every attach attempt.
+//! [`Universe::standard_behaviors`] is the per-vertical behavior library
+//! `wtr behavior-template` writes and `--behavior` files override.
 
 use std::collections::BTreeMap;
 use wtr_model::country::Country;

@@ -64,12 +64,12 @@ pub enum Wake {
 
 impl Wake {
     /// The engine tag that carries this wake.
-    pub const fn tag(self) -> WakeTag {
+    pub(crate) const fn tag(self) -> WakeTag {
         WakeTag(self as u32)
     }
 
     /// The wake `tag` carries, if it carries one.
-    pub fn of_tag(tag: WakeTag) -> Option<Wake> {
+    pub(crate) fn of_tag(tag: WakeTag) -> Option<Wake> {
         match tag.0 {
             0 => Some(Wake::Plan),
             1 => Some(Wake::Signaling),
@@ -134,15 +134,6 @@ pub enum BehaviorError {
     Negative(&'static str),
     /// A probability is outside `[0, 1]` or not finite.
     NotAProbability(&'static str),
-}
-
-impl BehaviorError {
-    /// The offending field.
-    pub fn field(self) -> &'static str {
-        match self {
-            BehaviorError::Negative(field) | BehaviorError::NotAProbability(field) => field,
-        }
-    }
 }
 
 impl fmt::Display for BehaviorError {
@@ -243,7 +234,7 @@ fn prob(field: &'static str, p: f64) -> Result<(), BehaviorError> {
 /// Construction-time draw 2 (after [`Behavior::draw_multiplier`]): how
 /// many candidate networks a sticky-failing device attempts per wake (1,
 /// 2 or unbounded, split by [`STICKY_BREADTH_WEIGHTS`]).
-pub fn draw_sticky_breadth(rng: &mut SubstreamRng) -> usize {
+pub(crate) fn draw_sticky_breadth(rng: &mut SubstreamRng) -> usize {
     match rng.weighted_index(&STICKY_BREADTH_WEIGHTS) {
         0 => 1,
         1 => 2,
@@ -575,7 +566,10 @@ mod tests {
         let mut b = good.clone();
         b.options.daily_active_prob = f64::INFINITY;
         let err = b.validate().unwrap_err();
-        assert_eq!(err.field(), "options.daily_active_prob");
+        assert_eq!(
+            err,
+            BehaviorError::NotAProbability("options.daily_active_prob")
+        );
         assert_eq!(
             err.to_string(),
             "options.daily_active_prob must be a probability within [0, 1]"

@@ -24,7 +24,7 @@ use where_things_roam::model::vertical::Vertical;
 use where_things_roam::radio::geo::CountryGeometry;
 use where_things_roam::radio::network::{CoverageFaults, RadioNetwork};
 use where_things_roam::radio::sector::GridSpacing;
-use where_things_roam::sim::behavior::{Behavior, Options};
+use where_things_roam::sim::behavior::{Behavior, BehaviorError, Options};
 use where_things_roam::sim::device::{DeviceAgent, DeviceSpec, ItineraryLeg, PresenceModel};
 use where_things_roam::sim::engine::Engine;
 use where_things_roam::sim::events::ProcedureResult;
@@ -218,7 +218,9 @@ proptest! {
         corrupt(&mut b, kind, bad, above);
         match b.validate() {
             Ok(()) => prop_assert!(false, "corruption {kind} accepted"),
-            Err(e) => prop_assert_eq!(e.field(), CORRUPTED_FIELDS[kind]),
+            Err(BehaviorError::Negative(field) | BehaviorError::NotAProbability(field)) => {
+                prop_assert_eq!(field, CORRUPTED_FIELDS[kind])
+            }
         }
     }
 
